@@ -26,6 +26,7 @@ from repro.faults.plans import PLANS
 from repro.hart.machine import Machine
 from repro.perf import cache_stats, stats_delta
 
+from perfbench import pace
 from perfbench.trapmix import release_machines, stats_digest
 
 #: Chaos seeds in every matrix: the cells known to fail (``opensbi`` and
@@ -74,6 +75,9 @@ class Cell:
     error: str = ""
     #: Host seconds of the ``run_chaos`` call.
     seconds: float = 0.0
+    #: Factor from host seconds to seconds at the reference pace
+    #: (:mod:`perfbench.pace`), from readings taken around the cell.
+    pace: float = 1.0
     #: Trap accounting of the cell's machine.  A bounded cell stopped at
     #: a wall-clock moment, so its cycles and digest are left out.
     traps: int = 0
@@ -163,6 +167,15 @@ def run_cell(key: tuple, bound_s: float = CELL_BOUND_S, hooks=None
 
 def timed_cells(keys, hooks=None, bound_s: float = CELL_BOUND_S
                 ) -> tuple[list[Cell], list[float]]:
-    """Run ``keys`` in order; returns the cells and their host seconds."""
-    cells = [run_cell(key, bound_s, hooks) for key in keys]
-    return cells, [cell.seconds for cell in cells]
+    """Run ``keys`` in order; returns the cells and their host seconds
+    at the reference pace.  One pace reading falls between each two
+    cells, so it serves the cell before it and the cell after it."""
+    cells = []
+    before = pace.reading()
+    for key in keys:
+        cell = run_cell(key, bound_s, hooks)
+        after = pace.reading()
+        cell.pace = pace.scale(before, after)
+        cells.append(cell)
+        before = after
+    return cells, [cell.seconds * cell.pace for cell in cells]

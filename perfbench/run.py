@@ -20,6 +20,7 @@ import hashlib
 import json
 import resource
 import statistics
+import subprocess
 import sys
 from pathlib import Path
 from time import perf_counter
@@ -50,6 +51,32 @@ TRACED_BOUND_SCALE = 5.0
 
 CALIBRATED = "other simulated figures: calibrated, not validated"
 
+#: What set-up imports, per workload.  ``run_chaos`` imports firmware,
+#: policy and snapshot modules on first use, so the chaos matrix imports
+#: the whole simulator in set-up rather than in its first cell.
+SETUP_IMPORTS = {
+    "memcached-offload": "from perfbench import trapmix",
+    "memcached-reinject": "from perfbench import trapmix",
+    "chaos-matrix": ("from perfbench import chaos, spans; "
+                     "spans.import_package('repro')"),
+}
+
+#: Fresh interpreters whose import time set-up takes the median of.
+IMPORT_SAMPLES = 5
+
+#: Times ``SETUP_IMPORTS`` in a fresh interpreter, at the reference pace.
+_IMPORT_PROBE = """
+import sys
+from time import perf_counter
+sys.path[:0] = sys.argv[1:3]
+from perfbench import pace
+before = pace.reading()
+start = perf_counter()
+{statement}
+seconds = perf_counter() - start
+print(seconds * pace.scale(before, pace.reading()))
+"""
+
 
 def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -73,17 +100,37 @@ def another_round_fits(start: float, round_start: float, seconds: float,
     return rounds < MIN_ROUNDS or now + (now - round_start) <= start + seconds
 
 
-def fast_decile(values, rate: bool = False) -> float:
-    """The value at the fast tenth of ``values`` (one per round): the
-    10th percentile of times, or the 90th of rates when ``rate``.
+def paced_median(rounds, seconds) -> float:
+    """Median over ``rounds`` of ``seconds(round)`` at the reference pace
+    (see :mod:`perfbench.pace`)."""
+    return statistics.median(seconds(result) * result.pace
+                             for result in rounds)
 
-    The sandbox's effective CPU speed swings by up to 2x over seconds to
-    minutes, and interference only ever slows a round down, so the fast
-    rounds measure what the code costs; their value moved ~5% from run
-    to run where the median over rounds moved ~15%.
+
+def _pace_line(scales) -> str:
+    from perfbench import pace
+
+    return (f"pace: host seconds x {statistics.median(scales):.4f} "
+            f"(median; {min(scales):.4f}-{max(scales):.4f}) = seconds at "
+            f"the reference pace ({pace.REFERENCE_S * 1e3:g} ms per "
+            f"reference pass)")
+
+
+def import_seconds(workload: str) -> float:
+    """Median import time of ``workload``'s set-up at the reference pace,
+    over IMPORT_SAMPLES fresh interpreters run one after another.
+
+    A process imports once, so one in-process sample per run made
+    ``setup_s`` spread 0.24-0.37 (IQR over median) across runs.
     """
-    deciles = statistics.quantiles(values, n=10, method="inclusive")
-    return deciles[-1] if rate else deciles[0]
+    probe = _IMPORT_PROBE.format(statement=SETUP_IMPORTS[workload])
+    samples = []
+    for _ in range(IMPORT_SAMPLES):
+        done = subprocess.run(
+            [sys.executable, "-c", probe, str(SRC), str(ROOT)],
+            capture_output=True, text=True, check=True, timeout=60)
+        samples.append(float(done.stdout.split()[-1]))
+    return statistics.median(samples)
 
 
 def hit_ratio(counters: dict) -> float:
@@ -134,12 +181,16 @@ class TrapMixRun:
     def run(self, rounds: int = 0, seconds: float = 0.0, hooks=None
             ) -> float:
         """Run ``rounds`` rounds, or else rounds within ``seconds``;
-        returns the op seconds of the rounds run."""
+        returns the op seconds of the rounds run, at the reference pace."""
+        from perfbench import pace
+
         start = perf_counter()
         done = []
         while True:
             round_start = perf_counter()
+            before = pace.reading()
             result = self.trapmix.run_round(self.workload, self.kinds, hooks)
+            result.pace = pace.scale(before, pace.reading())
             result.summarize(self.kinds)
             done.append(result)
             if rounds:
@@ -152,7 +203,7 @@ class TrapMixRun:
             for error in self.trapmix.round_errors(result, self.kinds):
                 self.errors.append(f"round {len(self.rounds)}: {error}")
             self.rounds.append(result)
-        return sum(result.op_s for result in done)
+        return sum(result.op_s * result.pace for result in done)
 
     def digest(self) -> str:
         """The rounds' common sim digest (a disagreement is an error)."""
@@ -180,12 +231,12 @@ def trapmix_end_to_end(workload: str, seed: int, seconds: float,
                        import_s: float, out: list) -> dict:
     """Rounds within ``seconds`` after one untimed warm-up round.
 
-    Every timing is taken per round and reported at the fast tenth of
-    the rounds (see :func:`fast_decile`).
+    Every timing is taken per round, scaled to the reference pace, and
+    reported as the median over the rounds (see :func:`paced_median`).
     """
     mix = TrapMixRun(workload, seed)
     mix.run(rounds=1)  # warm-up: fills the decode/encode caches
-    warm_setup = mix.rounds.pop().setup_s
+    warm = mix.rounds.pop()
     mix.run(seconds=seconds)
     rounds = mix.rounds
     ops = len(mix.kinds)
@@ -193,23 +244,24 @@ def trapmix_end_to_end(workload: str, seed: int, seconds: float,
     first = rounds[0]
     failed = mix.failed_ops()
     metrics = {
-        "setup_s": (import_s + statistics.median(
-            [warm_setup] + [result.setup_s for result in rounds]), "s"),
-        "ops_per_s": (fast_decile(
-            [ops / result.op_s for result in rounds], rate=True), "1/s"),
-        "op_p50_us": (fast_decile(
-            [result.p50_s for result in rounds]) * 1e6, "us"),
-        "op_tail_us": (fast_decile(
-            [result.tail_s for result in rounds]) * 1e6, "us"),
+        "setup_s": (import_s + paced_median(
+            [warm] + rounds, lambda result: result.setup_s), "s"),
+        "ops_per_s": (ops / paced_median(
+            rounds, lambda result: result.op_s), "1/s"),
+        "op_p50_us": (paced_median(
+            rounds, lambda result: result.p50_s) * 1e6, "us"),
+        "op_tail_us": (paced_median(
+            rounds, lambda result: result.tail_s) * 1e6, "us"),
         "ok_ratio": (1.0 - failed / timed, "ratio"),
-        "host_us_per_trap": (fast_decile(
-            [result.op_s * 1e6 / result.traps for result in rounds]), "us"),
+        "host_us_per_trap": (paced_median(
+            rounds, lambda result: result.op_s / result.traps) * 1e6, "us"),
         "peak_rss_mb": (peak_rss_mb(), "MB"),
         "sim_cycles_per_op": (first.cycles / ops, "cycles"),
     }
     out.append(f"rounds: {len(rounds)} x {ops} ops ({timed} timed ops)")
     out.append(f"op_tail_us: p{first.tail_p:g} of each round's {ops} ops; "
-               f"timings at the fast tenth of {len(rounds)} rounds")
+               f"timings are medians over {len(rounds)} rounds")
+    out.append(_pace_line([result.pace for result in rounds]))
     out.append(f"fail_ratio: {failed / timed}")
     out.append(f"traps_per_op: {first.traps / ops}")
     out.append(f"world_switches_per_op: {first.world_switches / ops}")
@@ -233,12 +285,11 @@ def chaos_end_to_end(seed: int, seconds: float, import_s: float,
                      out: list) -> dict:
     """Matrix rounds within ``seconds``.
 
-    Each cell's host time is its best over rounds (the analogue of
-    :func:`fast_decile` for three samples), and the latency and per-trap
-    metrics are taken over those per-cell best times.  A cell cut
-    at its bound counts as failed in every round, but is run only in the
-    first: its time measures the bound, not the simulator, so the timing
-    metrics leave it out.
+    Each cell's host time is its median over rounds at the reference
+    pace, and the latency and per-trap metrics are taken over those
+    per-cell times.  A cell cut at its bound counts as failed in every
+    round, but is run only in the first: its time measures the bound,
+    not the simulator, so the timing metrics leave it out.
     """
     from perfbench import chaos
     from perfbench.stats import tail
@@ -263,28 +314,29 @@ def chaos_end_to_end(seed: int, seconds: float, import_s: float,
             key_times[cell.key].append(t)
             if cell.digest != cells[cell.key].digest:
                 errors.append(f"cell {cell.key} changed its digest")
-    best = {key: min(ts) for key, ts in key_times.items()}
-    op_s = sum(best.values())
+    cell_s = {key: statistics.median(ts) for key, ts in key_times.items()}
+    op_s = sum(cell_s.values())
     failed_keys = [cell for cell in first if not cell.ok]
-    tail_p, tail_s = tail(list(best.values()))
+    tail_p, tail_s = tail(list(cell_s.values()))
     metrics = {
         "setup_s": (import_s, "s"),
-        "ops_per_s": (len(best) / op_s, "1/s"),
-        "op_p50_us": (statistics.median(best.values()) * 1e6, "us"),
+        "ops_per_s": (len(cell_s) / op_s, "1/s"),
+        "op_p50_us": (statistics.median(cell_s.values()) * 1e6, "us"),
         "op_tail_us": (tail_s * 1e6, "us"),
         "ok_ratio": (1.0 - len(failed_keys) / len(keys), "ratio"),
         "host_us_per_trap": (
-            op_s * 1e6 / sum(cells[key].traps for key in best), "us"),
+            op_s * 1e6 / sum(cells[key].traps for key in cell_s), "us"),
         "peak_rss_mb": (peak_rss_mb(), "MB"),
         "sim_cycles_per_op": (
-            sum(cells[key].cycles for key in best) / len(best),
+            sum(cells[key].cycles for key in cell_s) / len(cell_s),
             "cycles"),
     }
     out.append(f"matrix: {len(keys)} cells x {rounds} rounds "
                f"(chaos seeds {chaos.chaos_seeds(seed)}; cut cells run "
                f"once)")
-    out.append(f"op_tail_us: p{tail_p:g} of {len(best)} completed "
-               f"cells' best times")
+    out.append(_pace_line([cell.pace for cell in first]))
+    out.append(f"op_tail_us: p{tail_p:g} of {len(cell_s)} completed "
+               f"cells' median times")
     out.append(f"fail_ratio: {len(failed_keys) / len(keys)}")
     for cell in first:
         if not cell.ok:
@@ -406,8 +458,9 @@ def trapmix_traced(workload: str, seed: int, seconds: float,
     metrics["trace.overhead"] = (traced_s / untraced_s - 1.0, "ratio")
     first = plain.rounds[0]
     for kind in plain.trapmix.OP_KINDS:
-        metrics[f"op.{kind}.p50_us"] = (statistics.median(
-            result.kind_p50_s[kind] for result in plain.rounds) * 1e6, "us")
+        metrics[f"op.{kind}.p50_us"] = (paced_median(
+            plain.rounds, lambda result: result.kind_p50_s[kind]) * 1e6,
+            "us")
         metrics[f"op.{kind}.sim_ns"] = (first.kind_sim_ns[kind], "ns")
     out.append(f"traced: {len(traced.rounds)} rounds x {len(plain.kinds)} "
                f"ops, untraced {untraced_s:.3f} s, traced {traced_s:.3f} s")
@@ -474,18 +527,14 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 2
     sys.path[:0] = [str(SRC), str(ROOT)]
-    started = perf_counter()
     if args.workload == "chaos-matrix":
         from perfbench import chaos  # noqa: F401
         from perfbench import spans
 
-        # run_chaos imports firmware, policy and snapshot modules on
-        # first use; import them here so set-up, not the first cell,
-        # pays for them.
-        spans.import_package("repro")
+        spans.import_package("repro")  # see SETUP_IMPORTS
     else:
         from perfbench import trapmix  # noqa: F401
-    import_s = perf_counter() - started
+    import_s = 0.0 if args.trace else import_seconds(args.workload)
 
     out: list[str] = [f"workload: {args.workload} seed {args.seed}"]
     if args.trace and args.workload == "chaos-matrix":

@@ -11,7 +11,7 @@ import types
 
 import pytest
 
-from perfbench import chaos, spans, trapmix
+from perfbench import chaos, pace, spans, trapmix
 from perfbench.run import PROFILE_SHARE_BOUND
 from perfbench.stats import tail
 
@@ -153,3 +153,10 @@ def test_tail_keeps_ten_samples_beyond_it():
     assert tail(list(range(10_000)))[0] == 99.9
     assert tail(list(range(9_999)))[0] == 99.0
     assert tail(list(range(150)))[0] == 90.0
+
+
+def test_pace_scales_host_seconds_to_the_reference_pace():
+    reference = pace.REFERENCE_S
+    assert pace.scale(reference, reference) == pytest.approx(1.0)
+    assert pace.scale(2 * reference, 2 * reference) == pytest.approx(0.5)
+    assert pace.reading() > 0.0

@@ -72,6 +72,9 @@ class Round:
     """Everything one round measured."""
 
     setup_s: float = 0.0
+    #: Factor from host seconds to seconds at the reference pace
+    #: (:mod:`perfbench.pace`), from readings taken around the round.
+    pace: float = 1.0
     #: Host seconds per op, in issue order (emptied by :meth:`summarize`).
     latencies: list = dataclasses.field(default_factory=list)
     #: Simulated cycles of each op's trap-causing call, compute excluded
