@@ -30,6 +30,7 @@ from repro.core.watchdog import FirmwareWatchdog
 from repro.core.world_switch import WorldSwitcher
 from repro.hart.cycles import mtime_to_cycles
 from repro.hart.program import MachineHalted, Region
+from repro.hart.stats import trap_detail
 from repro.isa import constants as c
 from repro.isa.decoder import decode
 from repro.isa.instructions import IllegalInstructionError
@@ -38,8 +39,26 @@ from repro.sbi import constants as sbi
 from repro.sbi.constants import SbiError
 from repro.sbi.types import SbiCall, SbiRet
 from repro.spec.step import BusError
+from repro.spec.traps import Trap
 
 U64 = (1 << 64) - 1
+
+#: Mode an OS trap resumes in, by the mstatus.MPP it was taken with; the
+#: OS never runs in M-mode, so MPP = M resumes S.
+_OS_RESUME_MODE = {0: c.U_MODE, 1: c.S_MODE, 3: c.S_MODE}
+
+#: ``CsrEffect.PMP`` as bits: ``Flag.__and__`` builds a member per test.
+_PMP_EFFECT = CsrEffect.PMP.value
+# Enum members the per-trap path compares against, bound once: reading a
+# member through its class is a slow attribute lookup on every trap.
+_OS = World.OS
+_FIRMWARE = World.FIRMWARE
+_HANDLED = PolicyAction.HANDLED
+_DENY = PolicyAction.DENY
+_ILLEGAL_INSTRUCTION = c.TrapCause.ILLEGAL_INSTRUCTION
+_ECALL_FROM_U = c.TrapCause.ECALL_FROM_U
+_ECALL_FROM_S = c.TrapCause.ECALL_FROM_S
+_ACCESS_FAULTS = (c.TrapCause.LOAD_ACCESS_FAULT, c.TrapCause.STORE_ACCESS_FAULT)
 
 
 class Miralis:
@@ -87,7 +106,9 @@ class Miralis:
 
     def _charge_host(self, hart, cycles: float) -> None:
         """Charge Miralis host instructions, scaled by core throughput."""
-        hart.charge(cycles * hart.cycle_model.instruction)
+        cost = cycles * hart.cycle_model.instruction
+        hart.cycles += cost
+        hart.machine.cycles += cost
 
     # ------------------------------------------------------------------
     # Entry point (machine dispatch lands here when pc is in our region)
@@ -174,7 +195,8 @@ class Miralis:
         mtval = csr_file.read(c.CSR_MTVAL)
         code = mcause & ~c.INTERRUPT_BIT
 
-        if self.world[hart.hartid] == World.OS:
+        world = self.world[hart.hartid]
+        if world == _OS:
             # While the OS runs directly it reads/writes sip natively, so
             # the physical SIP bits are authoritative.  A full world switch
             # folds them into vctx.mip in enter_firmware, but the fast path
@@ -182,13 +204,12 @@ class Miralis:
             # virtual-interrupt injection) sees a coherent virtual mip.
             vctx.mip = (vctx.mip & ~c.SIP_MASK) | (csr_file.mip & c.SIP_MASK)
 
-        if (self.watchdog is not None
-                and self.world[hart.hartid] == World.FIRMWARE):
+        if self.watchdog is not None and world == _FIRMWARE:
             self.watchdog.note_vm_trap(hart, vctx)
 
         if mcause & c.INTERRUPT_BIT:
             self._handle_physical_interrupt(hart, vctx, code, mepc)
-        elif self.world[hart.hartid] == World.FIRMWARE:
+        elif self.world[hart.hartid] == _FIRMWARE:
             self._handle_firmware_trap(hart, vctx, code, mepc, mtval)
         else:
             self._handle_os_trap(hart, vctx, code, mepc, mtval)
@@ -198,7 +219,7 @@ class Miralis:
         if not bugs.is_active("interrupt_loss"):
             self._check_virtual_interrupts(hart, vctx)
         self._sync_physical_mie(hart, vctx)
-        if self.world[hart.hartid] == World.FIRMWARE:
+        if self.world[hart.hartid] == _FIRMWARE:
             # Resume the virtualized firmware deprivileged: vM-mode is
             # physical U-mode, always.
             hart.state.mode = c.U_MODE
@@ -238,8 +259,6 @@ class Miralis:
         hart.state.pc = pc
 
     def _handle_firmware_trap(self, hart, vctx, code, mepc, mtval) -> None:
-        from repro.spec.traps import Trap
-
         costs = self.config.costs
         injector = self.machine.fault_injector
         if injector is not None and injector.stall_firmware(hart.hartid):
@@ -249,16 +268,16 @@ class Miralis:
             self.machine.stats.annotate_last("fault-inject", detail="stall", hart=hart.hartid)
             hart.state.pc = mepc
             return
-        if code == c.TrapCause.ILLEGAL_INSTRUCTION:
+        if code == _ILLEGAL_INSTRUCTION:
             self._emulate_firmware_instruction(hart, vctx, mepc, mtval)
             return
-        if code == c.TrapCause.ECALL_FROM_U:
+        if code == _ECALL_FROM_U:
             self.machine.stats.annotate_last("miralis-emulate", detail="vm-ecall", hart=hart.hartid)
             action = self.policy.on_firmware_ecall(hart, vctx)
-            if action == PolicyAction.DENY:
+            if action == _DENY:
                 self._violation(hart, "firmware ecall denied by policy")
                 return
-            if action == PolicyAction.HANDLED:
+            if action == _HANDLED:
                 hart.state.pc = (mepc + 4) & U64
                 return
             self._inject_firmware_trap(
@@ -266,18 +285,18 @@ class Miralis:
             )
             self._charge_host(hart, costs.inject)
             return
-        if code in (c.TrapCause.LOAD_ACCESS_FAULT, c.TrapCause.STORE_ACCESS_FAULT):
+        if code in _ACCESS_FAULTS:
             self._handle_firmware_memory_fault(hart, vctx, code, mepc, mtval)
             return
         # Everything else (misaligned accesses on the firmware's own data,
         # breakpoints, ...) is re-injected into vM-mode.
         trap = Trap(code, tval=mtval)
         action = self.policy.on_firmware_trap(hart, vctx, trap)
-        self.machine.stats.annotate_last("miralis-emulate", detail=f"vm-reinject:{code}", hart=hart.hartid)
-        if action == PolicyAction.DENY:
+        self.machine.stats.annotate_last("miralis-emulate", detail=trap_detail("vm-reinject", code), hart=hart.hartid)
+        if action == _DENY:
             self._violation(hart, f"firmware trap {code} denied by policy")
             return
-        if action == PolicyAction.HANDLED:
+        if action == _HANDLED:
             return
         self._inject_firmware_trap(hart, vctx, code, False, mtval, mepc)
         self._charge_host(hart, costs.inject)
@@ -294,7 +313,7 @@ class Miralis:
             instr = None  # injected decoder glitch: treat as illegal
         self.machine.stats.annotate_last(
             "miralis-emulate",
-            detail=f"emulate:{instr.mnemonic}" if instr else "emulate:invalid",
+            detail=trap_detail("emulate", instr.mnemonic if instr else "invalid"),
             hart=hart.hartid,
         )
         self.machine.stats.note_firmware_emulation()
@@ -326,7 +345,7 @@ class Miralis:
             )
             self._charge_host(hart, costs.inject)
             return
-        if result.effects & CsrEffect.PMP:
+        if result.effects.value & _PMP_EFFECT:
             writes = self.vpmp.install(hart, vctx, World.FIRMWARE, self.policy)
             hart.charge(writes * hart.cycle_model.csr_access)
         if result.is_fence:
@@ -341,7 +360,7 @@ class Miralis:
                     f"world switch targets unmapped pc {result.next_pc:#x}",
                 )
             action = self.policy.on_switch_from_firmware(hart, vctx)
-            if action == PolicyAction.DENY:
+            if action == _DENY:
                 self._violation(hart, "world switch to OS denied by policy")
                 return
             self.switcher.enter_os(hart, vctx, result.new_virtual_mode)
@@ -354,8 +373,6 @@ class Miralis:
         hart.state.pc = result.next_pc
 
     def _handle_firmware_memory_fault(self, hart, vctx, code, mepc, mtval) -> None:
-        from repro.spec.traps import Trap
-
         costs = self.config.costs
         if self.watchdog is not None:
             self.watchdog.note_memory_fault(hart, vctx, mtval)
@@ -399,14 +416,14 @@ class Miralis:
             return
         trap = Trap(code, tval=mtval)
         action = self.policy.on_firmware_trap(hart, vctx, trap)
-        if action == PolicyAction.DENY:
+        if action == _DENY:
             self._violation(
                 hart,
                 f"firmware memory access to {mtval:#x} denied by policy "
                 f"({self.policy.name})",
             )
             return
-        if action == PolicyAction.HANDLED:
+        if action == _HANDLED:
             return
         self.machine.stats.annotate_last("miralis-emulate", detail="vm-fault", hart=hart.hartid)
         self._inject_firmware_trap(hart, vctx, code, False, mtval, mepc)
@@ -445,17 +462,15 @@ class Miralis:
     # ------------------------------------------------------------------
 
     def _handle_os_trap(self, hart, vctx, code, mepc, mtval) -> None:
-        from repro.spec.traps import Trap
-
-        if code == c.TrapCause.ECALL_FROM_S:
+        if code == _ECALL_FROM_S:
             call = SbiCall.from_regs(hart.state.xregs)
             action = self.policy.on_os_ecall(hart, vctx, call)
-            if action == PolicyAction.DENY:
+            if action == _DENY:
                 error, _ = SbiRet.failure(SbiError.ERR_DENIED).to_u64()
                 hart.state.set_xreg(10, error)
                 hart.state.pc = (mepc + 4) & U64
                 return
-            if action == PolicyAction.HANDLED:
+            if action == _HANDLED:
                 if self.region.contains(hart.state.pc):
                     # The policy did not redirect control: default return
                     # past the ecall (it may have set a0/a1 results).
@@ -463,18 +478,18 @@ class Miralis:
                 return
         else:
             action = self.policy.on_os_trap(hart, vctx, Trap(code, tval=mtval))
-            if action == PolicyAction.HANDLED:
+            if action == _HANDLED:
                 if self.region.contains(hart.state.pc):
                     # The policy consumed the trap without redirecting:
                     # resume the OS at the faulting instruction.
                     hart.state.pc = mepc
                 return
-            if action == PolicyAction.DENY:
+            if action == _DENY:
                 self._violation(hart, f"OS trap {code} denied by policy")
                 return
 
         if (
-            code in (c.TrapCause.LOAD_ACCESS_FAULT, c.TrapCause.STORE_ACCESS_FAULT)
+            code in _ACCESS_FAULTS
             and self.vclint.contains(mtval)
             and self._emulate_os_clint_access(hart, vctx, mepc, mtval)
         ):
@@ -513,7 +528,7 @@ class Miralis:
             # single-comparator semantics); retire the fast path's latch.
             self.offload.timer_armed[hart.hartid] = False
         self.machine.stats.annotate_last(
-            "miralis-emulate", detail=f"os-clint:{kind}", hart=hart.hartid
+            "miralis-emulate", detail=trap_detail("os-clint", kind), hart=hart.hartid
         )
         self._charge_host(hart, self.config.costs.vclint_access)
         hart.state.pc = (mepc + 4) & U64
@@ -525,12 +540,12 @@ class Miralis:
             self._serve_quarantined(hart, vctx, code, is_interrupt, mtval, mepc)
             return
         action = self.policy.on_switch_from_os(hart, vctx)
-        if action == PolicyAction.DENY:
+        if action == _DENY:
             self._violation(hart, "world switch to firmware denied by policy")
             return
         self.machine.stats.annotate_last(
             "miralis-worldswitch",
-            detail=f"reinject:{'irq' if is_interrupt else 'exc'}:{code}",
+            detail=trap_detail("reinject:irq" if is_interrupt else "reinject:exc", code),
             hart=hart.hartid,
         )
         self.switcher.enter_firmware(hart, vctx)
@@ -543,10 +558,8 @@ class Miralis:
 
     def _return_to_os(self, hart) -> None:
         """Resume direct execution after a fast-path handler (mret)."""
-        from repro.isa.bits import get_field
-
-        previous = get_field(hart.state.csr.mstatus, c.MSTATUS_MPP)
-        hart.state.mode = c.PrivilegeLevel(previous if previous != 3 else 1)
+        previous = (hart.state.csr.mstatus & c.MSTATUS_MPP) >> c.MSTATUS_MPP_SHIFT
+        hart.state.mode = _OS_RESUME_MODE[previous]
 
     # ------------------------------------------------------------------
     # Physical interrupts
@@ -554,9 +567,9 @@ class Miralis:
 
     def _handle_physical_interrupt(self, hart, vctx, irq, mepc) -> None:
         action = self.policy.on_interrupt(hart, vctx, irq)
-        if action == PolicyAction.HANDLED:
+        if action == _HANDLED:
             return
-        in_os = self.world[hart.hartid] == World.OS
+        in_os = self.world[hart.hartid] == _OS
         quarantined = (
             self.watchdog is not None
             and self.watchdog.quarantined[hart.hartid]
@@ -585,11 +598,11 @@ class Miralis:
         # Interrupt for the virtual firmware: refresh the virtual mip and
         # let the post-trap check inject it (possibly via a world switch).
         self._refresh_vmip(hart, vctx)
-        self.machine.stats.annotate_last("miralis", detail=f"virq:{irq}", hart=hart.hartid)
+        self.machine.stats.annotate_last("miralis", detail=trap_detail("virq", irq), hart=hart.hartid)
         if not in_os:
             hart.state.pc = mepc  # resume vM; injection handled below
             return
-        virtual = pending_virtual_interrupt(vctx, World.OS)
+        virtual = pending_virtual_interrupt(vctx, _OS)
         if virtual is None:
             # Spurious for the firmware (e.g. masked virtually): drop back
             # to the OS; _sync_physical_mie prevents an interrupt storm.
@@ -612,10 +625,10 @@ class Miralis:
 
     def _check_virtual_interrupts(self, hart, vctx) -> None:
         self._charge_host(hart, self.config.costs.interrupt_check)
-        if self.world[hart.hartid] != World.FIRMWARE:
+        if self.world[hart.hartid] != _FIRMWARE:
             return
         self._refresh_vmip(hart, vctx)
-        irq = pending_virtual_interrupt(vctx, World.FIRMWARE)
+        irq = pending_virtual_interrupt(vctx, _FIRMWARE)
         if irq is None:
             return
         self._inject_firmware_trap(hart, vctx, irq, True, 0, hart.state.pc)
@@ -631,7 +644,7 @@ class Miralis:
         """
         csr_file = hart.state.csr
         m_bits = 0
-        if self.world[hart.hartid] == World.FIRMWARE:
+        if self.world[hart.hartid] == _FIRMWARE:
             # While vM-mode runs, a physical M interrupt is only useful if
             # its virtual injection is currently possible; otherwise it
             # stays pending and is injected when the firmware unmasks it
@@ -663,7 +676,7 @@ class Miralis:
         if tracer is not None:
             tracer.emit(self.machine, "violation", hart.hartid, what=message)
         if (self.watchdog is not None
-                and self.world[hart.hartid] == World.FIRMWARE):
+                and self.world[hart.hartid] == _FIRMWARE):
             # Under the watchdog, firmware violations degrade gracefully:
             # neutralize the action; a violation storm triggers recovery.
             self.watchdog.note_violation(
@@ -743,7 +756,7 @@ class Miralis:
             return
         if self.offload.try_handle_exception(hart, vctx, code):
             return
-        if code == c.TrapCause.ECALL_FROM_S:
+        if code == _ECALL_FROM_S:
             call = SbiCall.from_regs(hart.state.xregs)
             ret = self._default_sbi(hart, call)
             error, value = ret.to_u64()

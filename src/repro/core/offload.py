@@ -14,6 +14,7 @@ from collections import Counter
 from typing import Optional
 
 from repro.core.vcpu import VirtContext
+from repro.hart.stats import trap_detail
 from repro.isa import constants as c
 from repro.isa.decoder import decode
 from repro.isa.instructions import IllegalInstructionError, Instruction
@@ -22,6 +23,15 @@ from repro.sbi.types import SbiCall, SbiRet
 from repro.spec.step import BusError
 
 U64 = (1 << 64) - 1
+
+# Trap causes tested on every OS exception, bound once: reading an enum
+# member through its class is a slow attribute lookup.
+_ILLEGAL_INSTRUCTION = c.TrapCause.ILLEGAL_INSTRUCTION
+_ECALL_FROM_S = c.TrapCause.ECALL_FROM_S
+_MISALIGNED = (
+    c.TrapCause.LOAD_ADDRESS_MISALIGNED,
+    c.TrapCause.STORE_ADDRESS_MISALIGNED,
+)
 
 
 class FastPath:
@@ -44,7 +54,10 @@ class FastPath:
         self.hits[name] += 1
         stats = self.machine.stats
         stats.note_fastpath()
-        stats.annotate_last("miralis-fastpath", detail=f"offload:{name}", hart=hart.hartid)
+        stats.annotate_last(
+            "miralis-fastpath", detail=trap_detail("offload", name),
+            hart=hart.hartid,
+        )
         tracer = self.machine.tracer
         if tracer is not None:
             tracer.fastpath(self.machine, hart.hartid, name)
@@ -70,14 +83,11 @@ class FastPath:
 
     def try_handle_exception(self, hart, vctx: VirtContext, cause: int) -> bool:
         """Attempt to fast-path an OS exception; True if fully handled."""
-        if cause == c.TrapCause.ILLEGAL_INSTRUCTION:
+        if cause == _ILLEGAL_INSTRUCTION:
             return self._handle_illegal(hart)
-        if cause == c.TrapCause.ECALL_FROM_S:
+        if cause == _ECALL_FROM_S:
             return self._handle_sbi(hart, vctx)
-        if cause in (
-            c.TrapCause.LOAD_ADDRESS_MISALIGNED,
-            c.TrapCause.STORE_ADDRESS_MISALIGNED,
-        ):
+        if cause in _MISALIGNED:
             return self._handle_misaligned(hart)
         return False
 

@@ -44,6 +44,7 @@ Correctness rules (each one load-bearing):
 
 from __future__ import annotations
 
+import weakref
 import zlib
 from contextlib import contextmanager
 from typing import Optional
@@ -133,16 +134,23 @@ class BlockEngine:
         #: Debug escape hatch: forces the single-step path while True.
         self.single_step = False
         machine.ram.code_watcher = self
-        register_stats_provider(
-            "hart.blocks",
-            lambda engine=self: {
+        # The provider holds the engine weakly: the engine holds the
+        # machine, and a strong path from the registry to the machine
+        # would keep the provider's owner (the machine) alive forever.
+        engine_ref = weakref.ref(self)
+
+        def provider() -> dict:
+            engine = engine_ref()
+            if engine is None:
+                return {}
+            return {
                 "hits": engine.hits,
                 "misses": engine.misses,
                 "invalidations": engine.invalidations,
                 "blocks": len(engine._blocks),
-            },
-            owner=machine,
-        )
+            }
+
+        register_stats_provider("hart.blocks", provider, owner=machine)
 
     # -- execution -------------------------------------------------------
 

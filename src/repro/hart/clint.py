@@ -125,10 +125,14 @@ class Clint:
             self._set_mtip(hart, level)
 
     def tick(self) -> None:
-        """Re-evaluate all timer comparators (called when time advances)."""
+        """Re-evaluate all timer comparators (called when time advances).
+
+        One comparison pass; ``set_mtip`` runs only for a level change.
+        """
         now = self.time_source()
-        for hart in range(self.num_harts):
-            self._update_mtip(hart, now)
+        if [now >= deadline for deadline in self.mtimecmp] != self._mtip_level:
+            for hart in range(self.num_harts):
+                self._update_mtip(hart, now)
 
     def next_timer_deadline(self) -> int:
         """Earliest mtimecmp across harts (used to fast-forward idle time)."""

@@ -38,56 +38,64 @@ class Hart:
 
     def charge(self, cycles: float) -> None:
         self.cycles += cycles
-        self.machine.charge(cycles)
+        self.machine.cycles += cycles
 
     # -- execution ------------------------------------------------------
 
     def execute(self, instr: Instruction) -> Outcome:
         """Execute one instruction via the reference spec and charge cycles."""
         model = self.cycle_model
-        outcome = execute_instruction(self.state, instr, self.machine.spec_bus)
+        machine = self.machine
+        state = self.state
+        outcome = execute_instruction(state, instr, machine.spec_bus)
         cost = self._cost_table.get(instr.mnemonic)
         if cost is None:
             cost = model.instruction
         if outcome.memory_access is not None:
-            if self.machine.is_mmio(outcome.memory_access.address):
+            if machine.is_mmio(outcome.memory_access.address):
                 cost += model.mmio_access
-        if outcome.trap is not None:
+        trap = outcome.trap
+        if trap is not None:
             cost += (
                 model.trap_entry
-                if self.state.mode == c.M_MODE
+                if state.mode == c.M_MODE
                 else model.trap_entry_s
             )
-            self.machine.stats.record_trap(
+            machine.stats.record_trap(
                 hart=self.hartid,
-                cause=outcome.trap.cause,
-                is_interrupt=outcome.trap.is_interrupt,
+                cause=trap.cause,
+                is_interrupt=trap.is_interrupt,
                 from_mode=None,  # mode before the trap is folded into cause
-                mtime=self.machine.read_mtime(),
+                mtime=machine.read_mtime(),
             )
-            tracer = self.machine.tracer
+            tracer = machine.tracer
             if tracer is not None:
                 tracer.trap_entry(
-                    self.machine, self.hartid,
-                    outcome.trap.cause, outcome.trap.is_interrupt,
+                    machine, self.hartid, trap.cause, trap.is_interrupt,
                 )
-            coverage = self.machine.coverage
+            coverage = machine.coverage
             if coverage is not None:
-                view = self.machine.world_view
+                view = machine.world_view
                 coverage.record(
-                    self.hartid, outcome.trap.cause,
-                    outcome.trap.is_interrupt, self.state.pc,
+                    self.hartid, trap.cause, trap.is_interrupt, state.pc,
                     None if view is None else view[self.hartid],
                 )
-        self.charge(cost)
+        self.cycles += cost
+        machine.cycles += cost
         self.instret += 1
-        self.state.csr._simple[c.CSR_MINSTRET] = self.instret
-        self.state.csr._simple[c.CSR_MCYCLE] = int(self.cycles)
+        simple = state.csr._simple
+        simple[c.CSR_MINSTRET] = self.instret
+        simple[c.CSR_MCYCLE] = int(self.cycles)
         return outcome
 
     def check_interrupts(self) -> bool:
         """Deliver a pending interrupt if any.  Returns True if one was taken."""
-        self.machine.refresh_timer_lines()
+        self.machine.clint.tick()
+        csr = self.state.csr
+        # ``mip`` is already masked by MIP_MASK, so this is exactly the
+        # "nothing ready" case of pending_interrupt.
+        if not csr.mip & csr.mie:
+            return False
         trap = pending_interrupt(self.state)
         if trap is None:
             return False

@@ -9,12 +9,13 @@ xRETs, world switches) between them.
 from __future__ import annotations
 
 import time
+import weakref
 from bisect import bisect_right, insort
 from typing import Optional, Protocol, Union
 
 from repro.hart import blocks as _blocks
 from repro.hart.clint import Clint
-from repro.hart.cycles import cycle_model_for, cycles_to_mtime
+from repro.hart.cycles import TIMEBASE_FREQUENCY, cycle_model_for, mtime_to_cycles
 from repro.hart.hart import Hart
 from repro.hart.memory import Ram, SystemBus
 from repro.hart.plic import Plic
@@ -98,7 +99,8 @@ class Machine:
         # never overlap (enforced in ``register``), so sorting by base gives
         # a total order and ``owner_of`` is a single bisect + bound check.
         self._region_bases: list[int] = []
-        self._region_index: list[tuple[Region, Owner]] = []
+        #: (region end, owner) in ``_region_bases`` order.
+        self._region_index: list[tuple[int, Owner]] = []
         self._dispatches = 0
         self._service_depth = 0
         # One resume stack per hart: run_until levels belong to the hart
@@ -132,15 +134,20 @@ class Machine:
         #: hook can key traps on the executing world.  None on a bare
         #: machine (recorded as the NATIVE world).
         self.world_view = None
-        bus = self.spec_bus
-        register_stats_provider(
-            "bus.devices",
-            lambda bus=bus: {
+        # Weakly: the bus's devices call back into this machine, and a
+        # strong path from the registry would keep the owner alive.
+        bus_ref = weakref.ref(self.spec_bus)
+
+        def bus_provider() -> dict:
+            bus = bus_ref()
+            if bus is None:
+                return {}
+            return {
                 "hits": bus.device_lookup_hits,
                 "misses": bus.device_lookup_misses,
-            },
-            owner=self,
-        )
+            }
+
+        register_stats_provider("bus.devices", bus_provider, owner=self)
         #: Wall-clock deadline (``time.monotonic()`` value) after which
         #: dispatching raises :class:`ProtocolError`.  Used by the fuzzer
         #: to turn a diverging case into a reported finding.
@@ -149,7 +156,8 @@ class Machine:
     # -- clock ----------------------------------------------------------
 
     def read_mtime(self) -> int:
-        return cycles_to_mtime(self.cycles, self.config.frequency_hz)
+        # cycles_to_mtime, inlined: read on every trap and timer check.
+        return int(self.cycles * TIMEBASE_FREQUENCY / self.config.frequency_hz)
 
     def charge(self, cycles: float) -> None:
         self.cycles += cycles
@@ -189,14 +197,14 @@ class Machine:
         self._regions.append((region, owner))
         position = bisect_right(self._region_bases, region.base)
         insort(self._region_bases, region.base)
-        self._region_index.insert(position, (region, owner))
+        self._region_index.insert(position, (region.end, owner))
 
     def owner_of(self, address: int) -> Optional[Owner]:
         if _toggle.enabled:
             position = bisect_right(self._region_bases, address) - 1
             if position >= 0:
-                region, owner = self._region_index[position]
-                if address < region.end:
+                end, owner = self._region_index[position]
+                if address < end:
                     return owner
             return None
         for region, owner in self._regions:
@@ -269,12 +277,15 @@ class Machine:
         interrupted instruction stream.
         """
         stack = self._resume_stacks[hart.hartid]
+        # Outer levels stay suspended while this one runs, so their resume
+        # points are fixed for this call (none at nesting depth 1).
+        outer_pcs = frozenset().union(*stack)
         stack.append(resume_pcs)
         try:
             while hart.state.pc not in resume_pcs:
                 if self.halted:
                     raise MachineHalted(self.halt_reason or "halted")
-                if any(hart.state.pc in outer for outer in stack[:-1]):
+                if hart.state.pc in outer_pcs:
                     raise _UnwindToResume(hart.state.pc)
                 try:
                     self.dispatch_current(hart)
@@ -338,9 +349,6 @@ class Machine:
 
     def advance_until_interrupt(self, hart: Hart) -> None:
         """Fast-forward time until the hart has a pending interrupt (wfi)."""
-        from repro.hart.cycles import mtime_to_cycles
-        from repro.spec.interrupts import pending_interrupt
-
         if self.scheduler is not None:
             # Under the SMP scheduler a waiting hart must not fast-forward
             # the shared clock while siblings are runnable: it blocks and

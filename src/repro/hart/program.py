@@ -25,6 +25,7 @@ import dataclasses
 from typing import TYPE_CHECKING, Optional
 
 from repro.isa import constants as c
+from repro.isa.encoding import encode
 from repro.isa.instructions import Instruction, make_instruction
 
 if TYPE_CHECKING:
@@ -211,11 +212,12 @@ class GuestContext:
 
     def _wrap_pc(self) -> None:
         region = self.program.region
-        if self.hart.state.pc >= region.end - 16:
+        hart = self.hart
+        if hart.state.pc >= region.end - 16:
             # Architectural backward jump keeping the instruction stream
             # inside the program's region (models the program's code loop).
-            self.hart.state.pc = region.base + self.program.CODE_LOOP_OFFSET
-            self.hart.charge(self.hart.cycle_model.instruction)
+            hart.state.pc = region.base + self.program.CODE_LOOP_OFFSET
+            hart.charge(hart.cycle_model.instruction)
 
     def _materialize(self, instr: Instruction) -> None:
         """Write the instruction's encoding into RAM at the current pc.
@@ -226,8 +228,6 @@ class GuestContext:
         instruction keeps the in-memory instruction stream consistent with
         what actually executed.
         """
-        from repro.isa.encoding import encode
-
         pc = self.hart.state.pc
         ram = self.machine.ram
         if ram.base <= pc and pc + 4 <= ram.base + ram.size:
@@ -239,23 +239,26 @@ class GuestContext:
         Returns the :class:`~repro.spec.step.Outcome` of the (final,
         committed or emulated) execution of the instruction.
         """
-        scheduler = self.machine.scheduler
+        machine = self.machine
+        hart = self.hart
+        state = hart.state
+        scheduler = machine.scheduler
         if scheduler is not None:
             # SMP preemption point: one checkpoint per architectural
             # operation.  Costs one attribute load and one branch when
             # disabled, same budget as the tracer hook.
-            scheduler.checkpoint(self.hart)
+            scheduler.checkpoint(hart)
         self._wrap_pc()
         self._materialize(instr)
         while True:
-            if self.machine.halted:
-                raise MachineHalted(self.machine.halt_reason or "halted")
-            op_pc = self.hart.state.pc
+            if machine.halted:
+                raise MachineHalted(machine.halt_reason or "halted")
+            op_pc = state.pc
             # Deliver any pending interrupt before issuing the instruction.
-            if self.hart.check_interrupts():
-                self.machine.run_until(self.hart, {op_pc})
+            if hart.check_interrupts():
+                machine.run_until(hart, {op_pc})
                 continue
-            outcome = self.hart.execute(instr)
+            outcome = hart.execute(instr)
             if outcome.trap is None:
                 return outcome
             if instr.mnemonic in ("mret", "sret"):
@@ -265,7 +268,7 @@ class GuestContext:
                 # program's handler function must treat xRET as its final
                 # action, mirroring real trap-handler code.
                 try:
-                    self.machine.dispatch_current(self.hart)
+                    machine.dispatch_current(hart)
                 except FirmwareRecovered:
                     pass
                 return outcome
@@ -274,8 +277,8 @@ class GuestContext:
             # (re-execute, e.g. after an interrupt-style handler) or just
             # past it (the handler emulated the instruction, the common
             # Miralis case).
-            self.machine.run_until(self.hart, {op_pc, op_pc + 4})
-            if self.hart.state.pc == op_pc + 4:
+            machine.run_until(hart, {op_pc, op_pc + 4})
+            if state.pc == op_pc + 4:
                 return outcome
             # pc == op_pc: retry the instruction.
 

@@ -8,13 +8,14 @@ the per-benchmark trap rates of Figures 10-13.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from collections import Counter, defaultdict
 from typing import Optional
 
 from repro.isa import constants as c
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(slots=True)
 class TrapEvent:
     """One recorded trap."""
 
@@ -27,6 +28,7 @@ class TrapEvent:
     detail: str = ""
 
 
+@functools.lru_cache(maxsize=256)
 def cause_name(cause: int, is_interrupt: bool) -> str:
     if is_interrupt:
         try:
@@ -37,6 +39,17 @@ def cause_name(cause: int, is_interrupt: bool) -> str:
         return c.TrapCause(cause).name
     except ValueError:
         return f"exception:{cause}"
+
+
+@functools.lru_cache(maxsize=1024)
+def trap_detail(kind: str, value) -> str:
+    """The detail string ``"kind:value"``, built once per distinct pair.
+
+    Handlers annotate nearly every trap with a detail; sharing one string
+    per distinct detail saves building it per trap and keeps a long event
+    log from holding a copy per event.
+    """
+    return f"{kind}:{value}"
 
 
 class TrapStats:

@@ -241,8 +241,13 @@ class CsrFile:
 
     def write(self, addr: int, value: int) -> None:
         """Architectural write with WARL legalization (no privilege check)."""
-        value = to_u64(value)
-        if addr == c.CSR_MSTATUS:
+        value &= c.XMASK
+        # Plain storage first: one probe serves the per-trap xtval stores.
+        # ``_SIMPLE_CSRS`` is disjoint from every named case and range below.
+        simple = _SIMPLE_CSRS.get(addr)
+        if simple is not None:
+            self._simple[addr] = value & simple[1]
+        elif addr == c.CSR_MSTATUS:
             self.mstatus = legalize_mstatus(self.mstatus, value)
         elif addr == c.CSR_SSTATUS:
             merged = (self.mstatus & ~c.SSTATUS_MASK) | (value & c.SSTATUS_MASK)
@@ -295,8 +300,6 @@ class CsrFile:
             pass  # hardwired-zero performance counters
         elif c.CSR_MHPMEVENT3 <= addr < c.CSR_MHPMEVENT3 + 29:
             pass
-        elif addr in _SIMPLE_CSRS:
-            self._simple[addr] = value & _SIMPLE_CSRS[addr][1]
         elif addr in self.config.vendor_csrs:
             self._simple[addr] = value
         elif addr in _H_CSRS:
@@ -379,7 +382,7 @@ class CsrFile:
 # Dispatch table for reads of individually-addressed CSRs.  Each entry is a
 # pure view over the CsrFile instance it receives; the table replaces the
 # long if-chain on the hot read path with a single dict lookup.  Range
-# CSRs (pmp, hpm counters) and plain storage fall through to
+# CSRs (pmp, hpm counters) and vendor/H-extension storage fall through to
 # ``_read_ranged``.
 _CSR_READERS: dict[int, Callable[[CsrFile], int]] = {
     c.CSR_MSTATUS: lambda f: f.mstatus,
@@ -410,6 +413,11 @@ _CSR_READERS: dict[int, Callable[[CsrFile], int]] = {
     c.CSR_TIME: lambda f: to_u64(f.time_source()),
     c.CSR_HGEIP: lambda f: 0,
 }
+# ``_SIMPLE_CSRS`` storage, disjoint from the ranges: the monitor reads
+# mtval on every trap.
+_CSR_READERS.update(
+    {addr: (lambda f, addr=addr: f._simple[addr]) for addr in _SIMPLE_CSRS}
+)
 
 
 def csr_reader(addr: int) -> Callable[[CsrFile], int]:

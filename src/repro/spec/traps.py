@@ -22,12 +22,14 @@ class Trap:
         return (c.INTERRUPT_BIT | self.cause) if self.is_interrupt else self.cause
 
     def __str__(self) -> str:
-        if self.is_interrupt:
-            return f"interrupt {c.InterruptCause(self.cause).name}"
+        kind, names = (
+            ("interrupt", c.InterruptCause) if self.is_interrupt
+            else ("exception", c.TrapCause)
+        )
         try:
-            return f"exception {c.TrapCause(self.cause).name}"
+            return f"{kind} {names(self.cause).name}"
         except ValueError:
-            return f"exception code {self.cause}"
+            return f"{kind} code {self.cause}"
 
 
 def trap_target_mode(state: MachineState, trap: Trap) -> c.PrivilegeLevel:
@@ -44,11 +46,11 @@ def trap_target_mode(state: MachineState, trap: Trap) -> c.PrivilegeLevel:
     return c.M_MODE
 
 
-def _vectored_target(tvec: int, trap: Trap) -> int:
-    base = tvec & c.TVEC_BASE_MASK
-    if trap.is_interrupt and (tvec & c.TVEC_MODE_MASK) == c.TvecMode.VECTORED:
-        return base + 4 * trap.cause
-    return base
+# mstatus fields take_trap rewrites, per target mode.
+_M_TRAP_FIELDS = c.MSTATUS_MPP | c.MSTATUS_MPIE | c.MSTATUS_MIE
+_S_TRAP_FIELDS = c.MSTATUS_SPP | c.MSTATUS_SPIE | c.MSTATUS_SIE
+# xIE sits four bits below xPIE in mstatus, for both M and S.
+_PIE_SHIFT = 4
 
 
 def take_trap(state: MachineState, trap: Trap) -> c.PrivilegeLevel:
@@ -57,27 +59,37 @@ def take_trap(state: MachineState, trap: Trap) -> c.PrivilegeLevel:
     Returns the privilege mode the trap was taken to.
     """
     target = trap_target_mode(state, trap)
-    mstatus = state.csr.mstatus
+    csr = state.csr
+    mstatus = csr.mstatus
+    mode = int(state.mode)
     if target == c.M_MODE:
-        state.csr.mepc = state.pc & ~0x3
-        state.csr.mcause = trap.mcause_value
-        state.csr.write(c.CSR_MTVAL, trap.tval)
-        mstatus = set_field(mstatus, c.MSTATUS_MPP, int(state.mode))
-        mie = get_field(mstatus, c.MSTATUS_MIE)
-        mstatus = set_field(mstatus, c.MSTATUS_MPIE, mie)
-        mstatus = set_field(mstatus, c.MSTATUS_MIE, 0)
-        state.pc = _vectored_target(state.csr.mtvec, trap)
+        csr.mepc = state.pc & ~0x3
+        csr.mcause = trap.mcause_value
+        csr.write(c.CSR_MTVAL, trap.tval)
+        # MPP = mode, MPIE = MIE, MIE = 0.
+        mstatus = (
+            (mstatus & ~_M_TRAP_FIELDS)
+            | (mode << c.MSTATUS_MPP_SHIFT)
+            | ((mstatus & c.MSTATUS_MIE) << _PIE_SHIFT)
+        )
+        tvec = csr.mtvec
     else:
-        state.csr.sepc = state.pc & ~0x3
-        state.csr.scause = trap.mcause_value
-        state.csr.write(c.CSR_STVAL, trap.tval)
-        mstatus = set_field(mstatus, c.MSTATUS_SPP, int(state.mode) & 1)
-        sie = get_field(mstatus, c.MSTATUS_SIE)
-        mstatus = set_field(mstatus, c.MSTATUS_SPIE, sie)
-        mstatus = set_field(mstatus, c.MSTATUS_SIE, 0)
-        state.pc = _vectored_target(state.csr.stvec, trap)
+        csr.sepc = state.pc & ~0x3
+        csr.scause = trap.mcause_value
+        csr.write(c.CSR_STVAL, trap.tval)
+        # SPP = mode & 1, SPIE = SIE, SIE = 0.
+        mstatus = (
+            (mstatus & ~_S_TRAP_FIELDS)
+            | ((mode & 1) << c.MSTATUS_SPP_SHIFT)
+            | ((mstatus & c.MSTATUS_SIE) << _PIE_SHIFT)
+        )
+        tvec = csr.stvec
+    pc = tvec & c.TVEC_BASE_MASK
+    if trap.is_interrupt and (tvec & c.TVEC_MODE_MASK) == c.TvecMode.VECTORED:
+        pc += 4 * trap.cause
+    state.pc = pc
     # Bypass legalization: trap delivery may set any MPP among supported.
-    state.csr.mstatus = mstatus
+    csr.mstatus = mstatus & c.XMASK
     state.mode = target
     state.waiting_for_interrupt = False
     return target

@@ -164,3 +164,13 @@ class TestRoundTrip:
     def test_trap_str(self):
         assert "ECALL" in str(Trap(c.TrapCause.ECALL_FROM_S))
         assert "MACHINE_TIMER" in str(Trap(c.IRQ_MTI, is_interrupt=True))
+
+
+class TestTrapStr:
+    def test_named_causes(self):
+        assert str(Trap(c.TrapCause.ECALL_FROM_S)) == "exception ECALL_FROM_S"
+        assert str(Trap(c.IRQ_MTI, is_interrupt=True)) == "interrupt MACHINE_TIMER"
+
+    def test_unknown_causes_fall_back_to_the_code(self):
+        assert str(Trap(30)) == "exception code 30"
+        assert str(Trap(30, is_interrupt=True)) == "interrupt code 30"
