@@ -59,6 +59,13 @@ _ILLEGAL_INSTRUCTION = c.TrapCause.ILLEGAL_INSTRUCTION
 _ECALL_FROM_U = c.TrapCause.ECALL_FROM_U
 _ECALL_FROM_S = c.TrapCause.ECALL_FROM_S
 _ACCESS_FAULTS = (c.TrapCause.LOAD_ACCESS_FAULT, c.TrapCause.STORE_ACCESS_FAULT)
+_U_MODE = c.U_MODE
+_M_MODE = c.M_MODE
+_CSR_MTVAL = c.CSR_MTVAL
+_INTERRUPT_BIT = c.INTERRUPT_BIT
+_SIP_MASK = c.SIP_MASK
+_MSTATUS_MIE = c.MSTATUS_MIE
+_M_INTERRUPTS = c.MIP_MTIP | c.MIP_MSIP | c.MIP_MEIP
 
 
 class Miralis:
@@ -178,38 +185,44 @@ class Miralis:
     # ------------------------------------------------------------------
 
     def _handle_trap(self, hart) -> None:
-        vctx = self.vctx[hart.hartid]
-        costs = self.config.costs
+        hartid = hart.hartid
+        worlds = self.world  # mutated in place on world switches
+        vctx = self.vctx[hartid]
+        machine = self.machine
         model = hart.cycle_model
-        csr_file = hart.state.csr
-        tracer = self.machine.tracer
+        state = hart.state
+        csr_file = state.csr
+        tracer = machine.tracer
         # The trap event for this entry was recorded just before dispatch
         # reached us; its handler annotation is final once we return.
-        entry_event = (
-            self.machine.stats.last_event if tracer is not None else None
-        )
-        self._charge_host(hart, costs.dispatch)
-        hart.charge(3 * model.csr_access)  # mcause/mepc/mtval reads
+        entry_event = machine.stats.last_event if tracer is not None else None
+        # _charge_host(dispatch), then hart.charge for the
+        # mcause/mepc/mtval reads: the same products in the same order.
+        cost = self.config.costs.dispatch * model.instruction
+        hart.cycles += cost
+        machine.cycles += cost
+        cost = 3 * model.csr_access
+        hart.cycles += cost
+        machine.cycles += cost
         mcause = csr_file.mcause
         mepc = csr_file.mepc
-        mtval = csr_file.read(c.CSR_MTVAL)
-        code = mcause & ~c.INTERRUPT_BIT
+        mtval = csr_file.read(_CSR_MTVAL)
+        code = mcause & ~_INTERRUPT_BIT
 
-        world = self.world[hart.hartid]
+        world = worlds[hartid]
         if world == _OS:
             # While the OS runs directly it reads/writes sip natively, so
             # the physical SIP bits are authoritative.  A full world switch
             # folds them into vctx.mip in enter_firmware, but the fast path
             # skips that — refresh here so every handler (offload, policy,
             # virtual-interrupt injection) sees a coherent virtual mip.
-            vctx.mip = (vctx.mip & ~c.SIP_MASK) | (csr_file.mip & c.SIP_MASK)
-
-        if self.watchdog is not None and world == _FIRMWARE:
+            vctx.mip = (vctx.mip & ~_SIP_MASK) | (csr_file.mip & _SIP_MASK)
+        elif self.watchdog is not None:
             self.watchdog.note_vm_trap(hart, vctx)
 
-        if mcause & c.INTERRUPT_BIT:
+        if mcause & _INTERRUPT_BIT:
             self._handle_physical_interrupt(hart, vctx, code, mepc)
-        elif self.world[hart.hartid] == _FIRMWARE:
+        elif worlds[hartid] == _FIRMWARE:
             self._handle_firmware_trap(hart, vctx, code, mepc, mtval)
         else:
             self._handle_os_trap(hart, vctx, code, mepc, mtval)
@@ -219,20 +232,22 @@ class Miralis:
         if not bugs.is_active("interrupt_loss"):
             self._check_virtual_interrupts(hart, vctx)
         self._sync_physical_mie(hart, vctx)
-        if self.world[hart.hartid] == _FIRMWARE:
+        if worlds[hartid] == _FIRMWARE:
             # Resume the virtualized firmware deprivileged: vM-mode is
             # physical U-mode, always.
-            hart.state.mode = c.U_MODE
-        elif hart.state.mode == c.M_MODE:
+            state.mode = _U_MODE
+        elif state.mode == _M_MODE:
             # Fast-path or policy-handled trap: drop back to the OS.
             self._return_to_os(hart)
         if tracer is not None:
             tracer.trap_exit(
-                self.machine, hart.hartid,
+                machine, hartid,
                 entry_event.handler if entry_event is not None
                 else "unclassified",
             )
-        hart.charge(model.xret)
+        cost = model.xret
+        hart.cycles += cost
+        machine.cycles += cost
 
     # ------------------------------------------------------------------
     # Traps from the virtualized firmware
@@ -259,7 +274,6 @@ class Miralis:
         hart.state.pc = pc
 
     def _handle_firmware_trap(self, hart, vctx, code, mepc, mtval) -> None:
-        costs = self.config.costs
         injector = self.machine.fault_injector
         if injector is not None and injector.stall_firmware(hart.hartid):
             # Injected runaway loop: resume the trapped instruction without
@@ -268,6 +282,7 @@ class Miralis:
             self.machine.stats.annotate_last("fault-inject", detail="stall", hart=hart.hartid)
             hart.state.pc = mepc
             return
+        costs = self.config.costs
         if code == _ILLEGAL_INSTRUCTION:
             self._emulate_firmware_instruction(hart, vctx, mepc, mtval)
             return
@@ -390,6 +405,7 @@ class Miralis:
                     "vclint",
                     "write" if instr.is_store else "read",
                     mtval - self.machine.clint.base,
+                    hartid=hart.hartid,
                 ):
                     # Transient virtual-CLINT fault: surface it to the
                     # firmware as the access fault it already took.
@@ -616,15 +632,20 @@ class Miralis:
     # ------------------------------------------------------------------
 
     def _refresh_vmip(self, hart, vctx) -> None:
+        hartid = hart.hartid
+        vclint = self.vclint
         refresh_virtual_mip(
             vctx,
-            mtime=self.machine.read_mtime(),
-            virtual_mtimecmp=self.vclint.mtimecmp[hart.hartid],
-            msip_level=self.vclint.virtual_msip(hart.hartid),
+            self.machine.read_mtime(),
+            vclint.mtimecmp[hartid],
+            bool(vclint.msip[hartid]),  # vclint.virtual_msip, inlined
         )
 
     def _check_virtual_interrupts(self, hart, vctx) -> None:
-        self._charge_host(hart, self.config.costs.interrupt_check)
+        # _charge_host(interrupt_check), inlined.
+        cost = self.config.costs.interrupt_check * hart.cycle_model.instruction
+        hart.cycles += cost
+        self.machine.cycles += cost
         if self.world[hart.hartid] != _FIRMWARE:
             return
         self._refresh_vmip(hart, vctx)
@@ -649,8 +670,8 @@ class Miralis:
             # its virtual injection is currently possible; otherwise it
             # stays pending and is injected when the firmware unmasks it
             # (the post-emulation check) or the world switches.
-            deliverable = vctx.mie if vctx.mstatus & c.MSTATUS_MIE else 0
-            m_bits = deliverable & (c.MIP_MTIP | c.MIP_MSIP | c.MIP_MEIP)
+            if vctx.mstatus & _MSTATUS_MIE:
+                m_bits = vctx.mie & _M_INTERRUPTS
         else:
             quarantined = (
                 self.watchdog is not None
@@ -663,7 +684,7 @@ class Miralis:
                 m_bits |= c.MIP_MSIP
             if vctx.mie & c.MIP_MEIP:
                 m_bits |= c.MIP_MEIP
-        csr_file.mie = (csr_file.mie & c.SIP_MASK) | m_bits
+        csr_file.mie = (csr_file.mie & _SIP_MASK) | m_bits
 
     # ------------------------------------------------------------------
     # Violations

@@ -108,6 +108,11 @@ class CoverageMap:
         self._unsourced = 0
         #: Per-hart previous slot for edge chaining; cleared per run.
         self._prev: dict[int, int] = {}
+        #: Exact path key -> its bitmap slot (a memo of ``_slot``).
+        self._slots: dict[tuple[str, int, int, int], int] = {}
+        #: World member -> name, filled on first sight of each member
+        #: (``Enum.name`` is a slow property to read per trap).
+        self._world_names: dict = {None: "NATIVE"}
 
     @property
     def records(self) -> int:
@@ -131,14 +136,24 @@ class CoverageMap:
         a map is attached, so this is the *enabled* path — the disabled
         path is the caller's single ``is not None`` branch.
         """
-        world_name = "NATIVE" if world is None else world.name
-        pc_block = (pc & U64) >> BLOCK_BITS
-        ckey = cause_key(cause, is_interrupt)
-        slot = _slot(pc_block, ckey, WORLD_KEYS[world_name], hartid)
-        edge = slot ^ (self._prev.get(hartid, 0) >> 1)
+        world_names = self._world_names
+        world_name = world_names.get(world)
+        if world_name is None:
+            world_name = world_names[world] = world.name
+        # cause_key, inlined.
+        ckey = (cause & 0xFF) | (_INTERRUPT_BIT if is_interrupt else 0)
+        key = (world_name, ckey, (pc & U64) >> BLOCK_BITS, hartid)
+        slot = self._slots.get(key)
+        if slot is None:
+            # ``paths`` only grows, so a memoised key is already in it.
+            slot = self._slots[key] = _slot(
+                key[2], ckey, WORLD_KEYS[world_name], hartid
+            )
+            self.paths.add(key)
+        prev = self._prev
+        edge = slot ^ (prev.get(hartid, 0) >> 1)
         self.bits[edge >> 3] |= 1 << (edge & 7)
-        self._prev[hartid] = slot
-        self.paths.add((world_name, ckey, pc_block, hartid))
+        prev[hartid] = slot
         self._unsourced += 1
 
     # -- queries ---------------------------------------------------------

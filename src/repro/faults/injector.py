@@ -34,7 +34,7 @@ from __future__ import annotations
 import dataclasses
 import random
 from collections import Counter
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 U64 = (1 << 64) - 1
 
@@ -46,6 +46,22 @@ MMIO_DEVICES = ("clint", "plic", "uart", "vclint")
 
 #: Access kinds an ``mmio`` spec may target.
 MMIO_KINDS = ("read", "write")
+
+#: The optional spec fields each site supplies (filters) or uses
+#: (``xor_mask``).  A spec setting any other field could never fire.
+SITE_FIELDS = {
+    "vcsr-write": ("csr", "xor_mask", "hart"),
+    "mmio": ("device", "kind", "hart"),
+    "decode": ("hart",),
+    "stall": ("hart",),
+}
+
+#: ``mmio`` devices whose fault hook carries no hart (only the virtual
+#: CLINT knows which hart made the access).
+PHYSICAL_DEVICES = ("clint", "plic", "uart")
+
+#: Spec fields a decision point is matched against.
+_FILTER_FIELDS = ("device", "kind", "csr", "hart")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -90,6 +106,18 @@ class FaultSpec:
                 f"unknown mmio access kind {self.kind!r} "
                 f"(known: {', '.join(MMIO_KINDS)})"
             )
+        supplied = SITE_FIELDS[self.site]
+        for field in ("device", "kind", "csr", "xor_mask", "hart"):
+            if getattr(self, field) is not None and field not in supplied:
+                raise ValueError(
+                    f"{field} does not apply to {self.site!r} specs "
+                    f"(that site supplies only: {', '.join(supplied)})"
+                )
+        if self.hart is not None and self.device in PHYSICAL_DEVICES:
+            raise ValueError(
+                f"hart does not apply to mmio specs on {self.device!r}: "
+                f"physical device accesses carry no hart"
+            )
 
     def to_dict(self) -> dict:
         """JSON-stable form (repro bundles); defaults are elided."""
@@ -121,7 +149,7 @@ class FaultSpec:
         return cls(**doc)
 
     def matches(self, **attrs) -> bool:
-        for field in ("device", "kind", "csr", "hart"):
+        for field in _FILTER_FIELDS:
             want = getattr(self, field)
             if want is not None and attrs.get(field) != want:
                 return False
@@ -175,9 +203,12 @@ class FaultPlan:
         )
 
 
-@dataclasses.dataclass(frozen=True)
-class InjectionEvent:
-    """One committed injection (for reporting and determinism checks)."""
+class InjectionEvent(NamedTuple):
+    """One committed injection (for reporting and determinism checks).
+
+    Immutable; a tuple because a stall-loop run commits one per trap and
+    a frozen dataclass costs twice as much to build.
+    """
 
     site: str
     index: int  # decision index at this site when the fault fired
@@ -198,9 +229,20 @@ class FaultInjector:
         self.seed = seed
         self._rng = random.Random(seed)
         self._site_counts: Counter[str] = Counter()
-        self._spec_hits: Counter[int] = Counter()
+        #: Injections per spec, by plan index.
+        self._spec_hits = [0] * len(plan.specs)
         self.injections: list[InjectionEvent] = []
-        self._sites = plan.sites
+        #: Per site, its specs in plan order as ``(spec_index, spec,
+        #: filters)``; ``filters`` holds only the spec's set filters.
+        self._site_specs: dict[str, list] = {}
+        for spec_index, spec in enumerate(plan.specs):
+            filters = tuple(
+                (field, getattr(spec, field)) for field in _FILTER_FIELDS
+                if getattr(spec, field) is not None
+            )
+            self._site_specs.setdefault(spec.site, []).append(
+                (spec_index, spec, filters)
+            )
         #: Set by ``Machine.install_fault_injector`` so committed
         #: injections can be traced; the injector stays usable standalone.
         self.machine = None
@@ -209,28 +251,35 @@ class FaultInjector:
 
     def _decide(self, site: str, detail: str, **attrs) -> Optional[FaultSpec]:
         """Advance the decision point at ``site``; the firing spec or None."""
-        if site not in self._sites:
+        specs = self._site_specs.get(site)
+        if specs is None:
             return None
-        index = self._site_counts[site]
-        self._site_counts[site] += 1
-        for spec_index, spec in enumerate(self.plan.specs):
-            if spec.site != site or not spec.matches(**attrs):
-                continue
-            if index < spec.after:
-                continue
-            if spec.limit is not None and self._spec_hits[spec_index] >= spec.limit:
-                continue
-            if spec.probability < 1.0 and self._rng.random() >= spec.probability:
-                continue
-            self._spec_hits[spec_index] += 1
-            self.injections.append(InjectionEvent(site, index, detail))
-            machine = self.machine
-            if machine is not None and machine.tracer is not None:
-                machine.tracer.emit(
-                    machine, "fault-inject", attrs.get("hart") or 0,
-                    site=site, index=index, detail=detail, seed=self.seed,
-                )
-            return spec
+        counts = self._site_counts
+        index = counts[site]
+        counts[site] = index + 1
+        for spec_index, spec, filters in specs:
+            for field, want in filters:
+                if attrs.get(field) != want:
+                    break
+            else:  # every set filter matched
+                if index < spec.after:
+                    continue
+                limit = spec.limit
+                hits = self._spec_hits
+                if limit is not None and hits[spec_index] >= limit:
+                    continue
+                probability = spec.probability
+                if probability < 1.0 and self._rng.random() >= probability:
+                    continue
+                hits[spec_index] += 1
+                self.injections.append(InjectionEvent(site, index, detail))
+                machine = self.machine
+                if machine is not None and machine.tracer is not None:
+                    machine.tracer.emit(
+                        machine, "fault-inject", attrs.get("hart") or 0,
+                        site=site, index=index, detail=detail, seed=self.seed,
+                    )
+                return spec
         return None
 
     # -- site-specific entry points ---------------------------------------
@@ -248,8 +297,8 @@ class FaultInjector:
             corrupted = (value ^ (1 << self._rng.getrandbits(6))) & U64
         # Patch the recorded detail with the actual corruption.
         last = self.injections[-1]
-        self.injections[-1] = dataclasses.replace(
-            last, detail=f"csr={csr:#x} {value:#x}->{corrupted:#x}"
+        self.injections[-1] = last._replace(
+            detail=f"csr={csr:#x} {value:#x}->{corrupted:#x}"
         )
         return corrupted
 
@@ -267,6 +316,8 @@ class FaultInjector:
 
     def stall_firmware(self, hartid: int) -> bool:
         """Whether the current firmware trap resumes without emulation."""
+        if "stall" not in self._site_specs:
+            return False
         return self._decide("stall", f"hart{hartid}", hart=hartid) is not None
 
     # -- hook factories ----------------------------------------------------

@@ -49,6 +49,10 @@ class SnapshotError(Exception):
 # Deep copy of in-memory state values
 # ----------------------------------------------------------------------
 
+#: Exact types that are immutable scalars: returned as they are.
+_SCALARS = frozenset({int, str, bool, float, type(None)})
+
+
 def _copy(value):
     """Deep-copy a state value so checkpoints never alias live state.
 
@@ -56,6 +60,11 @@ def _copy(value):
     assumed to be immutable scalars (ints, strs, enums, None) and pass
     through.
     """
+    cls = type(value)
+    if cls in _SCALARS:
+        return value
+    if cls is list:  # register files: lists of ints
+        return [v if type(v) in _SCALARS else _copy(v) for v in value]
     if isinstance(value, TrapEvent):
         return dataclasses.replace(value)
     if isinstance(value, Counter):

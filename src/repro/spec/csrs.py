@@ -148,6 +148,10 @@ class CsrFile:
         self.mip_hw = 0
         self.pmpcfg = [0] * 64
         self.pmpaddr = [0] * 64
+        #: ``(exists, read_only, min_privilege)`` per CSR address, filled
+        #: on first access by ``repro.spec.step.csr_access_allowed``; a pure
+        #: function of the (frozen) platform config.
+        self.access_rules: dict[int, tuple] = {}
         self._simple = {addr: reset for addr, (reset, _mask) in _SIMPLE_CSRS.items()}
         self._simple.update({addr: 0 for addr in config.vendor_csrs})
         if config.has_h_extension:

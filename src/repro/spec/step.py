@@ -59,6 +59,13 @@ class Outcome:
         return self.trap is not None
 
 
+# Shared no-trap outcomes: ``Outcome`` is frozen, so one instance serves
+# every instruction that ends the same way.
+_COMMITTED = Outcome()
+_WFI = Outcome(is_wfi=True)
+_FENCE = Outcome(is_fence=True)
+
+
 # ---------------------------------------------------------------------------
 # CSR access rules
 # ---------------------------------------------------------------------------
@@ -70,23 +77,31 @@ def csr_access_allowed(
     state: MachineState, csr: int, is_write: bool
 ) -> bool:
     """Whether the current mode may access a CSR (illegal instruction if not)."""
-    if not state.csr.exists(csr):
+    csr_file = state.csr
+    rules = csr_file.access_rules
+    rule = rules.get(csr)
+    if rule is None:
+        rule = rules[csr] = (
+            csr_file.exists(csr),
+            c.csr_is_read_only(csr),
+            c.csr_min_privilege(csr),
+        )
+    exists, read_only, min_privilege = rule
+    if not exists or (is_write and read_only):
         return False
-    if is_write and c.csr_is_read_only(csr):
+    mode = state.mode
+    if mode < min_privilege:
         return False
-    if state.mode < c.csr_min_privilege(csr):
-        return False
-    mstatus = state.csr.mstatus
-    if csr == c.CSR_SATP and state.mode == c.S_MODE and mstatus & c.MSTATUS_TVM:
+    if csr == c.CSR_SATP and mode == c.S_MODE and csr_file.mstatus & c.MSTATUS_TVM:
         return False
     if csr in _COUNTER_ENABLE_BITS or c.CSR_HPMCOUNTER3 <= csr < c.CSR_HPMCOUNTER3 + 29:
         bit = _COUNTER_ENABLE_BITS.get(csr, csr - c.CSR_CYCLE)
-        if state.mode < c.M_MODE and not (state.csr.read(c.CSR_MCOUNTEREN) >> bit) & 1:
+        if mode < c.M_MODE and not (csr_file.read(c.CSR_MCOUNTEREN) >> bit) & 1:
             return False
-        if state.mode < c.S_MODE and not (state.csr.read(c.CSR_SCOUNTEREN) >> bit) & 1:
+        if mode < c.S_MODE and not (csr_file.read(c.CSR_SCOUNTEREN) >> bit) & 1:
             return False
-    if csr == c.CSR_STIMECMP and state.mode == c.S_MODE:
-        if not state.csr.menvcfg & c.MENVCFG_STCE:
+    if csr == c.CSR_STIMECMP and mode == c.S_MODE:
+        if not csr_file.menvcfg & c.MENVCFG_STCE:
             return False
     return True
 
@@ -340,46 +355,52 @@ def _execute_memory(
 # ---------------------------------------------------------------------------
 
 
+_ECALL_CAUSE = {
+    c.U_MODE: c.TrapCause.ECALL_FROM_U,
+    c.S_MODE: c.TrapCause.ECALL_FROM_S,
+    c.M_MODE: c.TrapCause.ECALL_FROM_M,
+}
+
+
+def _illegal(instr: Instruction) -> Outcome:
+    return Outcome(trap=Trap(c.TrapCause.ILLEGAL_INSTRUCTION, tval=encode(instr)))
+
+
 def _execute_system(state: MachineState, instr: Instruction) -> Outcome:
     m = instr.mnemonic
+    mode = state.mode
     mstatus = state.csr.mstatus
-    illegal = Trap(c.TrapCause.ILLEGAL_INSTRUCTION, tval=encode(instr))
     if m == "ecall":
-        cause = {
-            c.U_MODE: c.TrapCause.ECALL_FROM_U,
-            c.S_MODE: c.TrapCause.ECALL_FROM_S,
-            c.M_MODE: c.TrapCause.ECALL_FROM_M,
-        }[state.mode]
-        return Outcome(trap=Trap(cause))
+        return Outcome(trap=Trap(_ECALL_CAUSE[mode]))
     if m == "ebreak":
         return Outcome(trap=Trap(c.TrapCause.BREAKPOINT, tval=state.pc))
     if m == "mret":
-        if state.mode != c.M_MODE:
-            return Outcome(trap=illegal)
+        if mode != c.M_MODE:
+            return _illegal(instr)
         execute_mret(state)
-        return Outcome()
+        return _COMMITTED
     if m == "sret":
-        if state.mode == c.U_MODE:
-            return Outcome(trap=illegal)
-        if state.mode == c.S_MODE and mstatus & c.MSTATUS_TSR:
-            return Outcome(trap=illegal)
+        if mode == c.U_MODE:
+            return _illegal(instr)
+        if mode == c.S_MODE and mstatus & c.MSTATUS_TSR:
+            return _illegal(instr)
         execute_sret(state)
-        return Outcome()
+        return _COMMITTED
     if m == "wfi":
-        if state.mode == c.U_MODE:
-            return Outcome(trap=illegal)
-        if state.mode == c.S_MODE and mstatus & c.MSTATUS_TW:
-            return Outcome(trap=illegal)
+        if mode == c.U_MODE:
+            return _illegal(instr)
+        if mode == c.S_MODE and mstatus & c.MSTATUS_TW:
+            return _illegal(instr)
         state.waiting_for_interrupt = True
         state.pc = to_u64(state.pc + 4)
-        return Outcome(is_wfi=True)
+        return _WFI
     if m == "sfence.vma":
-        if state.mode == c.U_MODE:
-            return Outcome(trap=illegal)
-        if state.mode == c.S_MODE and mstatus & c.MSTATUS_TVM:
-            return Outcome(trap=illegal)
+        if mode == c.U_MODE:
+            return _illegal(instr)
+        if mode == c.S_MODE and mstatus & c.MSTATUS_TVM:
+            return _illegal(instr)
         state.pc = to_u64(state.pc + 4)
-        return Outcome(is_fence=True)
+        return _FENCE
     raise AssertionError(f"not a system instruction: {m}")
 
 
@@ -415,22 +436,22 @@ def execute_instruction(
     if m in _ALU_MNEMONICS:
         _alu(state, instr)
         state.pc = to_u64(state.pc + 4)
-        return Outcome()
+        return _COMMITTED
 
     if m == "jal":
         target = to_u64(state.pc + instr.imm)
         state.set_xreg(instr.rd, to_u64(state.pc + 4))
         state.pc = target
-        return Outcome()
+        return _COMMITTED
     if m == "jalr":
         target = to_u64(state.get_xreg(instr.rs1) + instr.imm) & ~1
         state.set_xreg(instr.rd, to_u64(state.pc + 4))
         state.pc = target
-        return Outcome()
+        return _COMMITTED
     if m in _BRANCH_TAKEN:
         taken = _BRANCH_TAKEN[m](state.get_xreg(instr.rs1), state.get_xreg(instr.rs2))
         state.pc = to_u64(state.pc + (instr.imm if taken else 4))
-        return Outcome()
+        return _COMMITTED
 
     if instr.is_load or instr.is_store:
         trap, access = _execute_memory(state, instr, bus)
@@ -446,11 +467,11 @@ def execute_instruction(
             take_trap(state, trap)
             return Outcome(trap=trap)
         state.pc = to_u64(state.pc + 4)
-        return Outcome()
+        return _COMMITTED
 
     if m in ("fence", "fence.i"):
         state.pc = to_u64(state.pc + 4)
-        return Outcome(is_fence=(m == "fence.i"))
+        return _FENCE if m == "fence.i" else _COMMITTED
 
     if m in ("ecall", "ebreak", "mret", "sret", "wfi", "sfence.vma"):
         outcome = _execute_system(state, instr)

@@ -145,3 +145,63 @@ class TestDeviceHooks:
         machine.install_fault_injector(None)
         machine.uart.write(0, 1, 0x41)  # must not raise
         assert machine.clint.fault_hook is None
+
+
+class TestSiteFilters:
+    """A filter its site never supplies can never match, so a spec that
+    sets one would silently never fire; construction rejects it."""
+
+    @pytest.mark.parametrize("site", ["vcsr-write", "decode", "stall"])
+    @pytest.mark.parametrize("field, value", [("device", "uart"),
+                                              ("kind", "read")])
+    def test_mmio_filters_rejected_outside_mmio(self, site, field, value):
+        with pytest.raises(ValueError, match=field):
+            FaultSpec(site, **{field: value})
+
+    @pytest.mark.parametrize("site", ["mmio", "decode", "stall"])
+    @pytest.mark.parametrize("field, value", [("csr", c.CSR_MTVEC),
+                                              ("xor_mask", 0xFF)])
+    def test_csr_filters_rejected_outside_vcsr_write(self, site, field, value):
+        with pytest.raises(ValueError, match=field):
+            FaultSpec(site, **{field: value})
+
+    @pytest.mark.parametrize("device", ["clint", "plic", "uart"])
+    def test_hart_rejected_on_physical_device_mmio(self, device):
+        with pytest.raises(ValueError, match="hart"):
+            FaultSpec("mmio", device=device, hart=0)
+
+    @pytest.mark.parametrize("site, fields", [
+        ("mmio", {"device": "vclint", "hart": 0}),
+        ("mmio", {"hart": 1}),
+        ("mmio", {"device": "uart", "kind": "write"}),
+        ("vcsr-write", {"csr": c.CSR_MTVEC, "xor_mask": 0xFF, "hart": 0}),
+        ("decode", {"hart": 0}),
+        ("stall", {"hart": 0}),
+    ])
+    def test_supplied_filters_accepted(self, site, fields):
+        spec = FaultSpec(site, **fields)
+        assert FaultSpec.from_dict(spec.to_dict()) == spec
+
+    def test_random_plans_set_only_supplied_filters(self):
+        # Canned plans are built at import; random plans build here.
+        for seed in range(500):
+            assert random_plan(seed).specs
+
+    @pytest.mark.parametrize("firmware", ["opensbi", "zephyr"])
+    def test_vclint_hart_filter_fires(self, firmware):
+        from repro.faults.chaos import run_chaos
+
+        for spec in (FaultSpec("mmio", device="vclint", hart=0, limit=1),
+                     FaultSpec("mmio", hart=0, limit=1)):
+            result = run_chaos(firmware, FaultPlan("t", (spec,)), seed=1)
+            assert result.ok
+            assert [detail.split(":")[0]
+                    for _site, _index, detail in result.injection_log] == [
+                        "vclint"]
+
+    def test_vclint_hart_filter_skips_other_harts(self):
+        from repro.faults.chaos import run_chaos
+
+        spec = FaultSpec("mmio", device="vclint", hart=1, limit=1)
+        result = run_chaos("opensbi", FaultPlan("t", (spec,)), seed=1)
+        assert result.ok and result.injection_log == ()

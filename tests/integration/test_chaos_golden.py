@@ -1,0 +1,109 @@
+"""Golden chaos digests: the chaos layers' host code must not move a bit.
+
+Each cell is one ``run_chaos`` call (every firmware × every canned plan at
+one chaos seed) with a fresh :class:`CoverageMap` attached.  The digest
+covers what a chaos run reports — injections, the trap flight recorder,
+watchdog decisions, quarantines, halt reason, error and console — plus
+the coverage map's bitmap, exact paths and record count, and the
+machine's trap counts and exact ``cycles`` float.  The digests were
+recorded before the fault injector, coverage map, activation snapshots
+and vM-mode CSR-trap path were optimised for host time; any change to
+them means a host-only change altered a simulated bit, an injection
+decision or a coverage bit.
+
+Only cells that run to an end are pinned; at this seed all 32 do.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+
+import pytest
+
+from repro.coverage import CoverageMap
+from repro.faults.chaos import CHAOS_FIRMWARES, run_chaos
+from repro.faults.plans import PLANS
+from repro.hart.machine import Machine
+
+CHAOS_SEED = 1
+
+GOLDEN = {
+    "opensbi/csr-chaos": "9e8189235a9ed150e9dbde64d7111acc5f75b88cf4e1ef0ba16586a033e52295",
+    "opensbi/decode-flip": "db1cdef9989e37d0c18ff1ad750f6a6b2a77ece9233e7b8551b89423391f5751",
+    "opensbi/flaky-uart": "5dfde586014dbfe2b1f7f40814bea61e9eb9450203e761981beff94683db5730",
+    "opensbi/mtvec-smash": "6f4cadea92af20f55d8c50e6260fa20cacd9e4792fa09d394b9b2867ee352398",
+    "opensbi/none": "9cba293dba9f2433276c4523ca623f7dff0ec775593e9e2f61346e4b2ef94384",
+    "opensbi/padded-mtvec": "6f4cadea92af20f55d8c50e6260fa20cacd9e4792fa09d394b9b2867ee352398",
+    "opensbi/stall-loop": "1ac6842a6b85e8e319dbe91cb9d1aeea2ee578e80550929aecd545028ef03996",
+    "opensbi/transient-mmio": "5637df41b2c3d1467a366a9460e457aa7463099af60cb924a3c9cfc3ddcfeba4",
+    "rustsbi/csr-chaos": "9de50d7434bd53d55fda287681df9641db3de548ba36d0e1231639eb3261c153",
+    "rustsbi/decode-flip": "5f8171be0ae71ba591e61ef9b2d18cfe5464c043727147618f1fd3c9d1bca5ef",
+    "rustsbi/flaky-uart": "41f777965c1f557fdb4f4d7409885c12620684b8f4617125698b1d427cf69791",
+    "rustsbi/mtvec-smash": "878d7c1c89c4e80a339409ebd5c58ad26ed433f97f987ae3e4473633ee8c4826",
+    "rustsbi/none": "3f847ef32684c49635854bdc0bca1c480061ccc150e2b8d141d59c45f1425b35",
+    "rustsbi/padded-mtvec": "878d7c1c89c4e80a339409ebd5c58ad26ed433f97f987ae3e4473633ee8c4826",
+    "rustsbi/stall-loop": "a8dfa1e6e78fa309652cd37e8f70dddb09a48bce211a03e982488d638a05bcbf",
+    "rustsbi/transient-mmio": "817c4e33c0c251ce27a5a8018da04853c068da8e2855db61d9713db3227163ed",
+    "zephyr/csr-chaos": "db32ebdc3112e46a24708d5ca70c0f4f2d6c41cdedf894575ccca927d1ad1de1",
+    "zephyr/decode-flip": "2c05c87546443c2086ee8ab4e39c5299892677da23c9829196add078b9cad5a8",
+    "zephyr/flaky-uart": "db32ebdc3112e46a24708d5ca70c0f4f2d6c41cdedf894575ccca927d1ad1de1",
+    "zephyr/mtvec-smash": "617b747cd46d8e6dad2044078968858d106cbb7c98bdd323e01062ad3110fbbe",
+    "zephyr/none": "db32ebdc3112e46a24708d5ca70c0f4f2d6c41cdedf894575ccca927d1ad1de1",
+    "zephyr/padded-mtvec": "617b747cd46d8e6dad2044078968858d106cbb7c98bdd323e01062ad3110fbbe",
+    "zephyr/stall-loop": "6b033a92288c6c40e757edece3fefa10ccd447f319144fd6b3eedec544cbf5b5",
+    "zephyr/transient-mmio": "c8ad53de3ef8187e59d1f434829ba45af526c5aba3fd068387a8bef6b0dac6d4",
+    "malicious/csr-chaos": "e0b59c3e44bf1c8042736a08dce6b09601577a359ede8ac30ce5aa4895985bcd",
+    "malicious/decode-flip": "f115bfc48ebf9b37654929d6ad71ccff231cb90e6e4bed064dc214ba4659cf2d",
+    "malicious/flaky-uart": "5dfde586014dbfe2b1f7f40814bea61e9eb9450203e761981beff94683db5730",
+    "malicious/mtvec-smash": "6f69579173d9d6a1b1f28a86e6408ca317aff54633adb4877b564c176a02615a",
+    "malicious/none": "e86756f71eef3153e37d54a796e3fc8fb15ba7baa3bd0f991521c98ff1087902",
+    "malicious/padded-mtvec": "6f69579173d9d6a1b1f28a86e6408ca317aff54633adb4877b564c176a02615a",
+    "malicious/stall-loop": "88cde0c46216a49e065482b731d28dd1a445b890c33f0e92b8f6c3a29a755b65",
+    "malicious/transient-mmio": "5637df41b2c3d1467a366a9460e457aa7463099af60cb924a3c9cfc3ddcfeba4",
+}
+
+
+def chaos_digest(result, coverage: CoverageMap, machine) -> str:
+    doc = {
+        "injection_log": result.injection_log,
+        "trap_log": result.trap_log,
+        "trap_log_total": result.trap_log_total,
+        "recoveries": sorted(result.recoveries.items()),
+        "hart_recoveries": [sorted(per_hart.items())
+                            for per_hart in result.hart_recoveries],
+        "quarantine_log": result.quarantine_log,
+        "halt_reason": result.halt_reason,
+        "error": result.error,
+        "console": result.console,
+        "coverage_bits": bytes(coverage.bits).hex(),
+        "coverage_paths": sorted(coverage.paths),
+        "coverage_records": coverage.records,
+        "trap_counts": sorted(machine.stats.trap_counts.items()),
+        "cycles": repr(machine.cycles),
+    }
+    return hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+
+
+def run_cell(firmware: str, plan: str, monkeypatch) -> str:
+    """Run one cell and digest it; the machine is caught as it is built
+    (``run_chaos`` returns only its result)."""
+    built: list = []
+    original = Machine.__init__
+
+    def init(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(Machine, "__init__", init)
+    coverage = CoverageMap()
+    result = run_chaos(firmware, plan, seed=CHAOS_SEED, coverage=coverage)
+    monkeypatch.setattr(Machine, "__init__", original)
+    assert built, "run_chaos built no machine"
+    return chaos_digest(result, coverage, built[-1])
+
+
+@pytest.mark.parametrize("plan", sorted(PLANS))
+@pytest.mark.parametrize("firmware", CHAOS_FIRMWARES)
+def test_chaos_cell_matches_golden(firmware, plan, monkeypatch):
+    assert run_cell(firmware, plan, monkeypatch) == GOLDEN[f"{firmware}/{plan}"]
