@@ -87,6 +87,7 @@ class Miralis:
         # coverage is keyed per world, and the list is shared (mutated in
         # place on world switches), so this assignment stays current.
         machine.world_view = self.world
+        machine.monitor = self
         self.vclint = VirtualClint(machine)
         self.vpmp = PmpVirtualizer(
             machine, region, config, policy.num_pmp_entries()
@@ -106,6 +107,46 @@ class Miralis:
         if self.watchdog is not None:
             machine.firmware_panic_hook = self.watchdog.on_panic
             machine.recovery_stats = self.watchdog.counters
+
+    # ------------------------------------------------------------------
+    # State protocol (checkpoints): composes the components' pairs
+    # ------------------------------------------------------------------
+
+    def snapshot_state(self) -> dict:
+        return {
+            "world": [world.name for world in self.world],
+            "vctx": [vctx.snapshot_state() for vctx in self.vctx],
+            "vclint": self.vclint.snapshot_state(),
+            "offload": self.offload.snapshot_state(),
+            "emulation_count": self.emulation_count,
+            "violations": list(self.violations),
+            "booted": list(self._booted),
+            "policy_initialized": self._policy_initialized,
+            "policy": self.policy.snapshot_state(),
+            "watchdog": (None if self.watchdog is None
+                         else self.watchdog.snapshot_state()),
+        }
+
+    def restore_state(self, state: dict) -> None:
+        """Load a state captured from a monitor of the same shape (the
+        checkpoint layer checks the watchdog and policy match first)."""
+        # In place: machine.world_view aliases this list.
+        self.world[:] = [World[name] for name in state["world"]]
+        for vctx, vctx_state in zip(self.vctx, state["vctx"]):
+            vctx.restore_state(vctx_state)
+        self.vclint.restore_state(state["vclint"])
+        self.offload.restore_state(state["offload"])
+        self.emulation_count = state["emulation_count"]
+        self.violations[:] = state["violations"]
+        self._booted[:] = state["booted"]
+        self._policy_initialized = state["policy_initialized"]
+        if self._policy_initialized:
+            # A warm-started cell's policy has never seen ``init`` (the
+            # checkpoint says the boot already ran it).
+            self.policy.init(self, self.machine)
+            self.policy.restore_state(state["policy"])
+        if self.watchdog is not None:
+            self.watchdog.restore_state(state["watchdog"])
 
     # ------------------------------------------------------------------
     # Host-work accounting

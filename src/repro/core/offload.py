@@ -45,6 +45,14 @@ class FastPath:
         #: Whether the monitor armed the timer on behalf of the OS.
         self.timer_armed = [False] * self.machine.config.num_harts
 
+    def snapshot_state(self) -> dict:
+        return {"hits": Counter(self.hits),
+                "timer_armed": list(self.timer_armed)}
+
+    def restore_state(self, state: dict) -> None:
+        self.hits = Counter(state["hits"])
+        self.timer_armed[:] = state["timer_armed"]
+
     # ------------------------------------------------------------------
     # Shared accounting
     # ------------------------------------------------------------------

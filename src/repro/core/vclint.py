@@ -69,10 +69,27 @@ class VirtualClint:
     def virtual_msip(self, hartid: int) -> bool:
         return bool(self.msip[hartid])
 
-    # -- snapshots ----------------------------------------------------------
+    # -- state protocol -----------------------------------------------------
+
+    def snapshot_state(self) -> dict:
+        return {
+            "mtimecmp": list(self.mtimecmp),
+            "monitor_mtimecmp": list(self.monitor_mtimecmp),
+            "msip": list(self.msip),
+            "accesses": self.accesses,
+        }
+
+    def restore_state(self, state: dict) -> None:
+        # Shadows only: the physical CLINT restores its own comparators,
+        # so reprogramming the timer here would be redundant (and must not
+        # run before the CLINT's lists are consistent).
+        self.mtimecmp[:] = state["mtimecmp"]
+        self.monitor_mtimecmp[:] = state["monitor_mtimecmp"]
+        self.msip[:] = state["msip"]
+        self.accesses = state["accesses"]
 
     def snapshot_hart(self, hartid: int) -> dict:
-        """This hart's shadow state (watchdog activation snapshots)."""
+        """This hart's shadows (a watchdog activation rolls back one hart)."""
         return {
             "mtimecmp": self.mtimecmp[hartid],
             "monitor_mtimecmp": self.monitor_mtimecmp[hartid],
@@ -84,21 +101,6 @@ class VirtualClint:
         self.monitor_mtimecmp[hartid] = snap["monitor_mtimecmp"]
         self.msip[hartid] = snap["msip"]
         self.program_physical_timer(hartid)
-
-    def snapshot(self) -> dict:
-        """All shadow state (replay-determinism round-trip tests)."""
-        return {
-            "mtimecmp": list(self.mtimecmp),
-            "monitor_mtimecmp": list(self.monitor_mtimecmp),
-            "msip": list(self.msip),
-        }
-
-    def restore(self, snap: dict) -> None:
-        self.mtimecmp = list(snap["mtimecmp"])
-        self.monitor_mtimecmp = list(snap["monitor_mtimecmp"])
-        self.msip = list(snap["msip"])
-        for hartid in range(self.machine.config.num_harts):
-            self.program_physical_timer(hartid)
 
     # -- MMIO emulation -----------------------------------------------------
 

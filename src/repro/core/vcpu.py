@@ -26,6 +26,15 @@ class World(enum.Enum):
     OS = "direct"
 
 
+#: VirtContext fields that are wiring, not state: never captured, and
+#: left as they are by a restore (a retried activation keeps its
+#: injector hook).
+WIRING = ("platform", "hartid", "csr_write_hook")
+#: The container-valued fields (lists and dicts of ints); every other
+#: state field holds an immutable value.
+CONTAINERS = ("pmpcfg", "pmpaddr", "vendor", "h_csrs")
+
+
 class VirtContext:
     """Virtual hart state: shadow CSRs plus the virtual privilege mode."""
 
@@ -115,51 +124,25 @@ class VirtContext:
     def sip(self) -> int:
         return self.mip & self.mideleg & c.SIP_MASK
 
-    def snapshot(self) -> dict:
-        """Copy of all virtual state (used by verification and tests)."""
-        return {
-            "virtual_mode": self.virtual_mode,
-            "virtual_pmp_count": self.virtual_pmp_count,
-            "mstatus": self.mstatus,
-            "misa": self.misa,
-            "mcycle": self.mcycle,
-            "minstret": self.minstret,
-            "medeleg": self.medeleg,
-            "mideleg": self.mideleg,
-            "mie": self.mie,
-            "mip": self.mip,
-            "mtvec": self.mtvec,
-            "mcounteren": self.mcounteren,
-            "mcountinhibit": self.mcountinhibit,
-            "menvcfg": self.menvcfg,
-            "mscratch": self.mscratch,
-            "mepc": self.mepc,
-            "mcause": self.mcause,
-            "mtval": self.mtval,
-            "stvec": self.stvec,
-            "scounteren": self.scounteren,
-            "senvcfg": self.senvcfg,
-            "sscratch": self.sscratch,
-            "sepc": self.sepc,
-            "scause": self.scause,
-            "stval": self.stval,
-            "satp": self.satp,
-            "stimecmp": self.stimecmp,
-            "pmpcfg": list(self.pmpcfg),
-            "pmpaddr": list(self.pmpaddr),
-            "vendor": dict(self.vendor),
-            "h_csrs": dict(self.h_csrs),
-        }
+    # -- state protocol (checkpoints, watchdog retries, verification) -------
 
-    def restore(self, snap: dict) -> None:
-        # Snapshot keys are attribute names, so one C-level dict update
-        # restores every scalar; the four container fields are re-copied so
-        # the snapshot stays independent of subsequent mutation.
-        self.__dict__.update(snap)
-        self.pmpcfg = list(snap["pmpcfg"])
-        self.pmpaddr = list(snap["pmpaddr"])
-        self.vendor = dict(snap["vendor"])
-        self.h_csrs = dict(snap["h_csrs"])
+    def snapshot_state(self) -> dict:
+        """Every field but the wiring, keyed by attribute name: generic over
+        ``__dict__``, so a new field is captured without being listed."""
+        state = self.__dict__.copy()
+        for name in WIRING:
+            del state[name]
+        for name in CONTAINERS:
+            state[name] = state[name].copy()
+        return state
+
+    def restore_state(self, state: dict) -> None:
+        # One C-level dict update restores every scalar; the containers
+        # (of ints) are re-copied so the state stays independent.
+        fields = self.__dict__
+        fields.update(state)
+        for name in CONTAINERS:
+            fields[name] = state[name].copy()
 
     def __repr__(self) -> str:
         return (

@@ -32,6 +32,7 @@ from typing import Optional
 
 from repro.hart.program import FirmwareRecovered, MachineHalted
 from repro.isa import constants as c
+from repro.statecopy import copy_state
 
 
 class FirmwareWatchdog:
@@ -73,6 +74,49 @@ class FirmwareWatchdog:
         # ("boot",) or ("trap", code, is_interrupt, mtval, mepc, os_mode).
         self._pending: list[Optional[tuple]] = [None] * num_harts
 
+    # ------------------------------------------------------------------
+    # State protocol (checkpoints)
+    # ------------------------------------------------------------------
+
+    def snapshot_state(self) -> dict:
+        return {
+            "quarantined": list(self.quarantined),
+            "consecutive_failures": list(self.consecutive_failures),
+            "os_entered": list(self.os_entered),
+            "counters": Counter(self.counters),
+            "hart_counters": [Counter(per_hart)
+                              for per_hart in self.hart_counters],
+            "events": list(self.events),
+            "quarantine_records": copy_state(self.quarantine_records),
+            "vm_traps": list(self._vm_traps),
+            "inject_depth": list(self._inject_depth),
+            "last_fault_tval": list(self._last_fault_tval),
+            "fault_repeats": list(self._fault_repeats),
+            "violations": list(self._violations),
+            "snapshots": copy_state(self._snapshots),
+            "pending": list(self._pending),
+        }
+
+    def restore_state(self, state: dict) -> None:
+        # In place: ``machine.recovery_stats`` aliases the counters.
+        self.quarantined[:] = state["quarantined"]
+        self.consecutive_failures[:] = state["consecutive_failures"]
+        self.os_entered[:] = state["os_entered"]
+        self.counters.clear()
+        self.counters.update(state["counters"])
+        self.hart_counters = [Counter(per_hart)
+                              for per_hart in state["hart_counters"]]
+        self.events[:] = [tuple(event) for event in state["events"]]
+        self.quarantine_records[:] = copy_state(state["quarantine_records"])
+        self._vm_traps[:] = state["vm_traps"]
+        self._inject_depth[:] = state["inject_depth"]
+        self._last_fault_tval[:] = state["last_fault_tval"]
+        self._fault_repeats[:] = state["fault_repeats"]
+        self._violations[:] = state["violations"]
+        self._snapshots[:] = copy_state(state["snapshots"])
+        self._pending[:] = [None if entry is None else tuple(entry)
+                            for entry in state["pending"]]
+
     def _count(self, hartid: int, name: str) -> None:
         """Count one watchdog decision, keyed by hart and in aggregate."""
         self.counters[name] += 1
@@ -90,10 +134,8 @@ class FirmwareWatchdog:
         self._violations[hartid] = 0
 
     def _activation_snapshot(self, hart, vctx) -> dict:
-        """Everything a retry (or replay) must restore: the full virtual
-        context, this hart's virtual-CLINT shadows, the firmware region's
-        RAM pages (copy-on-write), and the stats/tracer epochs — see
-        :mod:`repro.snapshot.activation` for the full contract."""
+        """Everything a retry (or replay) must restore — see
+        :mod:`repro.snapshot.activation` for the contract."""
         from repro.snapshot.activation import capture_activation
 
         return capture_activation(self, hart, vctx)

@@ -138,6 +138,22 @@ class Clint:
         """Earliest mtimecmp across harts (used to fast-forward idle time)."""
         return min(self.mtimecmp)
 
+    # -- state protocol ---------------------------------------------------
+
+    def snapshot_state(self) -> dict:
+        return {
+            "msip": list(self.msip),
+            "mtimecmp": list(self.mtimecmp),
+            "mtip_level": list(self._mtip_level),
+        }
+
+    def restore_state(self, state: dict) -> None:
+        # Registers only: the interrupt lines are CSR state the harts
+        # restore themselves, so no ``set_*`` callback fires.
+        self.msip[:] = state["msip"]
+        self.mtimecmp[:] = state["mtimecmp"]
+        self._mtip_level[:] = state["mtip_level"]
+
     # -- convenience used by firmware and the VFM fast path ---------------
 
     def mtimecmp_address(self, hart: int) -> int:

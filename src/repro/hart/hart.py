@@ -126,5 +126,21 @@ class Hart:
             )
         return True
 
+    # -- state protocol -------------------------------------------------
+
+    def snapshot_state(self) -> dict:
+        return {
+            "cycles": self.cycles,
+            "instret": self.instret,
+            "parked_pc": self.parked_pc,
+            "state": self.state.snapshot_state(),
+        }
+
+    def restore_state(self, state: dict) -> None:
+        self.cycles = state["cycles"]
+        self.instret = state["instret"]
+        self.parked_pc = state["parked_pc"]
+        self.state.restore_state(state["state"])
+
     def __repr__(self) -> str:
         return f"<Hart {self.hartid} pc={self.state.pc:#x} mode={self.state.mode.short_name}>"

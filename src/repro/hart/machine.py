@@ -134,6 +134,9 @@ class Machine:
         #: hook can key traps on the executing world.  None on a bare
         #: machine (recorded as the NATIVE world).
         self.world_view = None
+        #: Installed by the VFM: the monitor itself, which checkpoints
+        #: capture and restore with the machine.  None on a bare machine.
+        self.monitor = None
         # Weakly: the bus's devices call back into this machine, and a
         # strong path from the registry would keep the owner alive.
         bus_ref = weakref.ref(self.spec_bus)
@@ -216,6 +219,10 @@ class Machine:
     def dispatches(self) -> int:
         """Total control transfers routed through :meth:`dispatch_current`."""
         return self._dispatches
+
+    def owners(self) -> list[Owner]:
+        """Every registered program and host handler, in registration order."""
+        return [owner for _, owner in self._regions]
 
     def region_named(self, name: str) -> Region:
         for region, _ in self._regions:
@@ -344,6 +351,29 @@ class Machine:
         except MachineHalted:
             pass
         return False
+
+    @property
+    def quiescent(self) -> bool:
+        """No guest frames are suspended on the Python stack, so the
+        architectural state alone determines the future."""
+        return self._service_depth == 0 and not any(self._resume_stacks)
+
+    # -- state protocol ---------------------------------------------------
+
+    def snapshot_state(self) -> dict:
+        """Clock and run status only: the components have their own."""
+        return {
+            "cycles": self.cycles,
+            "halted": self.halted,
+            "halt_reason": self.halt_reason,
+            "dispatches": self._dispatches,
+        }
+
+    def restore_state(self, state: dict) -> None:
+        self.cycles = state["cycles"]
+        self.halted = state["halted"]
+        self.halt_reason = state["halt_reason"]
+        self._dispatches = state["dispatches"]
 
     # -- idle / interrupt servicing ----------------------------------------
 

@@ -117,6 +117,24 @@ class Plic:
             self.claimed[context] &= ~(1 << (value & (MAX_SOURCES - 1)))
         self._refresh()
 
+    # -- state protocol ---------------------------------------------------
+
+    def snapshot_state(self) -> dict:
+        return {
+            "priority": list(self.priority),
+            "pending": self.pending,
+            "enable": list(self.enable),
+            "threshold": list(self.threshold),
+            "claimed": list(self.claimed),
+        }
+
+    def restore_state(self, state: dict) -> None:
+        self.priority[:] = state["priority"]
+        self.pending = state["pending"]
+        self.enable[:] = state["enable"]
+        self.threshold[:] = state["threshold"]
+        self.claimed[:] = state["claimed"]
+
     def _context_register(self, offset: int) -> tuple[int, int]:
         if offset < CONTEXT_BASE:
             raise BusError(f"bad PLIC offset {offset:#x}")

@@ -159,6 +159,50 @@ class TrapStats:
         """The most recently recorded trap (also kept when events aren't)."""
         return self._last
 
+    # -- state protocol (checkpoints) -------------------------------------
+
+    def snapshot_state(self) -> dict:
+        return {
+            "events": [dataclasses.replace(event) for event in self.events],
+            "trap_counts": Counter(self.trap_counts),
+            "handler_counts": Counter(self.handler_counts),
+            "world_switches": self.world_switches,
+            "firmware_emulations": self.firmware_emulations,
+            "fastpath_hits": self.fastpath_hits,
+            "total_traps": self.total_traps,
+            "recovery_counts": Counter(self.recovery_counts),
+            "recovery_counts_by_hart": {
+                hart: Counter(counts)
+                for hart, counts in self.recovery_counts_by_hart.items()
+            },
+        }
+
+    def restore_state(self, state: dict) -> None:
+        self.events[:] = [dataclasses.replace(event)
+                          for event in state["events"]]
+        self.trap_counts = Counter(state["trap_counts"])
+        self.handler_counts = Counter(state["handler_counts"])
+        self.world_switches = state["world_switches"]
+        self.firmware_emulations = state["firmware_emulations"]
+        self.fastpath_hits = state["fastpath_hits"]
+        self.total_traps = state["total_traps"]
+        # Unlike the epoch rewind, a restore resets recovery counts too: a
+        # warm-started cell must not inherit another cell's decisions.
+        self.recovery_counts = Counter(state["recovery_counts"])
+        self.recovery_counts_by_hart = defaultdict(Counter, {
+            hart: Counter(counts)
+            for hart, counts in state["recovery_counts_by_hart"].items()
+        })
+        self._relink_last()
+
+    def _relink_last(self) -> None:
+        """Re-derive the last-trap pointers, which would otherwise dangle."""
+        self._last = self.events[-1] if self.events else None
+        self._last_by_hart = {}
+        self._injected_by_hart = {}
+        for event in self.events:
+            self._last_by_hart[event.hart] = event
+
     # -- epochs (watchdog restore / checkpoint rewind) --------------------
 
     def mark_epoch(self) -> dict:
@@ -195,13 +239,8 @@ class TrapStats:
         self.firmware_emulations = epoch["firmware_emulations"]
         self.fastpath_hits = epoch["fastpath_hits"]
         self.total_traps = epoch["total_traps"]
-        # Last-trap pointers into truncated events would dangle; rebuild
-        # from what survives (annotate_last on a missing event is a no-op).
-        self._last = self.events[-1] if self.events else None
-        self._last_by_hart = {}
-        self._injected_by_hart = {}
-        for event in self.events:
-            self._last_by_hart[event.hart] = event
+        # annotate_last on a missing event is a no-op.
+        self._relink_last()
 
     # -- analysis helpers ------------------------------------------------
 

@@ -49,3 +49,9 @@ class Uart:
     def text(self) -> str:
         """Console output decoded as text."""
         return self.output.decode("utf-8", errors="replace")
+
+    def snapshot_state(self) -> dict:
+        return {"output": bytearray(self.output)}
+
+    def restore_state(self, state: dict) -> None:
+        self.output[:] = state["output"]

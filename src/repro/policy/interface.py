@@ -17,6 +17,8 @@ from __future__ import annotations
 import enum
 from typing import TYPE_CHECKING, Optional
 
+from repro.statecopy import copy_state
+
 if TYPE_CHECKING:
     from repro.core.vcpu import VirtContext, World
     from repro.hart.hart import Hart
@@ -43,6 +45,23 @@ class PolicyModule:
 
     def init(self, miralis, machine) -> None:
         """Called once before the first hart boots."""
+
+    # -- state protocol (checkpoints) ----------------------------------
+
+    #: Attributes that are wiring, not state (bound by :meth:`init`).
+    WIRING = frozenset({"miralis", "machine"})
+
+    def snapshot_state(self) -> dict:
+        """Every attribute but the wiring, deep-copied."""
+        return {name: copy_state(value)
+                for name, value in self.__dict__.items()
+                if name not in self.WIRING}
+
+    def restore_state(self, state: dict) -> None:
+        """Load a state back; call :meth:`init` first, which binds the
+        wiring and re-creates any per-hart slots the state overwrites."""
+        for name, value in state.items():
+            setattr(self, name, copy_state(value))
 
     # -- PMP provisioning ---------------------------------------------
 

@@ -5,8 +5,8 @@ abandoned and retried by the watchdog.  Retrying replays the activation
 from its start, so everything the activation may have mutated must roll
 back with it:
 
-* the hart's :class:`VirtContext` (every field, deep-copied — the
-  round-trip tests drive this generically over ``__dict__``);
+* the hart's :class:`VirtContext` (its ``snapshot_state``, generic over
+  every field);
 * this hart's virtual-CLINT shadows (a retried activation must not
   inherit a half-programmed virtual timer or a stale self-IPI);
 * the firmware region's RAM pages — firmware scratch memory is
@@ -18,49 +18,37 @@ back with it:
 
 Recovery *decisions* (``recovery_counts``, watchdog counters, quarantine
 dumps) are facts about the run, not activation state, and are never
-rolled back.
+rolled back.  That is why the stats roll back by epoch, not by their
+full ``snapshot_state``: an epoch is a few counters, while a full state
+would copy the whole event log at every arm.
 """
 
 from __future__ import annotations
 
-from repro.snapshot.checkpoint import VCTX_NON_STATE, _copy
-
 
 def capture_activation(watchdog, hart, vctx) -> dict:
     """Snapshot one hart's activation state (see module docstring)."""
-    snap: dict = {
-        "vctx": {name: _copy(value) for name, value in vctx.__dict__.items()
-                 if name not in VCTX_NON_STATE},
-    }
-    vclint = getattr(watchdog.miralis, "vclint", None)
-    if vclint is not None:
-        snap["vclint"] = vclint.snapshot_hart(hart.hartid)
     machine = watchdog.machine
-    firmware = getattr(watchdog.miralis, "firmware", None)
-    if firmware is not None:
-        region = firmware.region
-        snap["ram_span"] = (region.base, region.end)
-        snap["ram"] = machine.ram.snapshot_pages(region.base, region.end)
-    snap["stats_epoch"] = machine.stats.mark_epoch()
+    region = watchdog.miralis.firmware.region
     tracer = machine.tracer
-    snap["trace_epoch"] = None if tracer is None else tracer.mark_epoch()
-    return snap
+    return {
+        "vctx": vctx.snapshot_state(),
+        "vclint": watchdog.miralis.vclint.snapshot_hart(hart.hartid),
+        "ram_span": (region.base, region.end),
+        "ram": machine.ram.snapshot_pages(region.base, region.end),
+        "stats_epoch": machine.stats.mark_epoch(),
+        "trace_epoch": None if tracer is None else tracer.mark_epoch(),
+    }
 
 
 def restore_activation(watchdog, hart, vctx, snap: dict) -> None:
     """Roll one hart's activation state back to a captured snapshot."""
-    for name, value in snap["vctx"].items():
-        setattr(vctx, name, _copy(value))
-    vclint = getattr(watchdog.miralis, "vclint", None)
-    if vclint is not None and "vclint" in snap:
-        vclint.restore_hart(hart.hartid, snap["vclint"])
+    vctx.restore_state(snap["vctx"])
+    watchdog.miralis.vclint.restore_hart(hart.hartid, snap["vclint"])
     machine = watchdog.machine
-    if "ram" in snap:
-        start, stop = snap["ram_span"]
-        machine.ram.restore_pages(snap["ram"], start, stop)
+    start, stop = snap["ram_span"]
+    machine.ram.restore_pages(snap["ram"], start, stop)
     machine.stats.rewind_to_epoch(snap["stats_epoch"])
     tracer = machine.tracer
-    trace_epoch = snap.get("trace_epoch")
-    if (tracer is not None and trace_epoch is not None
-            and tracer._seq >= trace_epoch["seq"]):
-        tracer.rewind_to_epoch(trace_epoch)
+    if tracer is not None and snap["trace_epoch"] is not None:
+        tracer.rewind_to_epoch(snap["trace_epoch"])

@@ -25,15 +25,16 @@ Two representations coexist:
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
-from collections import Counter, defaultdict
+from collections import Counter
 from typing import Optional
 
+from repro.core.vcpu import World
 from repro.hart.program import GuestProgram
 from repro.hart.stats import TrapEvent
 from repro.isa import constants as c
+from repro.statecopy import copy_state
 
 SNAPSHOT_SCHEMA = "repro-snapshot-v1"
 
@@ -46,56 +47,8 @@ class SnapshotError(Exception):
 
 
 # ----------------------------------------------------------------------
-# Deep copy of in-memory state values
-# ----------------------------------------------------------------------
-
-#: Exact types that are immutable scalars: returned as they are.
-_SCALARS = frozenset({int, str, bool, float, type(None)})
-
-
-def _copy(value):
-    """Deep-copy a state value so checkpoints never alias live state.
-
-    Handles exactly the types monitor state is made of; unknown types are
-    assumed to be immutable scalars (ints, strs, enums, None) and pass
-    through.
-    """
-    cls = type(value)
-    if cls in _SCALARS:
-        return value
-    if cls is list:  # register files: lists of ints
-        return [v if type(v) in _SCALARS else _copy(v) for v in value]
-    if isinstance(value, TrapEvent):
-        return dataclasses.replace(value)
-    if isinstance(value, Counter):
-        return Counter(value)
-    if isinstance(value, defaultdict):
-        return defaultdict(value.default_factory,
-                           {k: _copy(v) for k, v in value.items()})
-    if isinstance(value, dict):
-        return {k: _copy(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_copy(v) for v in value]
-    if isinstance(value, tuple):
-        return tuple(_copy(v) for v in value)
-    if isinstance(value, (bytes, bytearray)):
-        return bytearray(value)
-    if isinstance(value, set):
-        return set(value)
-    if hasattr(value, "clone"):  # LatencyHistogram
-        return value.clone()
-    return value
-
-
-# ----------------------------------------------------------------------
 # Tagged JSON encoding
 # ----------------------------------------------------------------------
-
-def _world_enum():
-    from repro.core.vcpu import World  # deferred: core imports this module
-
-    return World
-
 
 def _is_plain_dict(value: dict) -> bool:
     return all(isinstance(k, str) and not k.startswith("~") for k in value)
@@ -108,7 +61,7 @@ def _to_jsonable(value):
         return {"~priv": value.name}
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
-    if isinstance(value, _world_enum()):
+    if isinstance(value, World):
         return {"~world": value.name}
     if isinstance(value, TrapEvent):
         return {"~trap": [value.hart, value.cause, value.is_interrupt,
@@ -154,7 +107,7 @@ def _from_jsonable(value):
         if tag == "~priv":
             return c.PrivilegeLevel[payload]
         if tag == "~world":
-            return _world_enum()[payload]
+            return World[payload]
         if tag == "~trap":
             hart, cause, is_interrupt, from_mode, mtime, handler, detail = payload
             return TrapEvent(hart, cause, is_interrupt,
@@ -233,129 +186,13 @@ class Checkpoint:
 # Capture
 # ----------------------------------------------------------------------
 
-def _find_monitor(machine):
-    for _, owner in machine._regions:
-        if hasattr(owner, "vctx") and hasattr(owner, "vclint"):
-            return owner
-    return None
-
-
-#: VirtContext attributes that are wiring, not state (mirrors the
-#: watchdog activation-snapshot contract pinned by the round-trip tests).
-VCTX_NON_STATE = frozenset({"platform", "hartid", "csr_write_hook"})
-
-
-def _vctx_state(vctx) -> dict:
-    return {name: _copy(value) for name, value in vctx.__dict__.items()
-            if name not in VCTX_NON_STATE}
-
-
-def _restore_vctx(vctx, state: dict) -> None:
-    for name, value in state.items():
-        setattr(vctx, name, _copy(value))
-    # Wiring is per-run, not per-checkpoint: a fresh consumer (e.g. a
-    # warm-started chaos cell) re-arms its own injector hooks.
-    vctx.csr_write_hook = None
-
-
-#: Policy-module attributes that are wiring, not state (bound by
-#: ``PolicyModule.init``).
-POLICY_NON_STATE = frozenset({"miralis", "machine"})
-
-
-def _policy_state(policy) -> dict:
-    return {name: _copy(value) for name, value in policy.__dict__.items()
-            if name not in POLICY_NON_STATE}
-
-
-def _restore_policy(policy, monitor, machine, state: dict) -> None:
-    # Re-bind the wiring first: a warm-started cell's policy object has
-    # never seen ``init`` (the checkpoint says the boot already ran it),
-    # and init also re-creates the per-hart slots the saved state
-    # overwrites below.
-    policy.init(monitor, machine)
-    for name, value in state.items():
-        setattr(policy, name, _copy(value))
-
-
-def _stats_state(stats) -> dict:
-    return {
-        "events": [_copy(event) for event in stats.events],
-        "trap_counts": Counter(stats.trap_counts),
-        "handler_counts": Counter(stats.handler_counts),
-        "world_switches": stats.world_switches,
-        "firmware_emulations": stats.firmware_emulations,
-        "fastpath_hits": stats.fastpath_hits,
-        "total_traps": stats.total_traps,
-        "recovery_counts": Counter(stats.recovery_counts),
-        "recovery_counts_by_hart": {
-            hart: Counter(counts)
-            for hart, counts in stats.recovery_counts_by_hart.items()
-        },
-    }
-
-
-def _restore_stats(stats, state: dict) -> None:
-    stats.events[:] = [_copy(event) for event in state["events"]]
-    stats.trap_counts = Counter(state["trap_counts"])
-    stats.handler_counts = Counter(state["handler_counts"])
-    stats.world_switches = state["world_switches"]
-    stats.firmware_emulations = state["firmware_emulations"]
-    stats.fastpath_hits = state["fastpath_hits"]
-    stats.total_traps = state["total_traps"]
-    # Unlike the watchdog's epoch rewind, a full checkpoint restore *does*
-    # reset recovery counts: the restored machine is the machine as it was,
-    # recoveries included — a warm-started cell must not inherit another
-    # cell's decisions.
-    stats.recovery_counts = Counter(state["recovery_counts"])
-    stats.recovery_counts_by_hart = defaultdict(Counter, {
-        hart: Counter(counts)
-        for hart, counts in state["recovery_counts_by_hart"].items()
-    })
-    stats._last = stats.events[-1] if stats.events else None
-    stats._last_by_hart = {}
-    for event in stats.events:
-        stats._last_by_hart[event.hart] = event
-    stats._injected_by_hart = {}
-
-
-def _watchdog_state(watchdog) -> dict:
-    return {
-        "quarantined": list(watchdog.quarantined),
-        "consecutive_failures": list(watchdog.consecutive_failures),
-        "os_entered": list(watchdog.os_entered),
-        "counters": Counter(watchdog.counters),
-        "hart_counters": [Counter(per_hart)
-                          for per_hart in watchdog.hart_counters],
-        "events": [tuple(event) for event in watchdog.events],
-        "quarantine_records": _copy(watchdog.quarantine_records),
-        "vm_traps": list(watchdog._vm_traps),
-        "inject_depth": list(watchdog._inject_depth),
-        "last_fault_tval": list(watchdog._last_fault_tval),
-        "fault_repeats": list(watchdog._fault_repeats),
-        "violations": list(watchdog._violations),
-        "snapshots": _copy(watchdog._snapshots),
-        "pending": _copy(watchdog._pending),
-    }
-
-
-def _restore_watchdog(watchdog, state: dict) -> None:
-    watchdog.quarantined[:] = state["quarantined"]
-    watchdog.consecutive_failures[:] = state["consecutive_failures"]
-    watchdog.os_entered[:] = state["os_entered"]
-    watchdog.counters = Counter(state["counters"])
-    watchdog.hart_counters = [Counter(per_hart)
-                              for per_hart in state["hart_counters"]]
-    watchdog.events[:] = [tuple(event) for event in state["events"]]
-    watchdog.quarantine_records[:] = _copy(state["quarantine_records"])
-    watchdog._vm_traps[:] = state["vm_traps"]
-    watchdog._inject_depth[:] = state["inject_depth"]
-    watchdog._last_fault_tval[:] = state["last_fault_tval"]
-    watchdog._fault_repeats[:] = state["fault_repeats"]
-    watchdog._violations[:] = state["violations"]
-    watchdog._snapshots[:] = _copy(state["snapshots"])
-    watchdog._pending[:] = [None if entry is None else tuple(entry)
-                            for entry in state["pending"]]
+def _check_quiescent(machine, action: str) -> None:
+    if not machine.quiescent:
+        raise SnapshotError(
+            f"machine is not quiescent: cannot {action} while guest frames "
+            "are suspended (only at top-level dispatch boundaries)")
+    if machine.scheduler is not None:
+        raise SnapshotError("SMP scheduler runs are not checkpointable")
 
 
 def capture(machine, phase: Optional[str] = None) -> Checkpoint:
@@ -366,114 +203,47 @@ def capture(machine, phase: Optional[str] = None) -> Checkpoint:
     moments the architectural state alone does not determine the future,
     so a checkpoint would silently drop the continuation.
     """
-    if machine._service_depth != 0 or any(
-            stack for stack in machine._resume_stacks):
-        raise SnapshotError(
-            "machine is not quiescent: guest frames are suspended "
-            "(capture only at top-level dispatch boundaries)")
-    if machine.scheduler is not None:
-        raise SnapshotError("SMP scheduler runs are not checkpointable")
-
-    clint = machine.clint
-    plic = machine.plic
+    _check_quiescent(machine, "capture")
+    monitor = machine.monitor
+    tracer = machine.tracer
+    coverage = machine.coverage
     state: dict = {
         "schema": SNAPSHOT_SCHEMA,
         "platform": machine.config.name,
         "num_harts": machine.config.num_harts,
         "phase": phase,
-        "machine": {
-            "cycles": machine.cycles,
-            "halted": machine.halted,
-            "halt_reason": machine.halt_reason,
-            "dispatches": machine._dispatches,
-        },
-        "harts": [
-            {
-                "cycles": hart.cycles,
-                "instret": hart.instret,
-                "parked_pc": hart.parked_pc,
-                "state": hart.state.snapshot(),
-            }
-            for hart in machine.harts
-        ],
+        "machine": machine.snapshot_state(),
+        "harts": [hart.snapshot_state() for hart in machine.harts],
         "devices": {
-            "clint": {
-                "msip": list(clint.msip),
-                "mtimecmp": list(clint.mtimecmp),
-                "mtip_level": list(clint._mtip_level),
-            },
-            "plic": {
-                "priority": list(plic.priority),
-                "pending": plic.pending,
-                "enable": list(plic.enable),
-                "threshold": list(plic.threshold),
-                "claimed": list(plic.claimed),
-            },
-            "uart": {"output": bytearray(machine.uart.output)},
+            "clint": machine.clint.snapshot_state(),
+            "plic": machine.plic.snapshot_state(),
+            "uart": machine.uart.snapshot_state(),
         },
         "programs": {
             owner.name: owner.snapshot_state()
-            for _, owner in machine._regions
-            if isinstance(owner, GuestProgram)
+            for owner in machine.owners() if isinstance(owner, GuestProgram)
         },
-        "stats": _stats_state(machine.stats),
-    }
-
-    monitor = _find_monitor(machine)
-    if monitor is None:
-        state["monitor"] = None
-    else:
-        vclint = monitor.vclint
-        state["monitor"] = {
-            "world": [world.name for world in monitor.world],
-            "vctx": [_vctx_state(vctx) for vctx in monitor.vctx],
-            "vclint": {
-                "mtimecmp": list(vclint.mtimecmp),
-                "monitor_mtimecmp": list(vclint.monitor_mtimecmp),
-                "msip": list(vclint.msip),
-                "accesses": vclint.accesses,
+        "stats": machine.stats.snapshot_state(),
+        "monitor": None if monitor is None else monitor.snapshot_state(),
+        "epochs": {
+            "trace": None if tracer is None else tracer.mark_epoch(),
+            "coverage": None if coverage is None else {
+                "records": coverage.records,
+                "digest": coverage.digest(),
             },
-            "offload": {
-                "hits": Counter(monitor.offload.hits),
-                "timer_armed": list(monitor.offload.timer_armed),
-            },
-            "emulation_count": monitor.emulation_count,
-            "violations": list(monitor.violations),
-            "booted": list(monitor._booted),
-            "policy_initialized": monitor._policy_initialized,
-            "policy": _policy_state(monitor.policy),
-            "watchdog": (None if monitor.watchdog is None
-                         else _watchdog_state(monitor.watchdog)),
-        }
-
-    tracer = machine.tracer
-    coverage = machine.coverage
-    state["epochs"] = {
-        "trace": None if tracer is None else tracer.mark_epoch(),
-        "coverage": None if coverage is None else {
-            "records": coverage.records,
-            "digest": coverage.digest(),
+            "perf": {"dispatches": machine.dispatches},
         },
-        "perf": {"dispatches": machine._dispatches},
     }
-
-    pages = machine.ram.snapshot_pages()
-    return Checkpoint(state=state, pages=pages)
+    return Checkpoint(state=state, pages=machine.ram.snapshot_pages())
 
 
 # ----------------------------------------------------------------------
 # Restore
 # ----------------------------------------------------------------------
 
-def restore(machine, checkpoint: Checkpoint) -> None:
-    """Restore a machine to a captured checkpoint.
-
-    The machine must be *shape-compatible* (same platform and hart
-    count) and quiescent.  RAM pages are installed by reference and
-    re-frozen, so the same checkpoint can seed any number of restores;
-    everything else is deep-copied in.
-    """
-    state = checkpoint.state
+def _check_shape(machine, state: dict) -> None:
+    """Reject a checkpoint the machine cannot faithfully hold, before any
+    of the machine is overwritten."""
     if state.get("schema") != SNAPSHOT_SCHEMA:
         raise SnapshotError("not a repro-snapshot-v1 checkpoint")
     if state["platform"] != machine.config.name:
@@ -484,87 +254,65 @@ def restore(machine, checkpoint: Checkpoint) -> None:
         raise SnapshotError(
             f"checkpoint has {state['num_harts']} harts, "
             f"machine has {machine.config.num_harts}")
-    if machine._service_depth != 0 or any(
-            stack for stack in machine._resume_stacks):
-        raise SnapshotError("machine is not quiescent: cannot restore "
-                            "over suspended guest frames")
-    if machine.scheduler is not None:
-        raise SnapshotError("SMP scheduler runs are not checkpointable")
-
-    machine.cycles = state["machine"]["cycles"]
-    machine.halted = state["machine"]["halted"]
-    machine.halt_reason = state["machine"]["halt_reason"]
-    machine._dispatches = state["machine"]["dispatches"]
-
-    for hart, hart_state in zip(machine.harts, state["harts"]):
-        hart.cycles = hart_state["cycles"]
-        hart.instret = hart_state["instret"]
-        hart.parked_pc = hart_state["parked_pc"]
-        hart.state.restore(hart_state["state"])
-
-    devices = state["devices"]
-    clint = machine.clint
-    clint.msip[:] = devices["clint"]["msip"]
-    clint.mtimecmp[:] = devices["clint"]["mtimecmp"]
-    clint._mtip_level[:] = devices["clint"]["mtip_level"]
-    plic = machine.plic
-    plic.priority[:] = devices["plic"]["priority"]
-    plic.pending = devices["plic"]["pending"]
-    plic.enable[:] = devices["plic"]["enable"]
-    plic.threshold[:] = devices["plic"]["threshold"]
-    plic.claimed[:] = devices["plic"]["claimed"]
-    machine.uart.output[:] = devices["uart"]["output"]
-
-    programs = {owner.name: owner for _, owner in machine._regions
-                if isinstance(owner, GuestProgram)}
-    for name, program_state in state["programs"].items():
-        program = programs.get(name)
-        if program is None:
-            raise SnapshotError(f"checkpoint names unknown program {name!r}")
-        program.restore_state(_copy(program_state))
-
-    monitor = _find_monitor(machine)
+    _check_quiescent(machine, "restore")
+    monitor = machine.monitor
     monitor_state = state["monitor"]
     if (monitor is None) != (monitor_state is None):
         raise SnapshotError("checkpoint and machine disagree on the monitor")
-    if monitor is not None:
-        World = _world_enum()
-        # In-place: machine.world_view aliases this list.
-        monitor.world[:] = [World[name] for name in monitor_state["world"]]
-        for vctx, vctx_state in zip(monitor.vctx, monitor_state["vctx"]):
-            _restore_vctx(vctx, vctx_state)
-        vclint = monitor.vclint
-        vclint_state = monitor_state["vclint"]
-        # Assign the shadows directly — the physical CLINT was restored
-        # above, so reprogramming the timer would be redundant (and must
-        # not happen before the clint lists are consistent).
-        vclint.mtimecmp[:] = vclint_state["mtimecmp"]
-        vclint.monitor_mtimecmp[:] = vclint_state["monitor_mtimecmp"]
-        vclint.msip[:] = vclint_state["msip"]
-        vclint.accesses = vclint_state["accesses"]
-        offload_state = monitor_state["offload"]
-        monitor.offload.hits = Counter(offload_state["hits"])
-        monitor.offload.timer_armed[:] = offload_state["timer_armed"]
-        monitor.emulation_count = monitor_state["emulation_count"]
-        monitor.violations[:] = monitor_state["violations"]
-        monitor._booted[:] = monitor_state["booted"]
-        monitor._policy_initialized = monitor_state["policy_initialized"]
-        if monitor._policy_initialized:
-            _restore_policy(monitor.policy, monitor, machine,
-                            monitor_state["policy"])
-        if monitor.watchdog is not None and monitor_state["watchdog"] is not None:
-            _restore_watchdog(monitor.watchdog, monitor_state["watchdog"])
+    if monitor is None:
+        return
+    if (monitor.watchdog is None) != (monitor_state["watchdog"] is None):
+        raise SnapshotError("checkpoint and machine disagree on the watchdog")
+    # A policy's fields name it: grafting one policy's state onto another
+    # would give a digest that claims the wrong isolation.  (``init``
+    # binds wiring only, so it leaves the target's field names as they are.)
+    saved = sorted(monitor_state["policy"])
+    target = sorted(monitor.policy.snapshot_state())
+    if saved != target:
+        raise SnapshotError(f"checkpoint and machine disagree on the policy "
+                            f"module: fields {saved} vs {target}")
 
-    _restore_stats(machine.stats, state["stats"])
+
+def restore(machine, checkpoint: Checkpoint) -> None:
+    """Restore a machine to a captured checkpoint.
+
+    The machine must be *shape-compatible* (same platform, hart count,
+    monitor, watchdog and policy module) and quiescent.  RAM pages are
+    installed by reference and re-frozen, so the same checkpoint can seed
+    any number of restores; everything else is deep-copied in.
+    """
+    state = checkpoint.state
+    _check_shape(machine, state)
+    programs = {owner.name: owner for owner in machine.owners()
+                if isinstance(owner, GuestProgram)}
+    for name in state["programs"]:
+        if name not in programs:
+            raise SnapshotError(f"checkpoint names unknown program {name!r}")
+
+    machine.restore_state(state["machine"])
+    for hart, hart_state in zip(machine.harts, state["harts"]):
+        hart.restore_state(hart_state)
+    devices = state["devices"]
+    machine.clint.restore_state(devices["clint"])
+    machine.plic.restore_state(devices["plic"])
+    machine.uart.restore_state(devices["uart"])
+    for name, program_state in state["programs"].items():
+        programs[name].restore_state(copy_state(program_state))
+    monitor = machine.monitor
+    if monitor is not None:
+        monitor.restore_state(state["monitor"])
+    machine.stats.restore_state(state["stats"])
     machine.ram.restore_pages(checkpoint.pages)
 
     # Per-run wiring is reset, not restored: the consumer re-arms its own
-    # injector/tracer/coverage after the restore.
+    # injector/tracer/coverage (and each context's CSR write hook) after
+    # the restore.
     machine.install_fault_injector(None)
     machine.wall_deadline = None
+    if monitor is not None:
+        for vctx in monitor.vctx:
+            vctx.csr_write_hook = None
 
     trace_epoch = state["epochs"]["trace"]
-    tracer = machine.tracer
-    if (tracer is not None and trace_epoch is not None
-            and tracer._seq >= trace_epoch["seq"]):
-        tracer.rewind_to_epoch(trace_epoch)
+    if machine.tracer is not None and trace_epoch is not None:
+        machine.tracer.rewind_to_epoch(trace_epoch)

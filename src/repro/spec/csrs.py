@@ -57,6 +57,10 @@ _H_CSRS: dict[int, tuple[int, int]] = {
     c.CSR_VSATP: (0, 0),
 }
 
+#: CsrFile fields that are not state: wiring, and the access-rule memo
+#: (a pure function of the frozen platform config).
+_NOT_STATE = ("config", "hartid", "time_source", "access_rules")
+
 _MSTATUS_RESET = (c.XL_64 << 32) | (c.XL_64 << 34) | (3 << c.MSTATUS_MPP_SHIFT)
 
 
@@ -338,49 +342,25 @@ class CsrFile:
                 return
         self.pmpaddr[index] = value & c.PMP_ADDR_MASK
 
-    # -- snapshots (used by the verification harness) --------------------
+    # -- state protocol (checkpoints, verification harness) --------------
 
-    def snapshot(self) -> dict:
-        return {
-            "mstatus": self.mstatus,
-            "mtvec": self.mtvec,
-            "stvec": self.stvec,
-            "mepc": self.mepc,
-            "sepc": self.sepc,
-            "mcause": self.mcause,
-            "scause": self.scause,
-            "medeleg": self.medeleg,
-            "mideleg": self.mideleg,
-            "mie": self.mie,
-            "mip_sw": self.mip_sw,
-            "mip_hw": self.mip_hw,
-            "satp": self.satp,
-            "menvcfg": self.menvcfg,
-            "stimecmp": self.stimecmp,
-            "pmpcfg": list(self.pmpcfg),
-            "pmpaddr": list(self.pmpaddr),
-            "simple": dict(self._simple),
-        }
+    def snapshot_state(self) -> dict:
+        """Every field but the wiring, keyed by attribute name (``_simple``
+        as ``simple``); generic over ``__dict__``, like VirtContext's."""
+        state = self.__dict__.copy()
+        for name in _NOT_STATE:
+            del state[name]
+        state["simple"] = state.pop("_simple").copy()
+        state["pmpcfg"] = state["pmpcfg"].copy()
+        state["pmpaddr"] = state["pmpaddr"].copy()
+        return state
 
-    def restore(self, snap: dict) -> None:
-        self.mstatus = snap["mstatus"]
-        self.mtvec = snap["mtvec"]
-        self.stvec = snap["stvec"]
-        self.mepc = snap["mepc"]
-        self.sepc = snap["sepc"]
-        self.mcause = snap["mcause"]
-        self.scause = snap["scause"]
-        self.medeleg = snap["medeleg"]
-        self.mideleg = snap["mideleg"]
-        self.mie = snap["mie"]
-        self.mip_sw = snap["mip_sw"]
-        self.mip_hw = snap["mip_hw"]
-        self.satp = snap["satp"]
-        self.menvcfg = snap["menvcfg"]
-        self.stimecmp = snap["stimecmp"]
-        self.pmpcfg = list(snap["pmpcfg"])
-        self.pmpaddr = list(snap["pmpaddr"])
-        self._simple = dict(snap["simple"])
+    def restore_state(self, snap: dict) -> None:
+        fields = self.__dict__
+        fields.update(snap)
+        fields["_simple"] = fields.pop("simple").copy()
+        fields["pmpcfg"] = snap["pmpcfg"].copy()
+        fields["pmpaddr"] = snap["pmpaddr"].copy()
 
 
 # Dispatch table for reads of individually-addressed CSRs.  Each entry is a

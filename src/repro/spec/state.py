@@ -56,23 +56,23 @@ class MachineState:
             raise ValueError("expected 32 register values")
         self._xregs = [0] + [to_u64(v) for v in values[1:]]
 
-    # -- snapshots ------------------------------------------------------
+    # -- state protocol (checkpoints, verification harness) --------------
 
-    def snapshot(self) -> dict:
+    def snapshot_state(self) -> dict:
         return {
             "xregs": list(self._xregs),
             "pc": self.pc,
             "mode": self.mode,
             "waiting": self.waiting_for_interrupt,
-            "csr": self.csr.snapshot(),
+            "csr": self.csr.snapshot_state(),
         }
 
-    def restore(self, snap: dict) -> None:
+    def restore_state(self, snap: dict) -> None:
         self._xregs = list(snap["xregs"])
         self.pc = snap["pc"]
         self.mode = snap["mode"]
         self.waiting_for_interrupt = snap["waiting"]
-        self.csr.restore(snap["csr"])
+        self.csr.restore_state(snap["csr"])
 
     def __repr__(self) -> str:
         return (

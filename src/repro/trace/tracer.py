@@ -316,9 +316,15 @@ class Tracer:
         ``quarantine_dumps`` is deliberately untouched: like recovery
         counts, a quarantine record is a fact about the run, not state of
         the abandoned activation.
+
+        An epoch from beyond this tracer's clock (one marked by another
+        tracer, e.g. the one attached when a checkpoint was captured) is
+        ignored: this tracer has recorded nothing after it.
         """
-        ring = self.ring
         seq = epoch["seq"]
+        if self._seq < seq:
+            return
+        ring = self.ring
         kept: list[tuple] = []
         while ring and ring[-1][0] >= seq:
             record = ring.pop()

@@ -265,13 +265,13 @@ def run_emulation_check(platform, descriptions: Iterable[StateDescription],
     for description in descriptions:
         vctx = description.make_vctx(platform)
         spec_state = description.make_spec_state(platform)
-        vctx_snap = vctx.snapshot()
-        spec_snap = spec_state.snapshot()
+        vctx_snap = vctx.snapshot_state()
+        spec_snap = spec_state.snapshot_state()
         first = True
         for instr in instruction_list:
             if not first:
-                vctx.restore(vctx_snap)
-                spec_state.restore(spec_snap)
+                vctx.restore_state(vctx_snap)
+                spec_state.restore_state(spec_snap)
             first = False
             gprs = list(description.gprs)
             vfm_pc = vfm_step(vctx, instr, description.pc, description.mtime, gprs)

@@ -114,9 +114,9 @@ class TestVirtualPmp:
 class TestSnapshot:
     def test_snapshot_restore(self, vctx):
         write_csr(vctx, c.CSR_MSCRATCH, 0x42)
-        snap = vctx.snapshot()
+        snap = vctx.snapshot_state()
         write_csr(vctx, c.CSR_MSCRATCH, 0)
-        vctx.restore(snap)
+        vctx.restore_state(snap)
         assert read_csr(vctx, c.CSR_MSCRATCH) == 0x42
 
     @given(u64)

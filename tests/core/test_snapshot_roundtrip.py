@@ -8,6 +8,8 @@ from a fresh replay of the same bundle — exactly the class of bug a
 hand-enumerated field list invites.  The clobber below walks
 ``__dict__`` generically, so a future field added to ``VirtContext``
 without snapshot support fails this test instead of slipping through.
+The last test feeds the same clobber to every other component's own
+``snapshot_state``/``restore_state`` pair.
 """
 
 import pytest
@@ -18,6 +20,11 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from repro.core.config import MiralisConfig  # noqa: E402
 from repro.spec.platform import VISIONFIVE2  # noqa: E402
 from repro.system import build_virtualized  # noqa: E402
+from tests.snapshot.test_state_completeness import (  # noqa: E402
+    COMPONENT_IDS,
+    _instances,
+    state_fields,
+)
 
 # One shared system: hypothesis forbids function-scoped fixtures, and
 # snapshot/restore must leave it pristine between examples anyway.
@@ -52,23 +59,32 @@ def _reference_state(vctx, vclint, hartid):
     return state
 
 
+def _clobber_fields(obj, names):
+    """Scramble the named attributes, generically by value type."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool):
+            setattr(obj, name, not value)
+        elif isinstance(value, int):
+            setattr(obj, name, (value ^ 0x5A5A_5A5A_5A5A_5A5A) & XLEN_MASK)
+        elif isinstance(value, float):
+            setattr(obj, name, value + 0.5)
+        elif isinstance(value, bytearray):
+            setattr(obj, name, bytearray(b ^ 0x5A for b in value) + b"~")
+        elif isinstance(value, list):
+            setattr(obj, name, [(item ^ 0x5A5A) & XLEN_MASK
+                                if isinstance(item, int) else item
+                                for item in value])
+        elif isinstance(value, dict):
+            setattr(obj, name, {key: (item ^ 0x5A5A) & XLEN_MASK
+                                if isinstance(item, int) else item
+                                for key, item in value.items()})
+
+
 def _clobber(vctx, vclint, hartid):
     """Scramble every stateful attribute, generically over __dict__."""
-    for name, value in list(vctx.__dict__.items()):
-        if name in NON_STATE:
-            continue
-        if isinstance(value, bool):
-            setattr(vctx, name, not value)
-        elif isinstance(value, int):
-            setattr(vctx, name, (value ^ 0x5A5A_5A5A_5A5A_5A5A) & XLEN_MASK)
-        elif isinstance(value, list):
-            setattr(vctx, name, [(item ^ 0x5A5A) & XLEN_MASK
-                                 if isinstance(item, int) else item
-                                 for item in value])
-        elif isinstance(value, dict):
-            setattr(vctx, name, {key: (item ^ 0x5A5A) & XLEN_MASK
-                                 if isinstance(item, int) else item
-                                 for key, item in value.items()})
+    _clobber_fields(vctx, [name for name in vctx.__dict__
+                           if name not in NON_STATE])
     vclint.msip[hartid] = 1 - vclint.msip[hartid]
     vclint.mtimecmp[hartid] ^= 0x5A5A_5A5A
 
@@ -129,3 +145,19 @@ def test_snapshot_is_a_copy_not_a_view():
     watchdog._activation_restore(hart, vctx, snap)
     assert vctx.pmpcfg[3] == 0x1F
     assert vctx.vendor["marchid"] == 7
+
+
+# -- the same clobber, as one more input: every component's own pair -------
+
+
+@pytest.mark.parametrize("name", [name for name in COMPONENT_IDS
+                                  if name != "DefaultPolicy"])
+def test_component_state_round_trips_the_clobber(name):
+    """Each component's ``snapshot_state``/``restore_state`` pair survives
+    the same generic clobber the activation snapshot does."""
+    component = _instances()[name]
+    reference = component.snapshot_state()
+    _clobber_fields(component, state_fields(component))
+    assert component.snapshot_state() != reference
+    component.restore_state(reference)
+    assert component.snapshot_state() == reference

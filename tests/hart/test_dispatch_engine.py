@@ -99,10 +99,10 @@ class TestVirtContextState:
         write_csr(vctx, c.CSR_MTVEC, 0x8000_0100)
         write_csr(vctx, c.CSR_PMPADDR0, 0x999)
         vctx.virtual_mode = c.S_MODE
-        snapshot = vctx.snapshot()
+        snapshot = vctx.snapshot_state()
         write_csr(vctx, c.CSR_MSCRATCH, 0)
         vctx.virtual_mode = c.M_MODE
-        vctx.restore(snapshot)
+        vctx.restore_state(snapshot)
         assert vctx.mscratch == 0x42
         assert vctx.mtvec == 0x8000_0100
         assert vctx.pmpaddr[0] == 0x999

@@ -47,7 +47,7 @@ def _boot():
         "pc": hart.state.pc,
         "mode": hart.state.mode,
         "xregs": hart.state.xregs,
-        "csrs": hart.state.csr.snapshot(),
+        "csrs": hart.state.csr.snapshot_state(),
         "cycles": system.machine.cycles,
         "instret": hart.instret,
     }

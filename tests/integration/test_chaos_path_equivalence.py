@@ -35,7 +35,7 @@ from repro.faults.injector import (
 )
 from repro.hart.stats import TrapEvent
 from repro.isa import constants as c
-from repro.snapshot.checkpoint import _copy
+from repro.statecopy import copy_state as _copy
 from repro.spec.platform import PREMIER_P550, RVA23_MACHINE, VISIONFIVE2
 from repro.spec.state import MachineState
 from repro.spec.step import csr_access_allowed

@@ -198,3 +198,48 @@ class TestCampaignWarmStart:
         warm_doc = canonical_json(merge_campaign(
             run_campaign(warm, workers=1, timeout=120.0)))
         assert warm_doc == cold_doc
+
+
+class TestShapeChecks:
+    """A restore the machine cannot faithfully hold is refused up front,
+    before any of the machine is overwritten."""
+
+    def test_watchdog_missing_from_the_checkpoint_is_rejected(self):
+        from repro.core.config import MiralisConfig
+        from repro.system import build_virtualized
+
+        source = build_virtualized(
+            VISIONFIVE2, miralis_config=MiralisConfig(watchdog_enabled=False))
+        checkpoint = capture(source.machine, phase="pre-boot")
+        target = build_virtualized(
+            VISIONFIVE2, miralis_config=MiralisConfig(watchdog_enabled=True))
+        target.miralis.watchdog.quarantined[0] = True
+        with pytest.raises(SnapshotError, match="watchdog"):
+            restore(target.machine, checkpoint)
+        # Nothing was overwritten by the refused restore.
+        assert target.miralis.watchdog.quarantined[0]
+
+    def test_watchdog_missing_from_the_machine_is_rejected(self):
+        from repro.core.config import MiralisConfig
+        from repro.system import build_virtualized
+
+        checkpoint = _boot_checkpoint()  # the chaos build arms the watchdog
+        target = build_virtualized(
+            VISIONFIVE2, miralis_config=MiralisConfig(watchdog_enabled=False))
+        with pytest.raises(SnapshotError, match="watchdog"):
+            restore(target.machine, checkpoint)
+
+    def test_sandbox_state_does_not_graft_onto_the_default_policy(self):
+        from repro.faults.chaos import _chaos_miralis_config
+        from repro.policy.default import DefaultPolicy
+        from repro.system import build_virtualized
+
+        checkpoint = _boot_checkpoint()  # FirmwareSandboxPolicy, locked
+        assert checkpoint.state["monitor"]["policy"]["locked"] == [True]
+        target = build_virtualized(
+            VISIONFIVE2, policy=DefaultPolicy(),
+            miralis_config=_chaos_miralis_config(VISIONFIVE2.vendor_csrs))
+        with pytest.raises(SnapshotError, match="policy"):
+            restore(target.machine, checkpoint)
+        assert not hasattr(target.miralis.policy, "locked")
+        assert target.machine.cycles == 0

@@ -317,9 +317,9 @@ class TestSnapshots:
     def test_snapshot_restore_roundtrip(self, csrs):
         csrs.write(c.CSR_MSCRATCH, 0x1234)
         csrs.write(c.CSR_PMPADDR0, 0x999)
-        snap = csrs.snapshot()
+        snap = csrs.snapshot_state()
         csrs.write(c.CSR_MSCRATCH, 0)
         csrs.write(c.CSR_PMPADDR0, 0)
-        csrs.restore(snap)
+        csrs.restore_state(snap)
         assert csrs.read(c.CSR_MSCRATCH) == 0x1234
         assert csrs.pmpaddr[0] == 0x999

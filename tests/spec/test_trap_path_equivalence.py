@@ -83,7 +83,7 @@ def _state(mstatus, mode, mtvec, stvec, medeleg, mideleg, pc) -> MachineState:
 
 def _observable(state: MachineState) -> tuple:
     return (state.pc, state.mode, state.waiting_for_interrupt,
-            state.csr.snapshot())
+            state.csr.snapshot_state())
 
 
 class TestTakeTrapEquivalence:
@@ -226,7 +226,7 @@ def _write_both(config, addr, value, before=()):
     fast_error = _outcome(lambda: fast.write(addr, value))
     reference_error = _outcome(lambda: reference_write(reference, addr, value))
     assert fast_error == reference_error, hex(addr)
-    assert fast.snapshot() == reference.snapshot(), hex(addr)
+    assert fast.snapshot_state() == reference.snapshot_state(), hex(addr)
     return fast_error
 
 

@@ -86,6 +86,15 @@ class TestTracer:
         assert tracer.dropped == 12
         assert tracer.total_events == 20
 
+    def test_rewind_ignores_an_epoch_beyond_its_clock(self, traced_boot):
+        """A checkpoint restored under a fresh tracer carries the epoch
+        of the tracer that captured it; rewinding to it is a no-op."""
+        _, other = traced_boot
+        tracer = Tracer()
+        tracer.rewind_to_epoch(other.mark_epoch())
+        assert tracer.total_events == 0
+        assert not tracer.counts
+
     def test_quarantine_dump_captures_tail(self, traced_boot):
         _, tracer = traced_boot
         tracer.note_quarantine("test reason", tail=4)
