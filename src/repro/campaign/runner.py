@@ -27,13 +27,14 @@ never a silent pass.
 
 With ``handle_sigint=True`` the same incomplete-is-visible rule covers
 a ^C: instead of a KeyboardInterrupt traceback that loses every
-completed cell, the parent **drains** — in-flight cells finish (bounded
-by the per-cell timeout), nothing new is dispatched, the remaining
-cells are marked ``skipped``, and the partial result comes back with
-``interrupted=True`` so the CLI can still write its aggregate and exit
-with the incomplete status (3).  Workers ignore SIGINT themselves: a
-terminal ^C signals the whole process group, and the drain decision
-belongs to the parent alone.
+completed cell, the parent **drains** — in-flight cells get
+:data:`SIGINT_GRACE_SECONDS` to finish, after which their workers are
+terminated and the cells marked ``skipped`` too; nothing new is
+dispatched, the remaining cells are marked ``skipped``, and the partial
+result comes back with ``interrupted=True`` so the CLI can still write
+its aggregate and exit with the incomplete status (3).  Workers ignore
+SIGINT themselves: a terminal ^C signals the whole process group, and
+the drain decision belongs to the parent alone.
 """
 
 from __future__ import annotations
@@ -51,6 +52,11 @@ from repro.campaign.cells import CampaignCell, execute_cell, shard_of
 #: Default per-cell wall timeout (parallel mode).  Generous against the
 #: slowest legitimate cell (a long SMP chaos boot) while bounding a hang.
 DEFAULT_TIMEOUT_SECONDS = 120.0
+
+#: How long a SIGINT drain waits for in-flight cells (parallel mode)
+#: before terminating their workers: ^C must return within seconds even
+#: when a cell has stalled.
+SIGINT_GRACE_SECONDS = 5.0
 
 _TERMINAL = ("ok", "fail", "error", "timeout", "skipped")
 
@@ -181,7 +187,8 @@ def run_campaign(cells: Iterable[CampaignCell], workers: int = 1,
     worker count and completion order (see :mod:`repro.campaign.merge`).
 
     ``handle_sigint=True`` (CLI runs, main thread only) converts ^C
-    into a graceful drain: in-flight cells finish, the rest are marked
+    into a graceful drain: in-flight cells get
+    :data:`SIGINT_GRACE_SECONDS` to finish, the rest are marked
     ``skipped``, and the result carries ``interrupted=True``.
     """
     ordered = sorted(cells, key=lambda cell: cell.key)
@@ -285,6 +292,42 @@ def _run_pool(ordered, workers, timeout, retries, deadline,
         else:
             worker.exited = True
 
+    def stop_running(worker: _Worker) -> None:
+        """End a drain's grace: terminate the worker, skip its cell."""
+        worker.kill()
+        worker.exited = True
+        cell = worker.pending[0] if worker.pending else None
+        if cell is not None and cell.key == worker.current:
+            record(CellResult(
+                key=cell.key, family=cell.family, status="skipped",
+                error="campaign interrupted (SIGINT) while running",
+                worker=worker.worker_id,
+            ))
+
+    def handle(kind: str, wid: int, key: str, payload) -> None:
+        """Apply one message from a worker."""
+        worker = pool[wid]
+        if kind == "start":
+            if key in finished:
+                return  # stale line from a killed predecessor process
+            worker.current = key
+            worker.started_at = time.monotonic()
+        elif kind == "done":
+            record(payload)
+            if worker.pending and worker.pending[0].key == key:
+                worker.pending.popleft()
+            if worker.current == key:
+                worker.current = None
+            if interrupted.tripped:
+                # The in-flight cell just drained; this worker is done.
+                worker.kill()
+                worker.exited = True
+        elif kind == "exit":
+            if not worker.pending:
+                worker.exited = True
+                worker.process.join(timeout=2.0)
+
+    drain_deadline = None
     while any(not worker.exited for worker in pool.values()):
         if deadline is not None and time.monotonic() >= deadline:
             for worker in pool.values():
@@ -294,13 +337,28 @@ def _run_pool(ordered, workers, timeout, retries, deadline,
             break
         if interrupted.tripped:
             # Drain: idle workers stop now; a worker with an in-flight
-            # cell keeps running until its "done" arrives (or the
-            # per-cell timeout fires) — finished work is never thrown
-            # away, and nothing new is dispatched.
+            # cell keeps running until its "done" arrives or the grace
+            # runs out — finished work is never thrown away, a stalled
+            # cell cannot hold ^C hostage, and nothing new is dispatched.
+            # What has already arrived is read before anything is
+            # killed, so a cell that finished in the last poll window is
+            # a result, not a skip.
+            while True:
+                try:
+                    handle(*results_queue.get_nowait())
+                except queue_module.Empty:
+                    break
+            now = time.monotonic()
+            if drain_deadline is None:
+                drain_deadline = now + SIGINT_GRACE_SECONDS
             for worker in pool.values():
-                if not worker.exited and worker.current is None:
+                if worker.exited:
+                    continue
+                if worker.current is None:
                     worker.kill()
                     worker.exited = True
+                elif now >= drain_deadline:
+                    stop_running(worker)
             if all(worker.exited for worker in pool.values()):
                 break
         try:
@@ -329,26 +387,7 @@ def _run_pool(ordered, workers, timeout, retries, deadline,
                     else:
                         worker.exited = True
             continue
-        worker = pool[wid]
-        if kind == "start":
-            if key in finished:
-                continue  # stale line from a killed predecessor process
-            worker.current = key
-            worker.started_at = time.monotonic()
-        elif kind == "done":
-            record(payload)
-            if worker.pending and worker.pending[0].key == key:
-                worker.pending.popleft()
-            if worker.current == key:
-                worker.current = None
-            if interrupted.tripped:
-                # The in-flight cell just drained; this worker is done.
-                worker.kill()
-                worker.exited = True
-        elif kind == "exit":
-            if not worker.pending:
-                worker.exited = True
-                worker.process.join(timeout=2.0)
+        handle(kind, wid, key, payload)
 
     results = list(finished.values())
     done_keys = set(finished)

@@ -26,11 +26,13 @@ KNOWN_BUGS = {
                             "monitor's CLINT emulation",
 }
 
-_active: set[str] = set()
+#: The enabled seeded bugs.  The monitor tests ``name in bugs.active``
+#: directly (no call per trap); mutated in place only.
+active: set[str] = set()
 
 
 def is_active(name: str) -> bool:
-    return name in _active
+    return name in active
 
 
 @contextlib.contextmanager
@@ -39,10 +41,10 @@ def seeded(*names: str):
     for name in names:
         if name not in KNOWN_BUGS:
             raise ValueError(f"unknown seeded bug {name!r}")
-    previous = set(_active)
-    _active.update(names)
+    previous = set(active)
+    active.update(names)
     try:
         yield
     finally:
-        _active.clear()
-        _active.update(previous)
+        active.clear()
+        active.update(previous)

@@ -59,14 +59,14 @@ def _legalize_mstatus(ctx: VirtContext, value: int) -> int:
         | c.MSTATUS_MPRV | c.MSTATUS_SUM | c.MSTATUS_MXR | c.MSTATUS_TVM
         | c.MSTATUS_TW | c.MSTATUS_TSR
     )
-    if bugs.is_active("legalization_parenthesis"):
+    if "legalization_parenthesis" in bugs.active:
         # The §6.5 bug: a misplaced parenthesis corrupts the write mask so
         # reserved bits leak into the shadow mstatus.
         new = ctx.mstatus & ~writable | value
     else:
         new = (ctx.mstatus & ~writable) | (value & writable)
     mpp = (new >> 11) & 0x3
-    if mpp == 2 and not bugs.is_active("mpp_invalid_accepted"):
+    if mpp == 2 and "mpp_invalid_accepted" not in bugs.active:
         new = (new & ~c.MSTATUS_MPP) | (ctx.mstatus & c.MSTATUS_MPP)
     # UXL and SXL are hard-wired to 64-bit.
     new = (new & ~(c.MSTATUS_UXL | c.MSTATUS_SXL)) | (2 << 32) | (2 << 34)
@@ -314,7 +314,7 @@ def write_csr(ctx: VirtContext, csr: int, value: int) -> CsrEffect:
 
 def _write_virtual_pmpcfg(ctx: VirtContext, first_entry: int, value: int) -> None:
     limit = ctx.virtual_pmp_count
-    if bugs.is_active("vpmp_out_of_range"):
+    if "vpmp_out_of_range" in bugs.active:
         limit = 64  # the §6.5 bug: missing bound check on virtual entries
     for i in range(8):
         index = first_entry + i
@@ -326,7 +326,7 @@ def _write_virtual_pmpcfg(ctx: VirtContext, first_entry: int, value: int) -> Non
             continue
         byte &= c.PMP_CFG_VALID_MASK
         writes_w_without_r = bool(byte & c.PMP_W) and not byte & c.PMP_R
-        if writes_w_without_r and not bugs.is_active("pmp_w_without_r"):
+        if writes_w_without_r and "pmp_w_without_r" not in bugs.active:
             continue
         ctx.pmpcfg[index] = byte
 

@@ -22,7 +22,7 @@ from repro.isa.instructions import Instruction
 U64 = (1 << 64) - 1
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(slots=True)
 class EmulationResult:
     """Outcome of emulating one privileged instruction."""
 
@@ -65,7 +65,7 @@ def virtual_mret(vctx: VirtContext) -> c.PrivilegeLevel:
     mpie = (mstatus >> 7) & 1
     mstatus = (mstatus & ~c.MSTATUS_MIE) | (mpie << 3)
     mstatus |= c.MSTATUS_MPIE
-    if not bugs.is_active("mret_mpp_not_cleared"):
+    if "mret_mpp_not_cleared" not in bugs.active:
         mstatus &= ~c.MSTATUS_MPP  # MPP <- U
     if previous != c.M_MODE:
         mstatus &= ~c.MSTATUS_MPRV
@@ -128,7 +128,7 @@ def emulate_privileged(
     :class:`VirtualTrapError` when the instruction is illegal on the
     virtual platform and must be re-injected.
     """
-    if bugs.is_active("vpc_overflow"):
+    if "vpc_overflow" in bugs.active:
         next_pc = trapped_pc + 4  # the §6.5 vPC overflow: no truncation
     else:
         next_pc = (trapped_pc + 4) & U64
@@ -155,10 +155,8 @@ def emulate_privileged(
                     new = hook(instr.csr, new)
                 effects = write_csr(vctx, instr.csr, new)
         except VirtCsrError:
-            from repro.isa.encoding import encode
-
             raise VirtualTrapError(
-                c.TrapCause.ILLEGAL_INSTRUCTION, tval=encode(instr)
+                c.TrapCause.ILLEGAL_INSTRUCTION, tval=instr.word
             ) from None
         gpr_write(instr.rd, old)
         return EmulationResult(next_pc=next_pc, effects=effects)
@@ -191,6 +189,4 @@ def emulate_privileged(
         # An ecall from virtual M-mode traps to the virtual mtvec.
         raise VirtualTrapError(c.TrapCause.ECALL_FROM_M)
 
-    from repro.isa.encoding import encode
-
-    raise VirtualTrapError(c.TrapCause.ILLEGAL_INSTRUCTION, tval=encode(instr))
+    raise VirtualTrapError(c.TrapCause.ILLEGAL_INSTRUCTION, tval=instr.word)

@@ -38,6 +38,7 @@ from repro.policy.interface import PolicyAction
 from repro.sbi import constants as sbi
 from repro.sbi.constants import SbiError
 from repro.sbi.types import SbiCall, SbiRet
+from repro.spec.csrs import csr_reader
 from repro.spec.step import BusError
 from repro.spec.traps import Trap
 
@@ -47,7 +48,8 @@ U64 = (1 << 64) - 1
 #: OS never runs in M-mode, so MPP = M resumes S.
 _OS_RESUME_MODE = {0: c.U_MODE, 1: c.S_MODE, 3: c.S_MODE}
 
-#: ``CsrEffect.PMP`` as bits: ``Flag.__and__`` builds a member per test.
+#: ``CsrEffect.PMP`` as bits, tested against ``effects._value_``:
+#: ``Flag.__and__`` builds a member per test and ``.value`` is a property.
 _PMP_EFFECT = CsrEffect.PMP.value
 # Enum members the per-trap path compares against, bound once: reading a
 # member through its class is a slow attribute lookup on every trap.
@@ -61,7 +63,7 @@ _ECALL_FROM_S = c.TrapCause.ECALL_FROM_S
 _ACCESS_FAULTS = (c.TrapCause.LOAD_ACCESS_FAULT, c.TrapCause.STORE_ACCESS_FAULT)
 _U_MODE = c.U_MODE
 _M_MODE = c.M_MODE
-_CSR_MTVAL = c.CSR_MTVAL
+_read_mtval = csr_reader(c.CSR_MTVAL)
 _INTERRUPT_BIT = c.INTERRUPT_BIT
 _SIP_MASK = c.SIP_MASK
 _MSTATUS_MIE = c.MSTATUS_MIE
@@ -247,7 +249,7 @@ class Miralis:
         machine.cycles += cost
         mcause = csr_file.mcause
         mepc = csr_file.mepc
-        mtval = csr_file.read(_CSR_MTVAL)
+        mtval = _read_mtval(csr_file)
         code = mcause & ~_INTERRUPT_BIT
 
         world = worlds[hartid]
@@ -270,7 +272,7 @@ class Miralis:
 
         # §4.1: the virtual-interrupt check must run AFTER emulation, as
         # the handled trap may have masked or unmasked interrupts.
-        if not bugs.is_active("interrupt_loss"):
+        if "interrupt_loss" not in bugs.active:
             self._check_virtual_interrupts(hart, vctx)
         self._sync_physical_mie(hart, vctx)
         if worlds[hartid] == _FIRMWARE:
@@ -401,7 +403,7 @@ class Miralis:
             )
             self._charge_host(hart, costs.inject)
             return
-        if result.effects.value & _PMP_EFFECT:
+        if result.effects._value_ & _PMP_EFFECT:
             writes = self.vpmp.install(hart, vctx, World.FIRMWARE, self.policy)
             hart.charge(writes * hart.cycle_model.csr_access)
         if result.is_fence:

@@ -193,7 +193,7 @@ class VirtualClint:
             self.clint.write(offset, size, value)  # ignored, as natively
             return kind
         if kind == "msip":
-            if bugs.is_active("os_ipi_write_dropped"):
+            if "os_ipi_write_dropped" in bugs.active:
                 return kind  # seeded hole: the IPI silently vanishes
             # Mirror into the firmware's view before the physical write:
             # the native firmware sees every msip bit regardless of who

@@ -26,14 +26,20 @@ virtual firmware's protections genuinely constrain the OS.
 
 from __future__ import annotations
 
+from operator import ne
+
 from repro.core.vcpu import VirtContext, World
 from repro.hart.program import Region
 from repro.isa import constants as c
 from repro.isa.bits import napot_encode
 
 _NO_PERMISSION_NAPOT = int(c.PmpAddressMode.NAPOT) << c.PMP_A_SHIFT
-_RWX_NAPOT = _NO_PERMISSION_NAPOT | c.PMP_R | c.PMP_W | c.PMP_X
+_RWX = c.PMP_R | c.PMP_W | c.PMP_X
+_RWX_NAPOT = _NO_PERMISSION_NAPOT | _RWX
 _ALL_ADDRESSES = (1 << 54) - 1
+_FIRMWARE = World.FIRMWARE
+_L = c.PMP_L
+_A_MASK = c.PMP_A_MASK
 
 
 def napot_power_of_two_cover(base: int, size: int) -> int:
@@ -115,26 +121,26 @@ class PmpVirtualizer:
         # Zero anchor for virtual TOR entry 0 (address 0, OFF).
         cfg[self.zero_entry_index] = 0
         addr[self.zero_entry_index] = 0
-        # Virtual entries.
-        for i in range(self.virtual_count):
-            physical = self.virtual_base_index + i
-            if physical >= count - 1:
-                break
-            vcfg = vctx.pmpcfg[i]
-            vaddr = vctx.pmpaddr[i]
-            if world == World.FIRMWARE and not vcfg & c.PMP_L:
-                # Unlocked entries do not constrain (v)M-mode: install as
-                # RWX so the deprivileged firmware is not constrained either.
-                mode_bits = vcfg & c.PMP_A_MASK
-                vcfg = mode_bits | c.PMP_R | c.PMP_W | c.PMP_X
-            cfg[physical] = vcfg & ~c.PMP_L
-            addr[physical] = vaddr
+        # Virtual entries, without their lock bits (``virtual_count`` of
+        # them always fit below the all-memory entry).
+        n = self.virtual_count
+        base = self.virtual_base_index
+        if world == _FIRMWARE:
+            # Unlocked entries do not constrain (v)M-mode: install as RWX
+            # so the deprivileged firmware is not constrained either.
+            cfg[base:base + n] = [
+                vcfg & ~_L if vcfg & _L else (vcfg & _A_MASK) | _RWX
+                for vcfg in vctx.pmpcfg[:n]
+            ]
+        else:
+            cfg[base:base + n] = [vcfg & ~_L for vcfg in vctx.pmpcfg[:n]]
+        addr[base:base + n] = vctx.pmpaddr[:n]
         # The all-memory entry (Figure 5): RWX while the firmware executes
         # (emulating M-mode default access — unless a sandboxing policy
         # wants unmatched accesses to trap), disabled during direct OS
         # execution to match S/U-mode semantics (the firmware's own
         # virtual PMP entries then decide, as on a native machine).
-        if world == World.FIRMWARE:
+        if world == _FIRMWARE:
             if policy.allow_firmware_default_access():
                 cfg[self.all_memory_index] = _RWX_NAPOT
             else:
@@ -152,16 +158,13 @@ class PmpVirtualizer:
         """
         cfg, addr = self.compute(vctx, world, policy, hart.hartid)
         csr_file = hart.state.csr
-        writes = 0
-        for index, value in enumerate(addr):
-            if csr_file.pmpaddr[index] != value:
-                csr_file.pmpaddr[index] = value
-                writes += 1
-        for index, value in enumerate(cfg):
-            if csr_file.pmpcfg[index] != value:
-                csr_file.pmpcfg[index] = value
-                writes += 1
+        pmpaddr, pmpcfg = csr_file.pmpaddr, csr_file.pmpcfg
+        # One write per differing register; equal ones are rewritten with
+        # their own value, which leaves the same physical state.
+        writes = sum(map(ne, pmpaddr, addr)) + sum(map(ne, pmpcfg, cfg))
         if writes:
+            pmpaddr[:len(addr)] = addr
+            pmpcfg[:len(cfg)] = cfg
             tracer = self.machine.tracer
             if tracer is not None:
                 tracer.emit(self.machine, "vpmp", hart.hartid,

@@ -19,22 +19,20 @@ U64 = (1 << 64) - 1
 # virtually (the sstatus view plus the FS/VS dirtiness bits).
 _S_STATUS_FIELDS = c.SSTATUS_MASK
 
-# The supervisor CSRs transferred on every world switch.
-_S_CSRS = (
-    c.CSR_STVEC, c.CSR_SSCRATCH, c.CSR_SEPC, c.CSR_SCAUSE, c.CSR_STVAL,
-    c.CSR_SATP, c.CSR_SCOUNTEREN, c.CSR_SENVCFG,
+# The supervisor CSRs transferred on every world switch, as
+# ``(csr, VirtContext field)`` pairs.
+_S_CSR_FIELDS = (
+    (c.CSR_STVEC, "stvec"),
+    (c.CSR_SSCRATCH, "sscratch"),
+    (c.CSR_SEPC, "sepc"),
+    (c.CSR_SCAUSE, "scause"),
+    (c.CSR_STVAL, "stval"),
+    (c.CSR_SATP, "satp"),
+    (c.CSR_SCOUNTEREN, "scounteren"),
+    (c.CSR_SENVCFG, "senvcfg"),
 )
 
-_VCTX_FIELD_FOR_CSR = {
-    c.CSR_STVEC: "stvec",
-    c.CSR_SSCRATCH: "sscratch",
-    c.CSR_SEPC: "sepc",
-    c.CSR_SCAUSE: "scause",
-    c.CSR_STVAL: "stval",
-    c.CSR_SATP: "satp",
-    c.CSR_SCOUNTEREN: "scounteren",
-    c.CSR_SENVCFG: "senvcfg",
-}
+_M_INTERRUPTS = c.MIP_MTIP | c.MIP_MSIP | c.MIP_MEIP
 
 
 class WorldSwitcher:
@@ -44,6 +42,11 @@ class WorldSwitcher:
         self.miralis = miralis
         self.machine = miralis.machine
         self.costs = miralis.config.costs
+        # Platform features, fixed for the machine's life; bound once
+        # (``has_h_extension`` is a property recomputed on every read).
+        config = self.machine.config
+        self.has_sstc = config.has_sstc
+        self.has_h_extension = config.has_h_extension
 
     # ------------------------------------------------------------------
     # OS -> firmware
@@ -53,13 +56,13 @@ class WorldSwitcher:
         """Save the OS's supervisor state and prepare vM-mode execution."""
         model = hart.cycle_model
         csr_file = hart.state.csr
-        csr_ops = 0
 
         # Load physical S CSRs into the virtual copies.
-        for csr in _S_CSRS:
-            setattr(vctx, _VCTX_FIELD_FOR_CSR[csr], csr_file.read(csr))
-            csr_ops += 1
-        if self.machine.config.has_sstc:
+        read = csr_file.read
+        for csr, field in _S_CSR_FIELDS:
+            setattr(vctx, field, read(csr))
+        csr_ops = len(_S_CSR_FIELDS)
+        if self.has_sstc:
             vctx.stimecmp = csr_file.stimecmp
             csr_ops += 1
         # Fold the OS-visible mstatus fields and interrupt state back in.
@@ -69,7 +72,7 @@ class WorldSwitcher:
         vctx.mie = (vctx.mie & ~c.SIP_MASK) | (csr_file.mie & c.SIP_MASK)
         vctx.mip = (vctx.mip & ~c.SIP_MASK) | (csr_file.mip & c.SIP_MASK)
         csr_ops += 3
-        if self.machine.config.has_h_extension:
+        if self.has_h_extension:
             for csr in vctx.h_csrs:
                 if csr_file.exists(csr):
                     vctx.h_csrs[csr] = csr_file.read(csr)
@@ -81,7 +84,7 @@ class WorldSwitcher:
         csr_file.satp = 0
         csr_file.medeleg = 0
         csr_file.mideleg = 0
-        csr_file.mie = c.MIP_MTIP | c.MIP_MSIP | c.MIP_MEIP
+        csr_file.mie = _M_INTERRUPTS
         csr_file.mip_sw = 0
         csr_file.mstatus &= ~(c.MSTATUS_MPRV | c.MSTATUS_SIE)
         csr_ops += 6
@@ -110,15 +113,15 @@ class WorldSwitcher:
         """Install the virtual supervisor state physically and resume the OS."""
         model = hart.cycle_model
         csr_file = hart.state.csr
-        csr_ops = 0
 
-        for csr in _S_CSRS:
-            csr_file.write(csr, getattr(vctx, _VCTX_FIELD_FOR_CSR[csr]))
-            csr_ops += 1
-        if self.machine.config.has_sstc:
+        write = csr_file.write
+        for csr, field in _S_CSR_FIELDS:
+            write(csr, getattr(vctx, field))
+        csr_ops = len(_S_CSR_FIELDS)
+        if self.has_sstc:
             csr_file.stimecmp = vctx.stimecmp
             csr_ops += 1
-        if self.machine.config.has_h_extension:
+        if self.has_h_extension:
             for csr, value in vctx.h_csrs.items():
                 if csr_file.exists(csr) and csr != c.CSR_HGEIP:
                     try:
@@ -143,7 +146,7 @@ class WorldSwitcher:
         csr_file.mideleg = c.MIDELEG_MASK
         # Interrupt enables: the OS's S-level enables plus the M-level
         # sources the monitor must intercept (timer multiplexing, IPIs).
-        csr_file.mie = (vctx.mie & c.SIP_MASK) | c.MIP_MTIP | c.MIP_MSIP | c.MIP_MEIP
+        csr_file.mie = (vctx.mie & c.SIP_MASK) | _M_INTERRUPTS
         # Software-pending bits the firmware raised for the OS.
         csr_file.mip_sw = vctx.mip & c.SIP_MASK & c.MIP_WRITABLE
         csr_ops += 4

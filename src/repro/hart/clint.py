@@ -28,6 +28,8 @@ MTIMECMP_BASE = 0x4000
 MTIME_OFFSET = 0xBFF8
 CLINT_SIZE = 0xC000
 
+_INF = float("inf")
+
 
 class Clint:
     """The physical CLINT device.
@@ -59,6 +61,14 @@ class Clint:
         # exact, not an approximation — unlike msip, whose rising edge also
         # triggers remote-hart servicing and must never be filtered.
         self._mtip_level: list[bool | None] = [None] * num_harts
+        # The deadline window: while ``lo <= mtime < hi`` and the
+        # comparators still equal ``_window_cmp``, no hart's level can
+        # differ from ``_mtip_level``, so ``tick`` is one range test.
+        # Derived from the levels and comparators by ``_rewindow``; empty
+        # until every level is known.
+        self._window_lo: float = _INF
+        self._window_hi: float = -_INF
+        self._window_cmp: list[int] = []
         #: Fault-injection hook: ``hook(kind, offset, size) -> bool``;
         #: True makes the access fail with a transient bus error.
         self.fault_hook = None
@@ -94,6 +104,7 @@ class Clint:
             (self.mtimecmp[hart] & ~mask) | ((value << (8 * byte)) & mask)
         )
         self._update_mtip(hart)
+        self._rewindow()
 
     # -- timer logic ------------------------------------------------------
 
@@ -127,12 +138,45 @@ class Clint:
     def tick(self) -> None:
         """Re-evaluate all timer comparators (called when time advances).
 
-        One comparison pass; ``set_mtip`` runs only for a level change.
+        Inside the deadline window (see ``_rewindow``) nothing can change
+        and this is one range test; outside it, one comparison pass, and
+        ``set_mtip`` runs only for a level change.
         """
         now = self.time_source()
+        if (self._window_lo <= now < self._window_hi
+                and self.mtimecmp == self._window_cmp):
+            return
         if [now >= deadline for deadline in self.mtimecmp] != self._mtip_level:
             for hart in range(self.num_harts):
                 self._update_mtip(hart, now)
+        self._rewindow()
+
+    def _rewindow(self) -> None:
+        """Recompute the window in which no comparator changes level.
+
+        Hart ``h`` keeps its level exactly while ``mtime >= mtimecmp[h]``
+        equals ``_mtip_level[h]``: the window is ``[lo, hi)`` with ``lo``
+        the latest raised comparator and ``hi`` the earliest lowered one.
+        It is derived from the recorded levels, not from the time, so a
+        stale level leaves ``mtime`` outside (or the window empty) and the
+        next ``tick`` re-evaluates.  Recomputed after every level change,
+        ``write`` and ``restore_state``; ``tick`` also compares the
+        comparators against the copy taken here, which catches a direct
+        (in-place) mutation of ``mtimecmp``.
+        """
+        lo, hi = -_INF, _INF
+        for deadline, level in zip(self.mtimecmp, self._mtip_level):
+            if level is None:
+                lo, hi = _INF, -_INF  # a level never evaluated: no window
+                break
+            if level:
+                if deadline > lo:
+                    lo = deadline
+            elif deadline < hi:
+                hi = deadline
+        self._window_lo = lo
+        self._window_hi = hi
+        self._window_cmp = list(self.mtimecmp)
 
     def next_timer_deadline(self) -> int:
         """Earliest mtimecmp across harts (used to fast-forward idle time)."""
@@ -153,6 +197,7 @@ class Clint:
         self.msip[:] = state["msip"]
         self.mtimecmp[:] = state["mtimecmp"]
         self._mtip_level[:] = state["mtip_level"]
+        self._rewindow()
 
     # -- convenience used by firmware and the VFM fast path ---------------
 

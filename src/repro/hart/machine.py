@@ -11,6 +11,7 @@ from __future__ import annotations
 import time
 import weakref
 from bisect import bisect_right, insort
+from collections.abc import Container
 from typing import Optional, Protocol, Union
 
 from repro.hart import blocks as _blocks
@@ -66,6 +67,8 @@ class Machine:
 
     def __init__(self, config: PlatformConfig, keep_trap_events: bool = True):
         self.config = config
+        # Read by ``read_mtime`` several times per trap.
+        self._frequency_hz = config.frequency_hz
         self.cycle_model = cycle_model_for(config)
         self.stats = TrapStats(keep_events=keep_trap_events)
         self.cycles = 0.0
@@ -106,7 +109,8 @@ class Machine:
         # One resume stack per hart: run_until levels belong to the hart
         # whose control flow they suspend, so an interleaved SMP run must
         # never compare one hart's pc against another hart's resume set.
-        self._resume_stacks: list[list[set[int]]] = [
+        # A level is any container of pcs (a set, or exec's tuple).
+        self._resume_stacks: list[list[Container[int]]] = [
             [] for _ in range(config.num_harts)
         ]
         #: Runaway-control-flow backstop; tests may lower it to detect
@@ -160,7 +164,7 @@ class Machine:
 
     def read_mtime(self) -> int:
         # cycles_to_mtime, inlined: read on every trap and timer check.
-        return int(self.cycles * TIMEBASE_FREQUENCY / self.config.frequency_hz)
+        return int(self.cycles * TIMEBASE_FREQUENCY / self._frequency_hz)
 
     def charge(self, cycles: float) -> None:
         self.cycles += cycles
@@ -271,7 +275,7 @@ class Machine:
         else:
             owner.handle(self, hart)
 
-    def run_until(self, hart: Hart, resume_pcs: set[int]) -> None:
+    def run_until(self, hart: Hart, resume_pcs: Container[int]) -> None:
         """Dispatch handlers until control returns to one of ``resume_pcs``.
 
         ``run_until`` calls nest (a trap handler's own operations trap);
@@ -282,22 +286,41 @@ class Machine:
         :class:`_UnwindToResume` until the owning level continues.  This
         mirrors hardware, where such a context switch simply abandons the
         interrupted instruction stream.
+
+        A pc owned by a host handler (the monitor) is dispatched here
+        directly, under :meth:`dispatch_current`'s guards: a trap into
+        the monitor is the common case, and this saves it a call.
         """
+        state = hart.state
         stack = self._resume_stacks[hart.hartid]
-        # Outer levels stay suspended while this one runs, so their resume
-        # points are fixed for this call (none at nesting depth 1).
-        outer_pcs = frozenset().union(*stack)
         stack.append(resume_pcs)
         try:
-            while hart.state.pc not in resume_pcs:
+            while (pc := state.pc) not in resume_pcs:
                 if self.halted:
                     raise MachineHalted(self.halt_reason or "halted")
-                if hart.state.pc in outer_pcs:
-                    raise _UnwindToResume(hart.state.pc)
+                # Outer levels stay suspended while this one runs, and
+                # inner ones have popped; this level's own set never
+                # matches (the loop condition), so the whole stack serves.
+                for level in stack:
+                    if pc in level:
+                        raise _UnwindToResume(pc)
+                owner = self.owner_of(pc)
                 try:
-                    self.dispatch_current(hart)
+                    if owner is None or isinstance(owner, GuestProgram):
+                        self.dispatch_current(hart)
+                    else:
+                        self._dispatches += 1
+                        if self._dispatches > self.max_dispatches:
+                            raise ProtocolError("dispatch limit exceeded "
+                                                "(runaway control flow)")
+                        if (self.wall_deadline is not None
+                                and self._dispatches % 64 == 0
+                                and time.monotonic() > self.wall_deadline):
+                            raise ProtocolError("wall-clock budget exceeded "
+                                                "(diverging run)")
+                        owner.handle(self, hart)
                 except _UnwindToResume:
-                    if hart.state.pc in resume_pcs:
+                    if state.pc in resume_pcs:
                         break
                     raise
                 except FirmwareRecovered:

@@ -25,7 +25,6 @@ import dataclasses
 from typing import TYPE_CHECKING, Optional
 
 from repro.isa import constants as c
-from repro.isa.encoding import encode
 from repro.isa.instructions import Instruction, make_instruction
 
 if TYPE_CHECKING:
@@ -210,29 +209,6 @@ class GuestContext:
 
     # -- core execution loop ---------------------------------------------
 
-    def _wrap_pc(self) -> None:
-        region = self.program.region
-        hart = self.hart
-        if hart.state.pc >= region.end - 16:
-            # Architectural backward jump keeping the instruction stream
-            # inside the program's region (models the program's code loop).
-            hart.state.pc = region.base + self.program.CODE_LOOP_OFFSET
-            hart.charge(hart.cycle_model.instruction)
-
-    def _materialize(self, instr: Instruction) -> None:
-        """Write the instruction's encoding into RAM at the current pc.
-
-        Guest programs are Python objects, but trap handlers (firmware and
-        the VFM) fetch the *instruction word at mepc* from memory when
-        emulating — e.g. misaligned loads.  Materializing each executed
-        instruction keeps the in-memory instruction stream consistent with
-        what actually executed.
-        """
-        pc = self.hart.state.pc
-        ram = self.machine.ram
-        if ram.base <= pc and pc + 4 <= ram.base + ram.size:
-            ram.write(pc, 4, encode(instr))
-
     def exec(self, instr: Instruction):
         """Execute one instruction; run trap handlers to completion.
 
@@ -248,15 +224,28 @@ class GuestContext:
             # operation.  Costs one attribute load and one branch when
             # disabled, same budget as the tracer hook.
             scheduler.checkpoint(hart)
-        self._wrap_pc()
-        self._materialize(instr)
+        region = self.program.region
+        if state.pc >= region.base + region.size - 16:
+            # Architectural backward jump keeping the instruction stream
+            # inside the program's region (models the program's code loop).
+            state.pc = region.base + self.program.CODE_LOOP_OFFSET
+            hart.charge(hart.cycle_model.instruction)
+        # Materialize the instruction: guest programs are Python objects,
+        # but trap handlers (firmware and the VFM) fetch the *instruction
+        # word at mepc* from memory when emulating — e.g. misaligned loads.
+        # Writing each executed instruction's encoding at its pc keeps the
+        # in-memory instruction stream consistent with what executed.
+        pc = state.pc
+        ram = machine.ram
+        if ram.base <= pc and pc + 4 <= ram.base + ram.size:
+            ram.write(pc, 4, instr.word)
         while True:
             if machine.halted:
                 raise MachineHalted(machine.halt_reason or "halted")
             op_pc = state.pc
             # Deliver any pending interrupt before issuing the instruction.
             if hart.check_interrupts():
-                machine.run_until(hart, {op_pc})
+                machine.run_until(hart, (op_pc,))
                 continue
             outcome = hart.execute(instr)
             if outcome.trap is None:
@@ -277,7 +266,7 @@ class GuestContext:
             # (re-execute, e.g. after an interrupt-style handler) or just
             # past it (the handler emulated the instruction, the common
             # Miralis case).
-            machine.run_until(hart, {op_pc, op_pc + 4})
+            machine.run_until(hart, (op_pc, op_pc + 4))
             if state.pc == op_pc + 4:
                 return outcome
             # pc == op_pc: retry the instruction.

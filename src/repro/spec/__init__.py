@@ -26,7 +26,7 @@ from repro.spec.step import (
     execute_instruction,
     hw_step,
 )
-from repro.spec.traps import Trap, execute_mret, execute_sret, take_trap, trap_target_mode
+from repro.spec.traps import Trap, execute_mret, execute_sret, take_trap
 
 __all__ = [
     "Bus",
@@ -53,5 +53,4 @@ __all__ = [
     "pending_interrupt_for",
     "pmp_check",
     "take_trap",
-    "trap_target_mode",
 ]

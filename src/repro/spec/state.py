@@ -9,8 +9,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.isa.bits import to_u64
-from repro.isa.constants import M_MODE, PrivilegeLevel
+from repro.isa.constants import M_MODE, XMASK, PrivilegeLevel
 from repro.spec.csrs import CsrFile
 from repro.spec.platform import PlatformConfig
 
@@ -44,7 +43,7 @@ class MachineState:
         if not 0 <= index <= 31:
             raise IndexError(f"register x{index} out of range")
         if index != 0:
-            self._xregs[index] = to_u64(value)
+            self._xregs[index] = value & XMASK
 
     @property
     def xregs(self) -> list[int]:
@@ -54,7 +53,7 @@ class MachineState:
     def load_xregs(self, values: list[int]) -> None:
         if len(values) != 32:
             raise ValueError("expected 32 register values")
-        self._xregs = [0] + [to_u64(v) for v in values[1:]]
+        self._xregs = [0] + [v & XMASK for v in values[1:]]
 
     # -- state protocol (checkpoints, verification harness) --------------
 

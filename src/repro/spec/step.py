@@ -9,12 +9,10 @@ configuration turns this specification into a simulator (used by
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Optional, Protocol
+from typing import NamedTuple, Optional, Protocol
 
 from repro.isa import constants as c
 from repro.isa.bits import get_field, sign_extend, to_signed, to_u64
-from repro.isa.encoding import encode
 from repro.isa.instructions import (
     LOAD_SIGNED,
     Instruction,
@@ -36,8 +34,7 @@ class BusError(Exception):
     """Raised by a bus for accesses to unmapped or faulting addresses."""
 
 
-@dataclasses.dataclass(frozen=True)
-class MemoryAccess:
+class MemoryAccess(NamedTuple):
     """A physical memory access performed by an instruction."""
 
     access_type: c.AccessType
@@ -45,9 +42,8 @@ class MemoryAccess:
     size: int
 
 
-@dataclasses.dataclass(frozen=True)
-class Outcome:
-    """Result of executing one instruction."""
+class Outcome(NamedTuple):
+    """Result of executing one instruction (immutable, like its fields)."""
 
     trap: Optional[Trap] = None
     memory_access: Optional[MemoryAccess] = None
@@ -59,7 +55,7 @@ class Outcome:
         return self.trap is not None
 
 
-# Shared no-trap outcomes: ``Outcome`` is frozen, so one instance serves
+# Shared no-trap outcomes: ``Outcome`` is immutable, so one instance serves
 # every instruction that ends the same way.
 _COMMITTED = Outcome()
 _WFI = Outcome(is_wfi=True)
@@ -113,7 +109,7 @@ def _execute_csr(state: MachineState, instr: Instruction) -> Optional[Trap]:
         mnemonic in ("csrrs", "csrrc", "csrrsi", "csrrci") and instr.rs1 == 0
     )
     if not csr_access_allowed(state, instr.csr, writes):
-        return Trap(c.TrapCause.ILLEGAL_INSTRUCTION, tval=encode(instr))
+        return Trap(c.TrapCause.ILLEGAL_INSTRUCTION, tval=instr.word)
     old = state.csr.read(instr.csr)
     if instr.csr_uses_immediate:
         operand = instr.rs1  # zimm
@@ -313,11 +309,12 @@ def check_memory_access(
         pmp_count=state.config.pmp_count,
     )
     if not result.allowed:
-        cause = {
-            c.AccessType.READ: c.TrapCause.LOAD_ACCESS_FAULT,
-            c.AccessType.WRITE: c.TrapCause.STORE_ACCESS_FAULT,
-            c.AccessType.EXECUTE: c.TrapCause.INSTRUCTION_ACCESS_FAULT,
-        }[access]
+        if access == c.AccessType.READ:
+            cause = c.TrapCause.LOAD_ACCESS_FAULT
+        elif access == c.AccessType.WRITE:
+            cause = c.TrapCause.STORE_ACCESS_FAULT
+        else:
+            cause = c.TrapCause.INSTRUCTION_ACCESS_FAULT
         return Trap(cause, tval=address)
     return None
 
@@ -363,7 +360,7 @@ _ECALL_CAUSE = {
 
 
 def _illegal(instr: Instruction) -> Outcome:
-    return Outcome(trap=Trap(c.TrapCause.ILLEGAL_INSTRUCTION, tval=encode(instr)))
+    return Outcome(trap=Trap(c.TrapCause.ILLEGAL_INSTRUCTION, tval=instr.word))
 
 
 def _execute_system(state: MachineState, instr: Instruction) -> Outcome:

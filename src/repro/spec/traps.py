@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
-import dataclasses
+from typing import NamedTuple
 
 from repro.isa import constants as c
 from repro.isa.bits import get_field, set_field
 from repro.spec.state import MachineState
 
 
-@dataclasses.dataclass(frozen=True)
-class Trap:
-    """A trap about to be delivered."""
+class Trap(NamedTuple):
+    """A trap about to be delivered.
+
+    Immutable; a tuple rather than a frozen dataclass because one is built
+    on every trap, and a tuple costs no per-field ``object.__setattr__``.
+    """
 
     cause: int  # exception code or interrupt number (without the bit 63 flag)
     is_interrupt: bool = False
@@ -32,40 +35,38 @@ class Trap:
             return f"{kind} code {self.cause}"
 
 
-def trap_target_mode(state: MachineState, trap: Trap) -> c.PrivilegeLevel:
-    """Privilege mode a trap is taken to, honouring medeleg/mideleg.
-
-    Traps from M-mode always go to M-mode; traps from S/U-mode go to S-mode
-    when the corresponding delegation bit is set.
-    """
-    if state.mode == c.M_MODE:
-        return c.M_MODE
-    deleg = state.csr.mideleg if trap.is_interrupt else state.csr.medeleg
-    if deleg & (1 << trap.cause):
-        return c.S_MODE
-    return c.M_MODE
-
-
 # mstatus fields take_trap rewrites, per target mode.
 _M_TRAP_FIELDS = c.MSTATUS_MPP | c.MSTATUS_MPIE | c.MSTATUS_MIE
 _S_TRAP_FIELDS = c.MSTATUS_SPP | c.MSTATUS_SPIE | c.MSTATUS_SIE
 # xIE sits four bits below xPIE in mstatus, for both M and S.
 _PIE_SHIFT = 4
+_M_MODE = c.M_MODE
+_S_MODE = c.S_MODE
+_M = int(_M_MODE)
 
 
 def take_trap(state: MachineState, trap: Trap) -> c.PrivilegeLevel:
     """Deliver a trap: update xepc/xcause/xtval/mstatus, jump to the vector.
 
-    Returns the privilege mode the trap was taken to.
+    Traps from M-mode always go to M-mode; traps from S/U-mode go to S-mode
+    when the corresponding medeleg/mideleg bit is set.  Returns the
+    privilege mode the trap was taken to.
     """
-    target = trap_target_mode(state, trap)
+    cause, is_interrupt, tval = trap
     csr = state.csr
-    mstatus = csr.mstatus
     mode = int(state.mode)
-    if target == c.M_MODE:
+    if mode == _M:
+        target = _M_MODE
+    elif (csr.mideleg if is_interrupt else csr.medeleg) & (1 << cause):
+        target = _S_MODE
+    else:
+        target = _M_MODE
+    mcause = trap.mcause_value
+    mstatus = csr.mstatus
+    if target is _M_MODE:
         csr.mepc = state.pc & ~0x3
-        csr.mcause = trap.mcause_value
-        csr.write(c.CSR_MTVAL, trap.tval)
+        csr.mcause = mcause
+        csr.write(c.CSR_MTVAL, tval)
         # MPP = mode, MPIE = MIE, MIE = 0.
         mstatus = (
             (mstatus & ~_M_TRAP_FIELDS)
@@ -75,8 +76,8 @@ def take_trap(state: MachineState, trap: Trap) -> c.PrivilegeLevel:
         tvec = csr.mtvec
     else:
         csr.sepc = state.pc & ~0x3
-        csr.scause = trap.mcause_value
-        csr.write(c.CSR_STVAL, trap.tval)
+        csr.scause = mcause
+        csr.write(c.CSR_STVAL, tval)
         # SPP = mode & 1, SPIE = SIE, SIE = 0.
         mstatus = (
             (mstatus & ~_S_TRAP_FIELDS)
@@ -85,8 +86,8 @@ def take_trap(state: MachineState, trap: Trap) -> c.PrivilegeLevel:
         )
         tvec = csr.stvec
     pc = tvec & c.TVEC_BASE_MASK
-    if trap.is_interrupt and (tvec & c.TVEC_MODE_MASK) == c.TvecMode.VECTORED:
-        pc += 4 * trap.cause
+    if is_interrupt and (tvec & c.TVEC_MODE_MASK) == c.TvecMode.VECTORED:
+        pc += 4 * cause
     state.pc = pc
     # Bypass legalization: trap delivery may set any MPP among supported.
     csr.mstatus = mstatus & c.XMASK

@@ -30,6 +30,14 @@ def _slow_family(params):
     return "ok", {"i": params["i"]}
 
 
+def _marker_family(params):
+    time.sleep(params["delay"])
+    if "marker" in params:
+        with open(params["marker"], "w"):
+            pass
+    return "ok", {}
+
+
 def _fire_sigint(after):
     timer = threading.Timer(after,
                             lambda: os.kill(os.getpid(), signal.SIGINT))
@@ -80,6 +88,68 @@ class TestInProcessDrain:
         campaign = run_campaign(cells, workers=1, handle_sigint=True)
         assert not campaign.interrupted
         assert exit_code(merge_campaign(campaign)) == 0
+
+
+class TestStalledCellDrain:
+    def test_drain_stops_a_stalled_cell_after_the_grace(self):
+        """Red-first: the drain used to wait for every in-flight cell, so a
+        stalled one held ^C for the whole per-cell timeout."""
+        from repro.campaign.runner import SIGINT_GRACE_SECONDS
+
+        register_family("sigint-slow", _slow_family)
+        cells = [CampaignCell.make("sigint-slow", "slow:000", i=0,
+                                   delay=60.0)]
+        cells += [CampaignCell.make("sigint-slow", f"slow:{index:03d}",
+                                    i=index, delay=0.2)
+                  for index in range(1, 8)]
+        timer = _fire_sigint(0.5)
+        start = time.monotonic()
+        try:
+            campaign = run_campaign(cells, workers=2, handle_sigint=True)
+        finally:
+            timer.cancel()
+        assert time.monotonic() - start < SIGINT_GRACE_SECONDS + 5
+        assert campaign.interrupted
+        assert len(campaign.results) == len(cells)
+        stalled = next(result for result in campaign.results
+                       if result.key == cells[0].key)
+        assert stalled.status == "skipped"
+        assert stalled.error == "campaign interrupted (SIGINT) while running"
+        assert exit_code(merge_campaign(campaign)) == 3
+
+    def test_a_result_queued_when_the_grace_ends_is_kept(self, tmp_path,
+                                                          monkeypatch):
+        """Red-first: the grace used to end by killing the worker without
+        reading the results queue, so a cell whose "done" was already
+        queued was reported as skipped."""
+        from repro.campaign import runner
+        from repro.campaign.cells import shard_of
+
+        monkeypatch.setattr(runner, "SIGINT_GRACE_SECONDS", 0.0)
+        register_family("sigint-marker", _marker_family)
+        marker = tmp_path / "late.finished"
+        fast = CampaignCell.make("sigint-marker", "drain:fast", delay=0.0)
+        late = CampaignCell.make("sigint-marker", "drain:late", delay=0.3,
+                                 marker=str(marker))
+        assert shard_of(fast.key, 2) != shard_of(late.key, 2)
+
+        def progress(result):
+            # Hold the parent (so it reads nothing) until the late cell
+            # has finished and its "done" is queued, then interrupt: the
+            # drain's grace is already over when it first looks.
+            if result.key != fast.key:
+                return
+            give_up = time.monotonic() + 30
+            while not marker.exists() and time.monotonic() < give_up:
+                time.sleep(0.02)
+            time.sleep(0.5)
+            os.kill(os.getpid(), signal.SIGINT)
+
+        campaign = run_campaign([fast, late], workers=2, progress=progress,
+                                handle_sigint=True)
+        assert campaign.interrupted
+        statuses = {result.key: result.status for result in campaign.results}
+        assert statuses == {fast.key: "ok", late.key: "ok"}
 
 
 class TestCliSigint:

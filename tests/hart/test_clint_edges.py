@@ -1,10 +1,13 @@
 """``Clint.tick`` drives ``set_mtip`` on level changes only.
 
-``tick`` compares every ``mtimecmp`` against ``mtime`` in one pass and
-calls back only for a hart whose level changed.  It must behave exactly as
-re-evaluating each hart's comparator in turn, whatever happens between
-ticks: time moving forward or back (a checkpoint restore), comparators
-written through the bus or set directly, and any hart count.
+``tick`` returns after one range test while ``mtime`` stays inside the
+window where no comparator can change level, compares every ``mtimecmp``
+against ``mtime`` in one pass otherwise, and calls back only for a hart
+whose level changed.  It must behave exactly as re-evaluating each hart's
+comparator in turn, whatever happens between ticks: time moving forward
+or back, comparators written through the bus or set directly, a
+checkpoint restore rewinding time, comparators and levels together, and
+any hart count.
 """
 
 from __future__ import annotations
@@ -42,6 +45,8 @@ class Rig:
             set_msip=lambda hart, level: None,
             set_mtip=lambda hart, level: self.log.append((hart, level)),
         )
+        #: (time, device state) after every action, for ``restore``.
+        self.history: list[tuple[int, dict]] = []
 
 
 def _apply(rig: Rig, action: tuple) -> None:
@@ -56,8 +61,17 @@ def _apply(rig: Rig, action: tuple) -> None:
         # A checkpoint restore rewrites the comparators in place.
         _, hart, value = action
         rig.clint.mtimecmp[hart % rig.clint.num_harts] = value
+    elif kind == "restore":
+        # A checkpoint restore: time, comparators and levels rewind
+        # together to an earlier point of the script.
+        if rig.history:
+            rig.now, state = rig.history[action[1] % len(rig.history)]
+            rig.clint.restore_state(state)
+            # No callback fires: the levels are restored with the state.
+            rig.log.append(("restore", tuple(state["mtip_level"])))
     else:
         rig.clint.tick()
+    rig.history.append((rig.now, rig.clint.snapshot_state()))
 
 
 # A small range, so time often lands exactly on a comparator.
@@ -68,15 +82,19 @@ actions = st.lists(
         st.tuples(st.just("time"), times),
         st.tuples(st.just("write"), st.integers(0, 3), deadlines),
         st.tuples(st.just("poke"), st.integers(0, 3), deadlines),
+        st.tuples(st.just("restore"), st.integers(0, 40)),
         st.tuples(st.just("tick")),
     ),
     max_size=40,
 )
 
 
-def _assert_edges_only(log: list[tuple[int, bool]]) -> None:
+def _assert_edges_only(log: list[tuple]) -> None:
     last: dict[int, bool] = {}
     for hart, level in log:
+        if hart == "restore":
+            last = dict(enumerate(level))
+            continue
         assert last.get(hart) != level, f"hart {hart}: repeated level {level}"
         last[hart] = level
 

@@ -12,6 +12,9 @@ from __future__ import annotations
 import pytest
 
 from repro import perf
+from repro.isa import encoding
+from repro.isa.encoding import _encode_instr
+from repro.isa.instructions import make_instruction
 from repro.policy import FirmwareSandboxPolicy
 from repro.spec.platform import VISIONFIVE2
 from repro.system import build_virtualized
@@ -89,3 +92,25 @@ class TestCacheDifferential:
         before = perf.cache_generation()
         perf.clear_caches()
         assert perf.cache_generation() == before + 1
+
+    def test_instruction_word_is_memoised_only_when_enabled(self):
+        with perf.caches_disabled():
+            instr = make_instruction("csrrs", 5, 0, 0, 0, 0x300)
+            assert instr.word == _encode_instr(instr)
+            assert "word" not in instr.__dict__
+        assert instr.word == _encode_instr(instr)
+        assert instr.__dict__["word"] == instr.word
+
+    def test_uncached_boot_materialises_through_the_encoder(self,
+                                                            monkeypatch):
+        encoded = []
+
+        def spy(instr):
+            encoded.append(instr)
+            return _encode_instr(instr)
+
+        monkeypatch.setattr(encoding, "_encode_instr", spy)
+        with perf.caches_disabled():
+            _boot()
+        assert encoded
+        assert all("word" not in instr.__dict__ for instr in encoded)

@@ -1,0 +1,125 @@
+"""Timing-free guard on the trap round trip: Python calls per recorded trap.
+
+Host time per trap is dominated by interpreter glue, and a host timing is
+too noisy to gate on.  The number of Python function calls per trap is
+exact and deterministic for one interpreter version, so a regression on
+the trap path (a new wrapper, a property on the hot path, a per-trap
+object with a Python ``__init__``) shows here without a timer.
+
+Two slices of the benchmark workloads are counted with ``sys.setprofile``
+after a warm-up pass (so lookup caches are filled):
+
+- the chaos cell ``opensbi`` x ``stall-loop`` x seed 137, a vM-mode CSR
+  trap re-executed until the watchdog's budget breaks the loop — the
+  runaway trap behind most of the chaos matrix's time;
+- 100 ops of the Fig. 12 Memcached stream under ``miralis-no-offload``,
+  where every op world-switches into the firmware and back.
+
+Each budget is the count measured when it was set plus 10% headroom.  A
+change that lowers the count should lower the budget with it.
+"""
+
+from __future__ import annotations
+
+import random
+import sys
+
+import pytest
+
+from repro.bench.runner import build_system
+from repro.coverage import CoverageMap
+from repro.faults.chaos import run_chaos
+from repro.hart.stats import TrapStats
+from repro.os_model.workloads import MEMCACHED
+from repro.spec.platform import VISIONFIVE2
+
+HEADROOM = 1.10
+
+#: Python version -> workload -> calls per recorded trap when set.  3.12
+#: inlines comprehensions, hence its lower Memcached count.
+MEASURED = {
+    (3, 11): {"stall-loop": 36.69, "memcached-reinject": 62.89},
+    (3, 12): {"stall-loop": 36.69, "memcached-reinject": 62.43},
+}
+
+_RECORD_TRAP = TrapStats.record_trap.__code__
+
+
+class CallCounter:
+    """A profile hook counting Python calls and ``record_trap`` entries."""
+
+    def __init__(self):
+        self.calls = 0
+        self.traps = 0
+
+    def __call__(self, frame, event, arg) -> None:
+        if event == "call":
+            self.calls += 1
+            if frame.f_code is _RECORD_TRAP:
+                self.traps += 1
+
+    def run(self, fn) -> float:
+        sys.setprofile(self)
+        try:
+            fn()
+        finally:
+            sys.setprofile(None)
+        assert self.traps > 0
+        return self.calls / self.traps
+
+
+def _stall_loop() -> None:
+    run_chaos("opensbi", "stall-loop", 137, coverage=CoverageMap())
+
+
+def _memcached_reinject(measure):
+    """Boot ``miralis-no-offload`` and hand ``measure`` the op loop."""
+    kinds, weights = zip(*MEMCACHED.weights())
+    stream = random.Random(1).choices(kinds, weights=weights, k=100)
+    compute = max(1, int(VISIONFIVE2.frequency_hz / MEMCACHED.total_rate))
+    result = {}
+
+    def guest(kernel, ctx) -> None:
+        misaligned = kernel.region.base + 0x8000 + 1
+        ipi_mask = 1 << (kernel.machine.config.num_harts - 1)
+
+        def ops() -> None:
+            for kind in stream:
+                ctx.compute(compute)
+                if kind == "time":
+                    kernel.read_time(ctx)
+                elif kind == "timer":
+                    kernel.arm_timer_tick(ctx)
+                elif kind == "ipi":
+                    kernel.sbi_send_ipi(ctx, ipi_mask, 0)
+                elif kind == "rfence":
+                    kernel.sbi_remote_fence_i(ctx, ipi_mask, 0)
+                else:
+                    ctx.load(misaligned, size=4)
+
+        result["per_trap"] = measure(ops)
+
+    system = build_system("miralis-no-offload", VISIONFIVE2, guest,
+                          keep_trap_events=False)
+    assert "sbi system reset" in system.run()
+    return result["per_trap"]
+
+
+def calls_per_trap(workload: str) -> float:
+    if workload == "stall-loop":
+        _stall_loop()  # warm-up
+        return CallCounter().run(_stall_loop)
+    _memcached_reinject(lambda ops: ops())  # warm-up
+    return _memcached_reinject(lambda ops: CallCounter().run(ops))
+
+
+@pytest.mark.parametrize("workload", ["stall-loop", "memcached-reinject"])
+def test_calls_per_trap_within_budget(workload):
+    measured = MEASURED.get(sys.version_info[:2])
+    if measured is None:
+        pytest.skip("call counts are recorded for CPython 3.11 and 3.12")
+    budget = measured[workload] * HEADROOM
+    per_trap = calls_per_trap(workload)
+    assert per_trap <= budget, (
+        f"{workload}: {per_trap:.2f} Python calls per trap, budget "
+        f"{budget:.2f} ({measured[workload]} + 10%)")

@@ -34,7 +34,7 @@ NOT_STATE = {
         "_resume_stacks", "max_dispatches", "hart_start_hook",
         "firmware_panic_hook", "fault_injector", "tracer", "scheduler",
         "coverage", "world_view", "monitor", "wall_deadline",
-        "recovery_stats",
+        "recovery_stats", "_frequency_hz",
         # Components a checkpoint composes next to the machine's own.
         "stats", "clint", "plic", "uart", "harts",
     },
@@ -42,7 +42,9 @@ NOT_STATE = {
     "MachineState": {"config", "hartid"},
     "CsrFile": {"config", "hartid", "time_source", "access_rules"},
     "Clint": {"base", "size", "num_harts", "time_source", "_set_msip",
-              "_set_mtip", "fault_hook"},
+              "_set_mtip", "fault_hook",
+              # The deadline window, derived from mtimecmp and the levels.
+              "_window_lo", "_window_hi", "_window_cmp"},
     "Plic": {"base", "size", "num_harts", "_set_eip", "fault_hook"},
     "Uart": {"base", "size", "fault_hook"},
     "TrapStats": {"keep_events", "_last", "_last_by_hart",

@@ -24,7 +24,7 @@ from repro.spec.csrs import (
 )
 from repro.spec.platform import PREMIER_P550, RVA23_MACHINE, VISIONFIVE2
 from repro.spec.state import MachineState
-from repro.spec.traps import Trap, take_trap, trap_target_mode
+from repro.spec.traps import Trap, take_trap
 
 u64 = st.integers(min_value=0, max_value=(1 << 64) - 1)
 modes = st.sampled_from([c.U_MODE, c.S_MODE, c.M_MODE])
@@ -39,6 +39,16 @@ def _reference_vector(tvec: int, trap: Trap) -> int:
     if trap.is_interrupt and (tvec & c.TVEC_MODE_MASK) == c.TvecMode.VECTORED:
         return base + 4 * trap.cause
     return base
+
+
+def trap_target_mode(state: MachineState, trap: Trap) -> c.PrivilegeLevel:
+    """Reference copy of the delegation rule take_trap applies inline."""
+    if state.mode == c.M_MODE:
+        return c.M_MODE
+    deleg = state.csr.mideleg if trap.is_interrupt else state.csr.medeleg
+    if deleg & (1 << trap.cause):
+        return c.S_MODE
+    return c.M_MODE
 
 
 def reference_take_trap(state: MachineState, trap: Trap) -> c.PrivilegeLevel:

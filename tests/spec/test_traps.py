@@ -10,7 +10,6 @@ from repro.spec.traps import (
     execute_mret,
     execute_sret,
     take_trap,
-    trap_target_mode,
 )
 from repro.spec.platform import VISIONFIVE2
 
@@ -28,27 +27,27 @@ class TestDelegation:
         state.mode = c.M_MODE
         state.csr.medeleg = c.MEDELEG_MASK
         trap = Trap(c.TrapCause.BREAKPOINT)
-        assert trap_target_mode(state, trap) == c.M_MODE
+        assert take_trap(state, trap) == c.M_MODE
 
     def test_undelegated_exception_to_m(self, state):
         state.mode = c.S_MODE
-        assert trap_target_mode(state, Trap(c.TrapCause.ECALL_FROM_S)) == c.M_MODE
+        assert take_trap(state, Trap(c.TrapCause.ECALL_FROM_S)) == c.M_MODE
 
     def test_delegated_exception_to_s(self, state):
         state.mode = c.U_MODE
         state.csr.medeleg = 1 << c.TrapCause.ECALL_FROM_U
-        assert trap_target_mode(state, Trap(c.TrapCause.ECALL_FROM_U)) == c.S_MODE
+        assert take_trap(state, Trap(c.TrapCause.ECALL_FROM_U)) == c.S_MODE
 
     def test_delegated_interrupt_to_s(self, state):
         state.mode = c.S_MODE
         state.csr.mideleg = c.MIP_STIP
         trap = Trap(c.IRQ_STI, is_interrupt=True)
-        assert trap_target_mode(state, trap) == c.S_MODE
+        assert take_trap(state, trap) == c.S_MODE
 
     def test_undelegated_interrupt_to_m(self, state):
         state.mode = c.S_MODE
         trap = Trap(c.IRQ_MTI, is_interrupt=True)
-        assert trap_target_mode(state, trap) == c.M_MODE
+        assert take_trap(state, trap) == c.M_MODE
 
 
 class TestTrapDelivery:
