@@ -38,7 +38,6 @@ from repro.policy.interface import PolicyAction
 from repro.sbi import constants as sbi
 from repro.sbi.constants import SbiError
 from repro.sbi.types import SbiCall, SbiRet
-from repro.spec.csrs import csr_reader
 from repro.spec.step import BusError
 from repro.spec.traps import Trap
 
@@ -63,7 +62,7 @@ _ECALL_FROM_S = c.TrapCause.ECALL_FROM_S
 _ACCESS_FAULTS = (c.TrapCause.LOAD_ACCESS_FAULT, c.TrapCause.STORE_ACCESS_FAULT)
 _U_MODE = c.U_MODE
 _M_MODE = c.M_MODE
-_read_mtval = csr_reader(c.CSR_MTVAL)
+_CSR_MTVAL = c.CSR_MTVAL
 _INTERRUPT_BIT = c.INTERRUPT_BIT
 _SIP_MASK = c.SIP_MASK
 _MSTATUS_MIE = c.MSTATUS_MIE
@@ -249,7 +248,7 @@ class Miralis:
         machine.cycles += cost
         mcause = csr_file.mcause
         mepc = csr_file.mepc
-        mtval = _read_mtval(csr_file)
+        mtval = csr_file.read(_CSR_MTVAL)
         code = mcause & ~_INTERRUPT_BIT
 
         world = worlds[hartid]

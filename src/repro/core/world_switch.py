@@ -73,10 +73,10 @@ class WorldSwitcher:
         vctx.mip = (vctx.mip & ~c.SIP_MASK) | (csr_file.mip & c.SIP_MASK)
         csr_ops += 3
         if self.has_h_extension:
-            for csr in vctx.h_csrs:
-                if csr_file.exists(csr):
-                    vctx.h_csrs[csr] = csr_file.read(csr)
-                    csr_ops += 1
+            h_csrs = vctx.h_csrs
+            for csr in h_csrs:
+                h_csrs[csr] = read(csr)
+            csr_ops += len(h_csrs)
 
         # Install well-defined physical values for vM-mode execution: no
         # address translation, no delegation (every trap from the firmware
@@ -123,12 +123,8 @@ class WorldSwitcher:
             csr_ops += 1
         if self.has_h_extension:
             for csr, value in vctx.h_csrs.items():
-                if csr_file.exists(csr) and csr != c.CSR_HGEIP:
-                    try:
-                        csr_file.write(csr, value)
-                        csr_ops += 1
-                    except KeyError:
-                        pass  # read-only H CSRs are views
+                write(csr, value)
+            csr_ops += len(vctx.h_csrs)
 
         # M-level environment configuration the OS's execution depends on
         # (counter access, Sstc enable) mirrors the virtual values.

@@ -280,10 +280,7 @@ class AcePolicy(PolicyModule):
         state.csr.medeleg = self._saved_medeleg
         state.csr.mideleg = self._saved_mideleg
         for addr, value in (tvm.saved_host_hcsrs or {}).items():
-            try:
-                state.csr.write(addr, value)
-            except KeyError:
-                pass
+            state.csr.write(addr, value)
         self._reinstall_pmp(hart)
         state.load_xregs(tvm.saved_host_regs)
         for index, value in enumerate(return_values):

@@ -13,12 +13,15 @@ each other (faithful emulation, Definition 1 of the paper).
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+import dataclasses
+import functools
+from types import MappingProxyType
+from typing import Callable, Mapping, Optional
 
 from repro.isa import constants as c
 from repro.isa.bits import get_field, set_field, to_u64
 
-# CSRs held as plain 64-bit storage with a write mask applied.
+# Machine and supervisor CSRs held as plain storage in ``CsrFile._simple``.
 _SIMPLE_CSRS: dict[int, tuple[int, int]] = {
     # addr: (reset value, write mask)
     c.CSR_MSCRATCH: (0, c.XMASK),
@@ -57,9 +60,12 @@ _H_CSRS: dict[int, tuple[int, int]] = {
     c.CSR_VSATP: (0, 0),
 }
 
-#: CsrFile fields that are not state: wiring, and the access-rule memo
-#: (a pure function of the frozen platform config).
-_NOT_STATE = ("config", "hartid", "time_source", "access_rules")
+#: H-extension pending bits: a write changes only the masked bits.
+_H_PENDING = (c.CSR_HIP, c.CSR_VSIP, c.CSR_HVIP)
+
+#: CsrFile fields that are not state: wiring, and the CSR table (a pure
+#: function of the frozen platform config).
+_NOT_STATE = ("config", "hartid", "time_source", "table")
 
 _MSTATUS_RESET = (c.XL_64 << 32) | (c.XL_64 << 34) | (3 << c.MSTATUS_MPP_SHIFT)
 
@@ -120,17 +126,113 @@ def legalize_pmpcfg_byte(old: int, value: int) -> int:
     return value
 
 
+# -- CSR semantics beyond plain storage ----------------------------------
+# Writers receive the value already truncated to XLEN.
+
+
+def _legalized(field: str, legalize: Callable[[int, int], int]):
+    """A writer storing ``legalize(old, value)`` into ``field``."""
+    return lambda f, value: setattr(f, field, legalize(getattr(f, field), value))
+
+
+def _write_sstatus(f: CsrFile, value: int) -> None:
+    merged = (f.mstatus & ~c.SSTATUS_MASK) | (value & c.SSTATUS_MASK)
+    f.mstatus = legalize_mstatus(f.mstatus, merged)
+
+
+def _write_sie(f: CsrFile, value: int) -> None:
+    writable = f.mideleg & c.SIP_MASK
+    f.mie = (f.mie & ~writable) | (value & writable)
+
+
+def _write_sip(f: CsrFile, value: int) -> None:
+    writable = f.mideleg & c.MIP_SSIP
+    f.mip_sw = (f.mip_sw & ~writable) | (value & writable)
+
+
+def _write_mideleg_hardwired(f: CsrFile, value: int) -> None:
+    f.mideleg = c.MIDELEG_MASK
+
+
+def _ignore(f: CsrFile, value: int) -> None:
+    """WARL: the CSR keeps its value."""
+
+
+def _zero(f: CsrFile) -> int:
+    return 0
+
+
+def _read_pmpcfg(f: CsrFile, first: int) -> int:
+    value = 0
+    for i in range(8):
+        value |= f.pmpcfg[first + i] << (8 * i)
+    return value
+
+
+def _write_pmpcfg(f: CsrFile, value: int, first: int) -> None:
+    for i in range(8):
+        index = first + i
+        if index >= f.config.pmp_count:
+            break
+        byte = (value >> (8 * i)) & 0xFF
+        f.pmpcfg[index] = legalize_pmpcfg_byte(f.pmpcfg[index], byte)
+
+
+def _read_pmpaddr(f: CsrFile, index: int) -> int:
+    return f.pmpaddr[index]
+
+
+def _write_pmpaddr(f: CsrFile, value: int, index: int) -> None:
+    if f.pmpcfg[index] & c.PMP_L:
+        return
+    # A locked TOR entry also locks the preceding address register.
+    if index + 1 < f.config.pmp_count:
+        next_cfg = f.pmpcfg[index + 1]
+        next_mode = get_field(next_cfg, c.PMP_A_MASK)
+        if next_cfg & c.PMP_L and next_mode == c.PmpAddressMode.TOR:
+            return
+    f.pmpaddr[index] = value & c.PMP_ADDR_MASK
+
+
+def _set_bits(addr: int, mask: int) -> Callable[[CsrFile, int], None]:
+    def write(f: CsrFile, value: int) -> None:
+        f._simple[addr] = (f._simple[addr] & ~mask) | (value & mask)
+    return write
+
+
+@dataclasses.dataclass(frozen=True, slots=True)
+class Csr:
+    """One implemented CSR: its static access rule and its semantics.
+
+    Without ``reader``/``writer`` the CSR is storage: the CsrFile attribute
+    ``field``, or ``_simple[addr]`` when ``field`` is None, and a write
+    stores ``value & mask``.  A ``reader`` is a view over the file; a
+    ``writer`` applies the CSR's WARL rule itself.  (Slotted, because
+    every raw access and access check loads these fields.)
+    """
+
+    min_privilege: c.PrivilegeLevel
+    read_only: bool
+    field: Optional[str]
+    mask: int
+    reader: Optional[Callable[[CsrFile], int]]
+    writer: Optional[Callable[[CsrFile, int], None]]
+
+
 class CsrFile:
     """The reference machine's CSR state.
 
     Raw ``read``/``write`` implement architectural semantics without
-    privilege checks — privilege and existence checks are applied by the
-    instruction semantics in :mod:`repro.spec.step`.
+    privilege checks — those are applied by the instruction semantics in
+    :mod:`repro.spec.step` — and raise ``KeyError`` for a CSR the platform
+    does not implement (``write`` also for a read-only one).
     """
 
     def __init__(self, config, hartid: int = 0,
                  time_source: Optional[Callable[[], int]] = None):
         self.config = config
+        #: Every implemented CSR by address, shared by all files of ``config``.
+        self.table = csr_table(config)
         self.hartid = hartid
         self.time_source = time_source or (lambda: 0)
         self.mstatus = _MSTATUS_RESET
@@ -152,10 +254,6 @@ class CsrFile:
         self.mip_hw = 0
         self.pmpcfg = [0] * 64
         self.pmpaddr = [0] * 64
-        #: ``(exists, read_only, min_privilege)`` per CSR address, filled
-        #: on first access by ``repro.spec.step.csr_access_allowed``; a pure
-        #: function of the (frozen) platform config.
-        self.access_rules: dict[int, tuple] = {}
         self._simple = {addr: reset for addr, (reset, _mask) in _SIMPLE_CSRS.items()}
         self._simple.update({addr: 0 for addr in config.vendor_csrs})
         if config.has_h_extension:
@@ -185,162 +283,41 @@ class CsrFile:
                 value &= ~c.MIP_STIP
         return value
 
-    # -- existence ---------------------------------------------------------
+    # -- access ---------------------------------------------------------
 
     def exists(self, addr: int) -> bool:
         """Whether the CSR is implemented on this platform."""
-        if c.CSR_PMPCFG0 <= addr <= c.CSR_PMPCFG15:
-            # RV64: only even pmpcfg registers exist.  Registers beyond the
-            # implemented entry count are WARL read-zero/ignore-write, so
-            # software can probe the entry count without trapping — which
-            # unmodified firmware relies on when running on the (smaller)
-            # virtual PMP file.
-            return addr % 2 == 0
-        if c.CSR_PMPADDR0 <= addr <= c.CSR_PMPADDR63:
-            return True
-        if addr in (c.CSR_MHPMCOUNTER3, c.CSR_MHPMEVENT3):
-            return True
-        if c.CSR_MHPMCOUNTER3 <= addr < c.CSR_MHPMCOUNTER3 + 29:
-            return True
-        if c.CSR_MHPMEVENT3 <= addr < c.CSR_MHPMEVENT3 + 29:
-            return True
-        if c.CSR_HPMCOUNTER3 <= addr < c.CSR_HPMCOUNTER3 + 29:
-            return True
-        if addr == c.CSR_TIME:
-            return self.config.has_hw_time_csr
-        if addr == c.CSR_STIMECMP:
-            return self.config.has_sstc
-        if addr in self.config.vendor_csrs:
-            return True
-        if addr in _H_CSRS or addr in (c.CSR_MTINST, c.CSR_MTVAL2, c.CSR_HGEIP):
-            return self.config.has_h_extension
-        return addr in _KNOWN_CSRS
-
-    # -- read ---------------------------------------------------------
+        return addr in self.table
 
     def read(self, addr: int) -> int:
         """Architectural read (no privilege check)."""
-        reader = _CSR_READERS.get(addr)
+        try:
+            csr = self.table[addr]
+        except KeyError:
+            raise KeyError(f"CSR {addr:#x} does not exist") from None
+        reader = csr.reader
         if reader is not None:
             return reader(self)
-        return self._read_ranged(addr)
-
-    def _read_ranged(self, addr: int) -> int:
-        """Reads for range-addressed CSRs (pmp, hpm) and simple storage."""
-        if c.CSR_PMPCFG0 <= addr <= c.CSR_PMPCFG15:
-            base = (addr - c.CSR_PMPCFG0) * 4
-            value = 0
-            for i in range(8):
-                value |= self.pmpcfg[base + i] << (8 * i)
-            return value
-        if c.CSR_PMPADDR0 <= addr <= c.CSR_PMPADDR63:
-            return self.pmpaddr[addr - c.CSR_PMPADDR0]
-        if c.CSR_MHPMCOUNTER3 <= addr < c.CSR_MHPMCOUNTER3 + 29:
-            return 0
-        if c.CSR_MHPMEVENT3 <= addr < c.CSR_MHPMEVENT3 + 29:
-            return 0
-        if c.CSR_HPMCOUNTER3 <= addr < c.CSR_HPMCOUNTER3 + 29:
-            return 0
-        if addr in self._simple:
+        field = csr.field
+        if field is None:
             return self._simple[addr]
-        raise KeyError(f"CSR {addr:#x} does not exist")
-
-    # -- write --------------------------------------------------------
+        return getattr(self, field)
 
     def write(self, addr: int, value: int) -> None:
         """Architectural write with WARL legalization (no privilege check)."""
-        value &= c.XMASK
-        # Plain storage first: one probe serves the per-trap xtval stores.
-        # ``_SIMPLE_CSRS`` is disjoint from every named case and range below.
-        simple = _SIMPLE_CSRS.get(addr)
-        if simple is not None:
-            self._simple[addr] = value & simple[1]
-        elif addr == c.CSR_MSTATUS:
-            self.mstatus = legalize_mstatus(self.mstatus, value)
-        elif addr == c.CSR_SSTATUS:
-            merged = (self.mstatus & ~c.SSTATUS_MASK) | (value & c.SSTATUS_MASK)
-            self.mstatus = legalize_mstatus(self.mstatus, merged)
-        elif addr == c.CSR_MISA:
-            pass  # WARL: this implementation fixes misa
-        elif addr == c.CSR_MEDELEG:
-            self.medeleg = value & c.MEDELEG_MASK
-        elif addr == c.CSR_MIDELEG:
-            if self.config.mideleg_hardwired:
-                self.mideleg = c.MIDELEG_MASK
-            else:
-                self.mideleg = value & c.MIDELEG_MASK
-        elif addr == c.CSR_MIE:
-            self.mie = value & c.MIP_MASK
-        elif addr == c.CSR_SIE:
-            writable = self.mideleg & c.SIP_MASK
-            self.mie = (self.mie & ~writable) | (value & writable)
-        elif addr == c.CSR_MIP:
-            self.mip_sw = value & c.MIP_WRITABLE
-        elif addr == c.CSR_SIP:
-            writable = self.mideleg & c.MIP_SSIP
-            self.mip_sw = (self.mip_sw & ~writable) | (value & writable)
-        elif addr == c.CSR_MTVEC:
-            self.mtvec = legalize_tvec(self.mtvec, value)
-        elif addr == c.CSR_STVEC:
-            self.stvec = legalize_tvec(self.stvec, value)
-        elif addr == c.CSR_MEPC:
-            self.mepc = value & ~0x3
-        elif addr == c.CSR_SEPC:
-            self.sepc = value & ~0x3
-        elif addr == c.CSR_MCAUSE:
-            self.mcause = value & (c.INTERRUPT_BIT | 0x3F)
-        elif addr == c.CSR_SCAUSE:
-            self.scause = value & (c.INTERRUPT_BIT | 0x3F)
-        elif addr == c.CSR_SATP:
-            self.satp = legalize_satp(self.satp, value)
-        elif addr == c.CSR_MENVCFG:
-            mask = c.MENVCFG_FIOM
-            if self.config.has_sstc:
-                mask |= c.MENVCFG_STCE
-            self.menvcfg = value & mask
-        elif addr == c.CSR_STIMECMP:
-            self.stimecmp = value
-        elif c.CSR_PMPCFG0 <= addr <= c.CSR_PMPCFG15:
-            self._write_pmpcfg((addr - c.CSR_PMPCFG0) * 4, value)
-        elif c.CSR_PMPADDR0 <= addr <= c.CSR_PMPADDR63:
-            self._write_pmpaddr(addr - c.CSR_PMPADDR0, value)
-        elif c.CSR_MHPMCOUNTER3 <= addr < c.CSR_MHPMCOUNTER3 + 29:
-            pass  # hardwired-zero performance counters
-        elif c.CSR_MHPMEVENT3 <= addr < c.CSR_MHPMEVENT3 + 29:
-            pass
-        elif addr in self.config.vendor_csrs:
-            self._simple[addr] = value
-        elif addr in _H_CSRS:
-            _reset, mask = _H_CSRS[addr]
-            if addr in (c.CSR_HIP, c.CSR_VSIP, c.CSR_HVIP):
-                self._simple[addr] = (self._simple[addr] & ~mask) | (value & mask)
-            else:
-                self._simple[addr] = value & mask if mask else self._simple[addr]
-        elif addr in (c.CSR_MTINST, c.CSR_MTVAL2):
-            self._simple[addr] = value
+        try:
+            csr = self.table[addr]
+        except KeyError:
+            raise KeyError(f"CSR {addr:#x} does not exist") from None
+        if csr.read_only:
+            raise KeyError(f"CSR {addr:#x} is read-only")
+        writer = csr.writer
+        if writer is not None:
+            writer(self, value & c.XMASK)
+        elif csr.field is None:
+            self._simple[addr] = value & csr.mask
         else:
-            raise KeyError(f"CSR {addr:#x} does not exist or is read-only")
-
-    def _write_pmpcfg(self, first_entry: int, value: int) -> None:
-        for i in range(8):
-            index = first_entry + i
-            if index >= self.config.pmp_count:
-                break
-            byte = (value >> (8 * i)) & 0xFF
-            self.pmpcfg[index] = legalize_pmpcfg_byte(self.pmpcfg[index], byte)
-
-    def _write_pmpaddr(self, index: int, value: int) -> None:
-        if index >= self.config.pmp_count:
-            return
-        if self.pmpcfg[index] & c.PMP_L:
-            return
-        # A locked TOR entry also locks the preceding address register.
-        if index + 1 < self.config.pmp_count:
-            next_cfg = self.pmpcfg[index + 1]
-            next_mode = get_field(next_cfg, c.PMP_A_MASK)
-            if next_cfg & c.PMP_L and next_mode == c.PmpAddressMode.TOR:
-                return
-        self.pmpaddr[index] = value & c.PMP_ADDR_MASK
+            setattr(self, csr.field, value & csr.mask)
 
     # -- state protocol (checkpoints, verification harness) --------------
 
@@ -363,86 +340,106 @@ class CsrFile:
         fields["pmpaddr"] = snap["pmpaddr"].copy()
 
 
-# Dispatch table for reads of individually-addressed CSRs.  Each entry is a
-# pure view over the CsrFile instance it receives; the table replaces the
-# long if-chain on the hot read path with a single dict lookup.  Range
-# CSRs (pmp, hpm counters) and vendor/H-extension storage fall through to
-# ``_read_ranged``.
-_CSR_READERS: dict[int, Callable[[CsrFile], int]] = {
-    c.CSR_MSTATUS: lambda f: f.mstatus,
-    c.CSR_SSTATUS: lambda f: f.mstatus & c.SSTATUS_MASK,
-    c.CSR_MISA: lambda f: f.config.misa,
-    c.CSR_MEDELEG: lambda f: f.medeleg,
-    c.CSR_MIDELEG: lambda f: f.mideleg,
-    c.CSR_MIE: lambda f: f.mie,
-    c.CSR_SIE: lambda f: f.mie & f.mideleg & c.SIP_MASK,
-    c.CSR_MIP: lambda f: f.mip,
-    c.CSR_SIP: lambda f: f.mip & f.mideleg & c.SIP_MASK,
-    c.CSR_MTVEC: lambda f: f.mtvec,
-    c.CSR_STVEC: lambda f: f.stvec,
-    c.CSR_MEPC: lambda f: f.mepc,
-    c.CSR_SEPC: lambda f: f.sepc,
-    c.CSR_MCAUSE: lambda f: f.mcause,
-    c.CSR_SCAUSE: lambda f: f.scause,
-    c.CSR_SATP: lambda f: f.satp,
-    c.CSR_MENVCFG: lambda f: f.menvcfg,
-    c.CSR_STIMECMP: lambda f: f.stimecmp,
-    c.CSR_MVENDORID: lambda f: f.config.mvendorid,
-    c.CSR_MARCHID: lambda f: f.config.marchid,
-    c.CSR_MIMPID: lambda f: f.config.mimpid,
-    c.CSR_MHARTID: lambda f: f.hartid,
-    c.CSR_MCONFIGPTR: lambda f: 0,
-    c.CSR_CYCLE: lambda f: f._simple[c.CSR_MCYCLE],
-    c.CSR_INSTRET: lambda f: f._simple[c.CSR_MINSTRET],
-    c.CSR_TIME: lambda f: to_u64(f.time_source()),
-    c.CSR_HGEIP: lambda f: 0,
-}
-# ``_SIMPLE_CSRS`` storage, disjoint from the ranges: the monitor reads
-# mtval on every trap.
-_CSR_READERS.update(
-    {addr: (lambda f, addr=addr: f._simple[addr]) for addr in _SIMPLE_CSRS}
-)
+@functools.cache
+def csr_table(config) -> Mapping[int, Csr]:
+    """Every CSR implemented on ``config``, by address (read-only).
 
-
-def csr_reader(addr: int) -> Callable[[CsrFile], int]:
-    """A bound-free reader for one CSR address.
-
-    Callers that repeatedly read the same CSR (the verification harness
-    compares the same field list on every check) can hoist the dispatch
-    out of their loop.
+    Vendor CSRs, the H extension, Sstc, the hardware ``time`` CSR and the
+    PMP entry count all come from the (frozen) config, so one table serves
+    every CsrFile of that config.
     """
-    reader = _CSR_READERS.get(addr)
-    if reader is not None:
-        return reader
-    return lambda f: f._read_ranged(addr)
+    table: dict[int, Csr] = {}
 
+    def csr(addr: int, field: Optional[str] = None, mask: int = c.XMASK,
+            reader=None, writer=None) -> None:
+        table[addr] = Csr(c.csr_min_privilege(addr), c.csr_is_read_only(addr),
+                          field, mask, reader, writer)
 
-# Canonical list of non-range CSR addresses this model knows about.
-_KNOWN_CSRS = frozenset(
-    {
-        c.CSR_MSTATUS, c.CSR_SSTATUS, c.CSR_MISA, c.CSR_MEDELEG, c.CSR_MIDELEG,
-        c.CSR_MIE, c.CSR_SIE, c.CSR_MIP, c.CSR_SIP, c.CSR_MTVEC, c.CSR_STVEC,
-        c.CSR_MEPC, c.CSR_SEPC, c.CSR_MCAUSE, c.CSR_SCAUSE, c.CSR_MTVAL,
-        c.CSR_STVAL, c.CSR_MSCRATCH, c.CSR_SSCRATCH, c.CSR_SATP, c.CSR_MENVCFG,
-        c.CSR_SENVCFG, c.CSR_MCOUNTEREN, c.CSR_SCOUNTEREN, c.CSR_MCOUNTINHIBIT,
-        c.CSR_MCYCLE, c.CSR_MINSTRET, c.CSR_CYCLE, c.CSR_INSTRET,
-        c.CSR_MVENDORID, c.CSR_MARCHID, c.CSR_MIMPID, c.CSR_MHARTID,
-        c.CSR_MCONFIGPTR,
-    }
-)
+    def constant(value: int) -> Callable[[CsrFile], int]:
+        return lambda f: value
+
+    csr(c.CSR_MSTATUS, "mstatus", writer=_legalized("mstatus", legalize_mstatus))
+    csr(c.CSR_SSTATUS, reader=lambda f: f.mstatus & c.SSTATUS_MASK,
+        writer=_write_sstatus)
+    csr(c.CSR_MISA, reader=constant(config.misa), writer=_ignore)
+    csr(c.CSR_MEDELEG, "medeleg", c.MEDELEG_MASK)
+    csr(c.CSR_MIDELEG, "mideleg", c.MIDELEG_MASK,
+        writer=_write_mideleg_hardwired if config.mideleg_hardwired else None)
+    csr(c.CSR_MIE, "mie", c.MIP_MASK)
+    csr(c.CSR_SIE, reader=lambda f: f.mie & f.mideleg & c.SIP_MASK,
+        writer=_write_sie)
+    csr(c.CSR_MIP, "mip_sw", c.MIP_WRITABLE, reader=CsrFile.mip.fget)
+    csr(c.CSR_SIP, reader=lambda f: f.mip & f.mideleg & c.SIP_MASK,
+        writer=_write_sip)
+    csr(c.CSR_MTVEC, "mtvec", writer=_legalized("mtvec", legalize_tvec))
+    csr(c.CSR_STVEC, "stvec", writer=_legalized("stvec", legalize_tvec))
+    csr(c.CSR_MEPC, "mepc", c.XMASK & ~0x3)
+    csr(c.CSR_SEPC, "sepc", c.XMASK & ~0x3)
+    csr(c.CSR_MCAUSE, "mcause", c.INTERRUPT_BIT | 0x3F)
+    csr(c.CSR_SCAUSE, "scause", c.INTERRUPT_BIT | 0x3F)
+    csr(c.CSR_SATP, "satp", writer=_legalized("satp", legalize_satp))
+    stce = c.MENVCFG_STCE if config.has_sstc else 0
+    csr(c.CSR_MENVCFG, "menvcfg", c.MENVCFG_FIOM | stce)
+    for addr, (_reset, mask) in _SIMPLE_CSRS.items():
+        csr(addr, mask=mask)
+    csr(c.CSR_CYCLE, reader=lambda f: f._simple[c.CSR_MCYCLE])
+    csr(c.CSR_INSTRET, reader=lambda f: f._simple[c.CSR_MINSTRET])
+    csr(c.CSR_MVENDORID, reader=constant(config.mvendorid))
+    csr(c.CSR_MARCHID, reader=constant(config.marchid))
+    csr(c.CSR_MIMPID, reader=constant(config.mimpid))
+    csr(c.CSR_MHARTID, "hartid")
+    csr(c.CSR_MCONFIGPTR, reader=_zero)
+
+    if config.has_sstc:
+        csr(c.CSR_STIMECMP, "stimecmp")
+    if config.has_hw_time_csr:
+        csr(c.CSR_TIME, reader=lambda f: to_u64(f.time_source()))
+    if config.has_h_extension:
+        for addr, (_reset, mask) in _H_CSRS.items():
+            if not mask:  # bare-only atp registers: writes ignored
+                csr(addr, writer=_ignore)
+            elif addr in _H_PENDING:
+                csr(addr, writer=_set_bits(addr, mask))
+            else:
+                csr(addr, mask=mask)
+        csr(c.CSR_MTINST)
+        csr(c.CSR_MTVAL2)
+        csr(c.CSR_HGEIP, reader=_zero)
+    for addr in config.vendor_csrs:
+        csr(addr)
+
+    # PMP.  RV64 has only the even pmpcfg registers.  Registers past the
+    # implemented entries are WARL read-zero/ignore-write, so software can
+    # probe the entry count without trapping — which unmodified firmware
+    # relies on when running on the (smaller) virtual PMP file.
+    for first in range(0, 64, 8):
+        csr(c.CSR_PMPCFG0 + first // 4,
+            reader=functools.partial(_read_pmpcfg, first=first),
+            writer=(functools.partial(_write_pmpcfg, first=first)
+                    if first < config.pmp_count else _ignore))
+    for index in range(64):
+        csr(c.CSR_PMPADDR0 + index,
+            reader=functools.partial(_read_pmpaddr, index=index),
+            writer=(functools.partial(_write_pmpaddr, index=index)
+                    if index < config.pmp_count else _ignore))
+
+    # Hardwired-zero performance counters and event selectors.
+    for offset in range(29):
+        csr(c.CSR_MHPMCOUNTER3 + offset, reader=_zero, writer=_ignore)
+        csr(c.CSR_MHPMEVENT3 + offset, reader=_zero, writer=_ignore)
+        csr(c.CSR_HPMCOUNTER3 + offset, reader=_zero)
+    return MappingProxyType(table)
 
 
 def known_csr_addresses(config) -> list[int]:
-    """All CSR addresses implemented on ``config`` (used by verification)."""
-    file = CsrFile(config)
-    addresses = sorted(_KNOWN_CSRS)
-    addresses += [c.CSR_PMPCFG0 + 2 * i for i in range((config.pmp_count + 7) // 8)]
-    addresses += [c.CSR_PMPADDR0 + i for i in range(config.pmp_count)]
-    if config.has_sstc:
-        addresses.append(c.CSR_STIMECMP)
-    if config.has_hw_time_csr:
-        addresses.append(c.CSR_TIME)
-    if config.has_h_extension:
-        addresses += sorted(_H_CSRS) + [c.CSR_MTINST, c.CSR_MTVAL2, c.CSR_HGEIP]
-    addresses += list(config.vendor_csrs)
-    return [addr for addr in sorted(set(addresses)) if file.exists(addr)]
+    """The CSRs verification enumerates on ``config``: every implemented
+    one but the hardwired-zero performance counters and the PMP registers
+    past the implemented entries."""
+    used_pmpcfgs = 2 * ((config.pmp_count + 7) // 8)
+    skipped = {
+        *range(c.CSR_PMPCFG0 + used_pmpcfgs, c.CSR_PMPCFG15 + 1),
+        *range(c.CSR_PMPADDR0 + config.pmp_count, c.CSR_PMPADDR63 + 1),
+    }
+    for base in (c.CSR_MHPMCOUNTER3, c.CSR_MHPMEVENT3, c.CSR_HPMCOUNTER3):
+        skipped.update(range(base, base + 29))
+    return sorted(csr_table(config).keys() - skipped)

@@ -74,19 +74,11 @@ def csr_access_allowed(
 ) -> bool:
     """Whether the current mode may access a CSR (illegal instruction if not)."""
     csr_file = state.csr
-    rules = csr_file.access_rules
-    rule = rules.get(csr)
-    if rule is None:
-        rule = rules[csr] = (
-            csr_file.exists(csr),
-            c.csr_is_read_only(csr),
-            c.csr_min_privilege(csr),
-        )
-    exists, read_only, min_privilege = rule
-    if not exists or (is_write and read_only):
+    entry = csr_file.table.get(csr)
+    if entry is None or (is_write and entry.read_only):
         return False
     mode = state.mode
-    if mode < min_privilege:
+    if mode < entry.min_privilege:
         return False
     if csr == c.CSR_SATP and mode == c.S_MODE and csr_file.mstatus & c.MSTATUS_TVM:
         return False

@@ -26,7 +26,6 @@ from repro.core.emulator import (
 from repro.core.vcpu import VirtContext
 from repro.isa import constants as c
 from repro.isa.instructions import Instruction
-from repro.spec.csrs import csr_reader
 from repro.spec.state import MachineState
 from repro.spec.step import execute_instruction
 from repro.verif.report import CheckReport, Divergence
@@ -54,11 +53,6 @@ _COMPARED_CSRS = (
     ("satp", "satp", c.CSR_SATP),
     ("scounteren", "scounteren", c.CSR_SCOUNTEREN),
     ("senvcfg", "senvcfg", c.CSR_SENVCFG),
-)
-
-# Dispatch hoisted out of the per-check comparison loop.
-_COMPARED_CSR_READERS = tuple(
-    (label, attr, csr_reader(csr)) for label, attr, csr in _COMPARED_CSRS
 )
 
 
@@ -213,8 +207,9 @@ def compare_states(vctx: VirtContext, spec_state: MachineState,
     csr_file = spec_state.csr
     diff("pc", spec_state.pc, vfm_pc)
     diff("mode", spec_state.mode, vctx.virtual_mode)
-    for label, attr, reader in _COMPARED_CSR_READERS:
-        diff(label, reader(csr_file), getattr(vctx, attr))
+    read = csr_file.read
+    for label, attr, csr in _COMPARED_CSRS:
+        diff(label, read(csr), getattr(vctx, attr))
     diff("mip", csr_file.mip, vctx.mip & c.MIP_MASK)
     # Compare the full architectural register file, not just the
     # implemented entries: writes beyond the virtual count must be ignored

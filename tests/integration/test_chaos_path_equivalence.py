@@ -2,9 +2,10 @@
 
 ``FaultInjector._decide`` walks a per-site spec index, ``CoverageMap.record``
 memoises each path's bitmap slot, ``_copy`` returns scalars and scalar
-lists at once, and ``csr_access_allowed`` reads a per-CSR rule memo.  The
-references below are the replaced code, kept verbatim in logic; the
-rewritten helpers must agree with them on every input.
+lists at once, and ``csr_access_allowed`` reads its static rule from the
+per-config CSR table.  The references below are the replaced code, kept
+verbatim in logic; the rewritten helpers must agree with them on every
+input.
 """
 
 from __future__ import annotations
@@ -332,7 +333,7 @@ def test_csr_access_allowed_matches_reference(platform, tvm, stce,
         csr_file.menvcfg |= c.MENVCFG_STCE
     csr_file.write(c.CSR_MCOUNTEREN, mcounteren)
     csr_file.write(c.CSR_SCOUNTEREN, scounteren)
-    # Twice: the first pass fills the rule memo, the second reads it.
+    # Twice: a check must not change what a later one answers.
     for _ in range(2):
         for mode in (c.U_MODE, c.S_MODE, c.M_MODE):
             state.mode = mode

@@ -38,7 +38,7 @@ HEADROOM = 1.10
 #: Python version -> workload -> calls per recorded trap when set.  3.12
 #: inlines comprehensions, hence its lower Memcached count.
 MEASURED = {
-    (3, 11): {"stall-loop": 36.69, "memcached-reinject": 62.89},
+    (3, 11): {"stall-loop": 36.68, "memcached-reinject": 62.06},
     (3, 12): {"stall-loop": 36.69, "memcached-reinject": 62.43},
 }
 

@@ -40,7 +40,7 @@ NOT_STATE = {
     },
     "Hart": {"machine", "hartid", "cycle_model", "_cost_table"},
     "MachineState": {"config", "hartid"},
-    "CsrFile": {"config", "hartid", "time_source", "access_rules"},
+    "CsrFile": {"config", "hartid", "time_source", "table"},
     "Clint": {"base", "size", "num_harts", "time_source", "_set_msip",
               "_set_mtip", "fault_hook",
               # The deadline window, derived from mtimecmp and the levels.

@@ -13,7 +13,12 @@ from repro.spec.csrs import (
     legalize_satp,
     legalize_tvec,
 )
-from repro.spec.platform import PREMIER_P550, RVA23_MACHINE, VISIONFIVE2
+from repro.spec.platform import (
+    PLATFORMS,
+    PREMIER_P550,
+    RVA23_MACHINE,
+    VISIONFIVE2,
+)
 
 u64 = st.integers(min_value=0, max_value=(1 << 64) - 1)
 
@@ -276,6 +281,50 @@ class TestExistence:
             for addr in known_csr_addresses(config):
                 assert csrs.exists(addr), hex(addr)
                 csrs.read(addr)  # must not raise
+
+
+class TestRawAccessFollowsExistence:
+    """Raw ``read``/``write`` accept exactly the CSRs ``exists`` reports;
+    a write to a read-only one is rejected too, and a rejected write
+    leaves the state untouched."""
+
+    @pytest.mark.parametrize("config", PLATFORMS.values(),
+                             ids=lambda p: p.name)
+    def test_every_address(self, config):
+        csrs = CsrFile(config)
+        before = csrs.snapshot_state()
+        for addr in range(0x1000):
+            if csrs.exists(addr):
+                csrs.read(addr)
+            else:
+                with pytest.raises(KeyError):
+                    csrs.read(addr)
+            if csrs.exists(addr) and not c.csr_is_read_only(addr):
+                continue
+            with pytest.raises(KeyError):
+                csrs.write(addr, (1 << 64) - 1)
+            assert csrs.snapshot_state() == before, hex(addr)
+
+    def test_odd_pmpcfg_write_leaves_pmpcfg0_alone(self, csrs):
+        with pytest.raises(KeyError):
+            csrs.write(c.CSR_PMPCFG0 + 1, 0x0F0F_0F0F_0F0F_0F0F)
+        assert csrs.read(c.CSR_PMPCFG0) == 0
+        assert csrs.pmpcfg[4:8] == [0] * 4
+
+    def test_last_odd_pmpcfg_read_is_a_key_error(self, csrs):
+        with pytest.raises(KeyError):
+            csrs.read(c.CSR_PMPCFG15)
+
+    def test_h_write_without_h_adds_no_state(self, csrs):
+        with pytest.raises(KeyError):
+            csrs.write(c.CSR_HTVAL, 5)
+        assert c.CSR_HTVAL not in csrs.snapshot_state()["simple"]
+
+    @pytest.mark.parametrize("addr", [c.CSR_STIMECMP, c.CSR_TIME, c.CSR_HGEIP],
+                             ids=["stimecmp", "time", "hgeip"])
+    def test_absent_extension_csrs_are_unreadable(self, csrs, addr):
+        with pytest.raises(KeyError):
+            csrs.read(addr)
 
 
 class TestMachineInformation:
