@@ -67,8 +67,10 @@ class MiralisConfig:
     #: Traps the firmware may take during one activation (boot, or one
     #: injected trap) before it is declared wedged.
     vm_trap_budget: int = 20_000
-    #: Identical firmware memory faults (same mtval) tolerated within one
-    #: activation before declaring a PMP/access-fault livelock.
+    #: Identical firmware faults tolerated within one activation before
+    #: declaring a livelock: memory faults on one mtval (a PMP/access-fault
+    #: loop), or exception traps repeating one (mcause, mepc, mtval) with
+    #: only the trapping instruction retired in between (a trap storm).
     max_fault_repeats: int = 16
     #: Nested virtual trap injections (trap during trap handling) before
     #: declaring a double-trap cascade.

@@ -260,7 +260,7 @@ class Miralis:
             # virtual-interrupt injection) sees a coherent virtual mip.
             vctx.mip = (vctx.mip & ~_SIP_MASK) | (csr_file.mip & _SIP_MASK)
         elif self.watchdog is not None:
-            self.watchdog.note_vm_trap(hart, vctx)
+            self.watchdog.note_vm_trap(hart, vctx, mcause, mepc, mtval)
 
         if mcause & _INTERRUPT_BIT:
             self._handle_physical_interrupt(hart, vctx, code, mepc)
@@ -319,8 +319,8 @@ class Miralis:
         injector = self.machine.fault_injector
         if injector is not None and injector.stall_firmware(hart.hartid):
             # Injected runaway loop: resume the trapped instruction without
-            # emulating it, so it traps again.  Only the watchdog's trap
-            # budget can break the cycle.
+            # emulating it, so it traps again.  The watchdog's trap-storm
+            # detector breaks the cycle.
             self.machine.stats.annotate_last("fault-inject", detail="stall", hart=hart.hartid)
             hart.state.pc = mepc
             return

@@ -5,10 +5,11 @@ the firmware it hosts is buggy or hostile.  The watchdog supplies the
 *recovery* half of that promise:
 
 * **Detection** — each firmware *activation* (boot, or handling one
-  injected trap) runs under a trap budget, a nested-injection depth
-  limit, a same-fault repeat limit, and a violation quota.  Firmware
-  panics, trap vectors pointing into unmapped memory, and hopeless WFIs
-  are reported by the monitor directly.
+  injected trap) runs under a trap budget, a no-progress trap-storm
+  limit, a nested-injection depth limit, a same-fault repeat limit, and
+  a violation quota.  Firmware panics, trap vectors pointing into
+  unmapped memory, and hopeless WFIs are reported by the monitor
+  directly.
 * **Retry** — the :class:`~repro.core.vcpu.VirtContext` is snapshotted
   at the start of every activation; on failure it is restored and the
   activation retried with bounded exponential backoff (charged as host
@@ -33,6 +34,8 @@ from typing import Optional
 from repro.hart.program import FirmwareRecovered, MachineHalted
 from repro.isa import constants as c
 from repro.statecopy import copy_state
+
+_INTERRUPT_BIT = c.INTERRUPT_BIT
 
 
 class FirmwareWatchdog:
@@ -69,6 +72,11 @@ class FirmwareWatchdog:
         self._inject_depth = [0] * num_harts
         self._last_fault_tval: list[Optional[int]] = [None] * num_harts
         self._fault_repeats = [0] * num_harts
+        #: The (mcause, mepc, mtval, instret) the next vM-mode exception
+        #: must carry to repeat the last one with no progress (None after
+        #: an interrupt or at activation start), and the repeat count.
+        self._storm_next: list[Optional[tuple]] = [None] * num_harts
+        self._storm_repeats = [0] * num_harts
         self._violations = [0] * num_harts
         self._snapshots: list[Optional[dict]] = [None] * num_harts
         # ("boot",) or ("trap", code, is_interrupt, mtval, mepc, os_mode).
@@ -79,7 +87,7 @@ class FirmwareWatchdog:
     # ------------------------------------------------------------------
 
     def snapshot_state(self) -> dict:
-        return {
+        state = {
             "quarantined": list(self.quarantined),
             "consecutive_failures": list(self.consecutive_failures),
             "os_entered": list(self.os_entered),
@@ -96,6 +104,13 @@ class FirmwareWatchdog:
             "snapshots": copy_state(self._snapshots),
             "pending": list(self._pending),
         }
+        # Left out while idle, as at every activation boundary, so a
+        # checkpoint taken there keeps the document it had before the
+        # storm detector existed (and such documents still restore).
+        if any(self._storm_next) or any(self._storm_repeats):
+            state["storm_next"] = list(self._storm_next)
+            state["storm_repeats"] = list(self._storm_repeats)
+        return state
 
     def restore_state(self, state: dict) -> None:
         # In place: ``machine.recovery_stats`` aliases the counters.
@@ -112,6 +127,11 @@ class FirmwareWatchdog:
         self._inject_depth[:] = state["inject_depth"]
         self._last_fault_tval[:] = state["last_fault_tval"]
         self._fault_repeats[:] = state["fault_repeats"]
+        num_harts = len(self._storm_next)
+        self._storm_next[:] = [
+            None if entry is None else tuple(entry)
+            for entry in state.get("storm_next", [None] * num_harts)]
+        self._storm_repeats[:] = state.get("storm_repeats", [0] * num_harts)
         self._violations[:] = state["violations"]
         self._snapshots[:] = copy_state(state["snapshots"])
         self._pending[:] = [None if entry is None else tuple(entry)
@@ -131,6 +151,8 @@ class FirmwareWatchdog:
         self._inject_depth[hartid] = 0
         self._last_fault_tval[hartid] = None
         self._fault_repeats[hartid] = 0
+        self._storm_next[hartid] = None
+        self._storm_repeats[hartid] = 0
         self._violations[hartid] = 0
 
     def _activation_snapshot(self, hart, vctx) -> dict:
@@ -181,12 +203,38 @@ class FirmwareWatchdog:
     # Detectors (each may raise FirmwareRecovered / MachineHalted)
     # ------------------------------------------------------------------
 
-    def note_vm_trap(self, hart, vctx) -> None:
+    def note_vm_trap(self, hart, vctx, mcause, mepc, mtval) -> None:
+        """One vM-mode trap: the trap budget and the storm detector.
+
+        Two consecutive exception traps with the same ``(mcause, mepc,
+        mtval)`` and exactly one retired instruction between them are one
+        repeat: the firmware re-ran the faulting instruction and nothing
+        else (this model counts a trapping instruction in ``instret``).
+        Any other trap, an interrupt included, resets the count;
+        ``max_fault_repeats`` repeats in one activation are a storm.
+        """
         hartid = hart.hartid
         self._vm_traps[hartid] += 1
         if self._vm_traps[hartid] > self.config.vm_trap_budget:
             self._count(hartid, "detect:trap-budget")
             self.recover(hart, vctx, "vM-mode trap budget exhausted")
+        if mcause & _INTERRUPT_BIT:
+            self._storm_next[hartid] = None
+            self._storm_repeats[hartid] = 0
+            return
+        instret = hart.instret
+        if self._storm_next[hartid] == (mcause, mepc, mtval, instret):
+            self._storm_repeats[hartid] += 1
+            if self._storm_repeats[hartid] >= self.config.max_fault_repeats:
+                self._count(hartid, "detect:trap-storm")
+                self.recover(
+                    hart, vctx,
+                    f"firmware re-executing a trapping instruction at "
+                    f"{mepc:#x} (cause {mcause}, no progress)",
+                )
+        else:
+            self._storm_repeats[hartid] = 0
+        self._storm_next[hartid] = (mcause, mepc, mtval, instret + 1)
 
     def note_injection(self, hart, vctx) -> None:
         hartid = hart.hartid

@@ -44,9 +44,10 @@ WARM_FIRMWARES = ("opensbi", "rustsbi")
 #: captured checkpoint.
 _WARM_BOOTS: dict = {}
 
-#: Budget for one chaos run.  Generous against the worst plan (stall-loop
-#: burns ~8k traps across retries) yet low enough that a wedged run fails
-#: fast instead of hanging CI.
+#: Budget for one chaos run.  Generous against the worst healthy plan
+#: (stall-loop burns ~140 traps across its four activations before the
+#: storm detector quarantines the firmware) yet low enough that a wedged
+#: run fails fast instead of hanging CI.
 MAX_DISPATCHES = 3_000_000
 
 #: Halt reasons that count as a clean end even without an explicit

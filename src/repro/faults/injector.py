@@ -26,7 +26,8 @@ the monitor):
     emulation.
 ``stall``
     A trapped firmware instruction is resumed *without* emulation, so the
-    firmware re-executes it forever — a runaway trap loop.
+    firmware re-executes it forever — a runaway trap loop, which the
+    watchdog's trap-storm detector ends.
 """
 
 from __future__ import annotations

@@ -63,12 +63,13 @@ DECODE_FLIP = FaultPlan(
 )
 
 #: After the firmware has handled a few dozen traps, stop emulating:
-#: every subsequent trap re-executes the same instruction forever.  Only
-#: the watchdog's vM-mode trap budget can end this.
+#: every subsequent trap re-executes the same instruction forever.  The
+#: watchdog's no-progress storm detector ends each stalled activation
+#: after ``max_fault_repeats`` repeats.
 STALL_LOOP = FaultPlan(
     "stall-loop",
     (FaultSpec("stall", after=30),),
-    "wedge the firmware in a runaway trap loop (tests the trap budget)",
+    "wedge the firmware in a runaway trap loop (tests the storm detector)",
 )
 
 #: A decision index no real run reaches: pads below arm a site without

@@ -8,8 +8,13 @@ import pytest
 
 from repro.core.config import MiralisConfig
 from repro.core.miralis import Miralis
+from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.firmware.opensbi import OpenSbiFirmware
+from repro.hart.binary import BinaryProgram
 from repro.hart.machine import Machine
+from repro.hart.program import FirmwareRecovered
+from repro.isa import constants as c
+from repro.isa.asm import Assembler
 from repro.policy.default import DefaultPolicy
 from repro.spec.platform import VISIONFIVE2
 from repro.system import build_virtualized, memory_regions
@@ -98,6 +103,95 @@ class TestBootRecovery:
         reason = system.run()
         assert "firmware quarantined" in reason
         assert system.miralis.watchdog.counters["retries"] == 0
+
+
+def _spy_traps_at_detection(watchdog) -> list:
+    """Record the activation's vM-mode trap count at every recovery."""
+    seen = []
+    recover = watchdog.recover
+
+    def spy(hart, vctx, reason):
+        seen.append(watchdog._vm_traps[hart.hartid])
+        recover(hart, vctx, reason)
+
+    watchdog.recover = spy
+    return seen
+
+
+def _csr_loop_image(base: int) -> bytes:
+    """``1: csrr t0, mscratch; j 1b`` — traps at one pc, but the jump
+    retires between the traps: a loop that makes progress."""
+    asm = Assembler(base=base)
+    asm.label("loop")
+    asm.csrr("t0", c.CSR_MSCRATCH)
+    asm.j("loop")
+    return asm.binary()
+
+
+class TestTrapStorm:
+    def test_stalled_instruction_ends_in_trap_storm(self):
+        """A firmware re-executing one trapping instruction is caught by
+        the storm detector after ``max_fault_repeats`` repeats, long
+        before the trap budget, in every activation."""
+        system = build_virtualized(
+            VISIONFIVE2,
+            miralis_config=_watchdog_config(),
+        )
+        stall = FaultPlan("stall-now", (FaultSpec("stall"),))
+        system.machine.install_fault_injector(FaultInjector(stall, seed=0))
+        watchdog = system.miralis.watchdog
+        traps_at_detection = _spy_traps_at_detection(watchdog)
+        reason = system.run()
+        assert "firmware quarantined" in reason
+        assert watchdog.counters["detect:trap-storm"] == 3
+        assert watchdog.counters["detect:trap-budget"] == 0
+        repeats = watchdog.config.max_fault_repeats
+        assert traps_at_detection == [repeats + 1] * 3
+
+    def test_progress_at_one_pc_ends_in_trap_budget(self):
+        """A CSR loop traps at one pc with the same cause and mtval, but
+        retires its jump between traps: only the budget may end it."""
+        machine = Machine(VISIONFIVE2)
+        regions = memory_regions(VISIONFIVE2)
+        blob = BinaryProgram("csr-loop", regions["firmware"], machine,
+                             _csr_loop_image(regions["firmware"].base))
+        miralis = Miralis(machine, regions["miralis"], blob,
+                          _watchdog_config(), DefaultPolicy())
+        machine.register(blob)
+        machine.register(miralis)
+        watchdog = miralis.watchdog
+        traps_at_detection = _spy_traps_at_detection(watchdog)
+        reason = machine.boot(entry=miralis.region.base)
+        assert "firmware quarantined" in reason
+        assert watchdog.counters["detect:trap-budget"] == 3
+        assert watchdog.counters["detect:trap-storm"] == 0
+        budget = watchdog.config.vm_trap_budget
+        assert traps_at_detection == [budget + 1] * 3
+
+    def test_interrupt_between_identical_traps_resets_the_count(self):
+        system = build_virtualized(VISIONFIVE2,
+                                   miralis_config=_watchdog_config())
+        watchdog = system.miralis.watchdog
+        hart = system.machine.harts[0]
+        vctx = system.miralis.vctx[0]
+        watchdog.arm_boot(hart, vctx)
+        repeats = watchdog.config.max_fault_repeats
+
+        def rerun_trapping_instruction():
+            hart.instret += 1
+            watchdog.note_vm_trap(hart, vctx, c.TrapCause.ILLEGAL_INSTRUCTION,
+                                  0x8000_0100, 0x3402_72F3)
+
+        # One trap plus ``repeats - 1`` repeats: one short of a storm.
+        for _ in range(repeats):
+            rerun_trapping_instruction()
+        watchdog.note_vm_trap(hart, vctx, c.INTERRUPT_BIT | 7, 0x8000_0100, 0)
+        for _ in range(repeats):
+            rerun_trapping_instruction()
+        assert watchdog.counters["detect:trap-storm"] == 0
+        with pytest.raises(FirmwareRecovered):
+            rerun_trapping_instruction()
+        assert watchdog.counters["detect:trap-storm"] == 1
 
 
 class TestTrapRecovery:

@@ -14,6 +14,7 @@ import pytest
 
 from repro.core.config import MiralisConfig
 from repro.hart.program import FirmwareRecovered
+from repro.isa import constants as c
 from repro.spec.platform import VISIONFIVE2
 from repro.system import build_virtualized
 
@@ -57,11 +58,32 @@ def test_detector_counters_keyed_by_hart():
     system, watchdog, hart, vctx = _armed(1)
     budget = watchdog.config.vm_trap_budget
     with pytest.raises(FirmwareRecovered):
-        for _ in range(budget + 1):
-            watchdog.note_vm_trap(hart, vctx)
+        for index in range(budget + 1):
+            watchdog.note_vm_trap(hart, vctx, c.TrapCause.ILLEGAL_INSTRUCTION,
+                                  0x8000_0000 + 4 * index, 0)
     assert watchdog.hart_counters[1]["detect:trap-budget"] == 1
     assert watchdog.hart_counters[0]["detect:trap-budget"] == 0
     assert watchdog.counters["detect:trap-budget"] == 1
+
+
+def test_trap_storm_counted_on_its_hart_only():
+    """Storm state is per hart: hart 0 trapping in between must neither
+    reset hart 1's count nor be charged with hart 1's storm."""
+    system, watchdog, hart, vctx = _armed(1)
+    hart0 = system.machine.harts[0]
+    vctx0 = system.miralis.vctx[0]
+    watchdog.arm_boot(hart0, vctx0)
+    with pytest.raises(FirmwareRecovered):
+        for index in range(watchdog.config.max_fault_repeats + 1):
+            hart0.instret += 1
+            watchdog.note_vm_trap(hart0, vctx0, c.TrapCause.ECALL_FROM_U,
+                                  0x8000_0000 + 4 * index, 0)
+            hart.instret += 1
+            watchdog.note_vm_trap(hart, vctx, c.TrapCause.ILLEGAL_INSTRUCTION,
+                                  0x8000_0100, 0x3402_72F3)
+    assert watchdog.hart_counters[1]["detect:trap-storm"] == 1
+    assert watchdog.hart_counters[0]["detect:trap-storm"] == 0
+    assert watchdog.counters["detect:trap-storm"] == 1
 
 
 def test_stats_recovery_counts_keyed_by_hart():

@@ -96,6 +96,7 @@ class TestRecoveryAccounting:
             if name.startswith("detect:")
         )
         assert detections == result.recoveries.get("recoveries", 0)
+        assert detections == result.recoveries.get("detect:trap-storm", 0)
 
     @pytest.mark.parametrize("plan", CHAOS_SUITE)
     def test_per_hart_recovery_counts_sum_to_aggregate(self, plan):
@@ -127,6 +128,8 @@ class TestRecoveryAccounting:
         assert a.trap_log == b.trap_log
         assert a.halt_reason == b.halt_reason
         assert a.recoveries == b.recoveries
+        assert a.recoveries.get("detect:trap-storm", 0) > 0
+        assert "detect:trap-budget" not in a.recoveries
         assert len(a.hart_recoveries) == 2
         for kind, total in a.recoveries.items():
             per_hart = sum(
@@ -142,6 +145,10 @@ class TestChaosOutcomes:
         # The runaway loop cannot end silently: either the watchdog
         # quarantined the firmware, or recovery retries got it through.
         assert result.quarantined or result.recoveries.get("retries", 0) > 0
+        # The runaway is one instruction re-trapping with no progress:
+        # the storm detector ends it, not the trap budget.
+        assert result.recoveries.get("detect:trap-storm", 0) > 0
+        assert "detect:trap-budget" not in result.recoveries
 
     def test_quarantined_run_still_serves_the_os(self):
         result = run_chaos("opensbi", "stall-loop", seed=3)

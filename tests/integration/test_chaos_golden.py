@@ -9,7 +9,9 @@ machine's trap counts and exact ``cycles`` float.  The digests were
 recorded before the fault injector, coverage map, activation snapshots
 and vM-mode CSR-trap path were optimised for host time; any change to
 them means a host-only change altered a simulated bit, an injection
-decision or a coverage bit.
+decision or a coverage bit.  The four ``stall-loop`` digests were
+re-recorded once, for a model change: the watchdog's no-progress storm
+detector ends the runaway loop long before the trap budget did.
 
 Only cells that run to an end are pinned; at this seed all 32 do.
 """
@@ -35,7 +37,7 @@ GOLDEN = {
     "opensbi/mtvec-smash": "6f4cadea92af20f55d8c50e6260fa20cacd9e4792fa09d394b9b2867ee352398",
     "opensbi/none": "9cba293dba9f2433276c4523ca623f7dff0ec775593e9e2f61346e4b2ef94384",
     "opensbi/padded-mtvec": "6f4cadea92af20f55d8c50e6260fa20cacd9e4792fa09d394b9b2867ee352398",
-    "opensbi/stall-loop": "1ac6842a6b85e8e319dbe91cb9d1aeea2ee578e80550929aecd545028ef03996",
+    "opensbi/stall-loop": "f6e0bdee9c82348971fc4e20e97a7152bf147b6384aa982f0c22407deb6ff107",
     "opensbi/transient-mmio": "5637df41b2c3d1467a366a9460e457aa7463099af60cb924a3c9cfc3ddcfeba4",
     "rustsbi/csr-chaos": "9de50d7434bd53d55fda287681df9641db3de548ba36d0e1231639eb3261c153",
     "rustsbi/decode-flip": "5f8171be0ae71ba591e61ef9b2d18cfe5464c043727147618f1fd3c9d1bca5ef",
@@ -43,7 +45,7 @@ GOLDEN = {
     "rustsbi/mtvec-smash": "878d7c1c89c4e80a339409ebd5c58ad26ed433f97f987ae3e4473633ee8c4826",
     "rustsbi/none": "3f847ef32684c49635854bdc0bca1c480061ccc150e2b8d141d59c45f1425b35",
     "rustsbi/padded-mtvec": "878d7c1c89c4e80a339409ebd5c58ad26ed433f97f987ae3e4473633ee8c4826",
-    "rustsbi/stall-loop": "a8dfa1e6e78fa309652cd37e8f70dddb09a48bce211a03e982488d638a05bcbf",
+    "rustsbi/stall-loop": "ab61368855982b41c0a6f33c724f171e192f3a455f8444a87067274bd8f60744",
     "rustsbi/transient-mmio": "817c4e33c0c251ce27a5a8018da04853c068da8e2855db61d9713db3227163ed",
     "zephyr/csr-chaos": "db32ebdc3112e46a24708d5ca70c0f4f2d6c41cdedf894575ccca927d1ad1de1",
     "zephyr/decode-flip": "2c05c87546443c2086ee8ab4e39c5299892677da23c9829196add078b9cad5a8",
@@ -51,7 +53,7 @@ GOLDEN = {
     "zephyr/mtvec-smash": "617b747cd46d8e6dad2044078968858d106cbb7c98bdd323e01062ad3110fbbe",
     "zephyr/none": "db32ebdc3112e46a24708d5ca70c0f4f2d6c41cdedf894575ccca927d1ad1de1",
     "zephyr/padded-mtvec": "617b747cd46d8e6dad2044078968858d106cbb7c98bdd323e01062ad3110fbbe",
-    "zephyr/stall-loop": "6b033a92288c6c40e757edece3fefa10ccd447f319144fd6b3eedec544cbf5b5",
+    "zephyr/stall-loop": "2e658c10ae3555afb57f855c89baf4889ea111bebcd1df340948e1c349450399",
     "zephyr/transient-mmio": "c8ad53de3ef8187e59d1f434829ba45af526c5aba3fd068387a8bef6b0dac6d4",
     "malicious/csr-chaos": "e0b59c3e44bf1c8042736a08dce6b09601577a359ede8ac30ce5aa4895985bcd",
     "malicious/decode-flip": "f115bfc48ebf9b37654929d6ad71ccff231cb90e6e4bed064dc214ba4659cf2d",
@@ -59,7 +61,7 @@ GOLDEN = {
     "malicious/mtvec-smash": "6f69579173d9d6a1b1f28a86e6408ca317aff54633adb4877b564c176a02615a",
     "malicious/none": "e86756f71eef3153e37d54a796e3fc8fb15ba7baa3bd0f991521c98ff1087902",
     "malicious/padded-mtvec": "6f69579173d9d6a1b1f28a86e6408ca317aff54633adb4877b564c176a02615a",
-    "malicious/stall-loop": "88cde0c46216a49e065482b731d28dd1a445b890c33f0e92b8f6c3a29a755b65",
+    "malicious/stall-loop": "9908b69fd03a6825772dce875739252cafed818bd8beba1f86be3e2c3fc69061",
     "malicious/transient-mmio": "5637df41b2c3d1467a366a9460e457aa7463099af60cb924a3c9cfc3ddcfeba4",
 }
 

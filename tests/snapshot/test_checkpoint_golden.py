@@ -16,7 +16,9 @@ document byte for byte across any refactor of how state is gathered:
 * restore→capture round-trips through fresh machines.
 
 A digest here changes only when the checkpoint *format* changes on
-purpose; then re-record it and say so.
+purpose; then re-record it and say so.  ``transient-mmio`` x 3 was
+re-recorded when the watchdog gained its trap-storm lists: that boot
+halts inside a firmware activation, so its capture carries them.
 """
 
 import dataclasses
@@ -54,7 +56,7 @@ FAULTED_POST_HALT = {
     ("mtvec-smash", 1):
         "f9527158342896327db47e68b7aed70527b2212dbe54a373a367e7bd8e43296c",
     ("transient-mmio", 3):
-        "76736bd30b2dee428f3461c07487546b59a790c9d40b067890633a183d059b60",
+        "c7270853e32fc14932f1981da224f7873221cbb3777edb30a87448af5730eafc",
 }
 QUARANTINED_UNTRACED = (
     "ccecfa5861dffbe2f6a798772fa589c774718f2161093aedc2c899b243ea0bec")
