@@ -159,22 +159,21 @@ def command_boot(args: argparse.Namespace) -> int:
         firmware_class=firmware_class,
         start_secondaries=smp and platform.num_harts > 1,
     )
-    if args.native:
-        system = build_native(platform, **build_kwargs)
-    else:
-        policy = (
-            FirmwareSandboxPolicy(
-                extra_allowed_regions=[(platform.uart_base, 0x100)]
+    with _block_cache_ctx(args):
+        if args.native:
+            system = build_native(platform, **build_kwargs)
+        else:
+            policy = (
+                FirmwareSandboxPolicy(
+                    extra_allowed_regions=[(platform.uart_base, 0x100)]
+                )
+                if args.policy == "sandbox"
+                else DefaultPolicy()
             )
-            if args.policy == "sandbox"
-            else DefaultPolicy()
-        )
-        system = build_virtualized(
-            platform, policy=policy, offload=not args.no_offload,
-            **build_kwargs,
-        )
-    if args.block_cache == "off":
-        system.machine.blocks = None
+            system = build_virtualized(
+                platform, policy=policy, offload=not args.no_offload,
+                **build_kwargs,
+            )
     tracer = _make_tracer(args)
     system.machine.tracer = tracer
     meter = StepMeter()

@@ -33,13 +33,11 @@ Correctness rules (each one load-bearing):
   op — so interleavings are byte-identical to the single-step engine.
 * **Derived state.** The cache is rebuildable at any time: snapshot
   capture never sees it and restore invalidates it (via the
-  ``restore_pages`` hook); ``perf.clear_caches`` bumps the toggle
-  generation which lazily drops it; disabling perf caches disables the
-  engine entirely.
-* **Fault injection and debugging fall back.** Any installed fault
-  injector disables the engine (the decode fault site is consulted per
-  fetch, so skipping fetches would shift decision streams), as does the
-  ``single_step`` debug flag and ``perf.set_caches_enabled(False)``.
+  ``restore_pages`` hook).  It lives and dies with its machine.
+* **Fault injection falls back.** Any installed fault injector disables
+  the engine (the decode fault site is consulted per fetch, so skipping
+  fetches would shift decision streams).  The one off switch is
+  :func:`blocks_disabled`, which builds machines without an engine.
 """
 
 from __future__ import annotations
@@ -52,9 +50,7 @@ from typing import Optional
 from repro.hart.memory import _PAGE_SHIFT
 from repro.isa import constants as c
 from repro.isa.decoder import decode
-from repro.isa.encoding import encode
 from repro.isa.instructions import IllegalInstructionError
-from repro.perf import toggle as _toggle
 from repro.perf.counters import register_stats_provider
 from repro.hart.cycles import cycles_to_mtime
 from repro.hart.program import MachineHalted
@@ -127,12 +123,9 @@ class BlockEngine:
         self.machine = machine
         self._blocks: dict[tuple, BlockEntry] = {}
         self._by_page: dict[int, set] = {}
-        self._generation = _toggle.generation
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
-        #: Debug escape hatch: forces the single-step path while True.
-        self.single_step = False
         machine.ram.code_watcher = self
         # The provider holds the engine weakly: the engine holds the
         # machine, and a strong path from the registry to the machine
@@ -164,12 +157,8 @@ class BlockEngine:
         point, so an op aborted by a halt mid-checkpoint still counts.
         """
         machine = self.machine
-        if (machine.fault_injector is not None or self.single_step
-                or not _toggle.enabled):
+        if machine.fault_injector is not None:
             return 0
-        if self._generation != _toggle.generation:
-            self.invalidate_all()
-            self._generation = _toggle.generation
         state = hart.state
         pc = state.pc
         view = machine.world_view
@@ -292,7 +281,7 @@ class BlockEngine:
             except (BusError, IllegalInstructionError):
                 cursor += 4
                 break
-            if instr.mnemonic not in _ALU_MNEMONICS or encode(instr) != word:
+            if instr.mnemonic not in _ALU_MNEMONICS or instr.word != word:
                 # Boundary op (or a word the reference loop would rewrite
                 # via ``_materialize``): always single-stepped, but its
                 # bytes were examined, so the entry must cover them.

@@ -30,7 +30,6 @@ from repro.hart.program import (
 from repro.hart.stats import TrapStats
 from repro.hart.uart import Uart
 from repro.isa.constants import IRQ_MEI, IRQ_MSI, IRQ_MTI
-from repro.perf import toggle as _toggle
 from repro.perf.counters import register_stats_provider
 from repro.spec.platform import PlatformConfig
 
@@ -93,9 +92,9 @@ class Machine:
 
         self.harts = [Hart(self, hartid) for hartid in range(config.num_harts)]
         #: Basic-block decoded-run engine for binary images (see
-        #: :mod:`repro.hart.blocks`).  Set to None — or build inside
-        #: ``blocks.blocks_disabled()`` — to force pure single-step
-        #: execution (``--block-cache=off``).
+        #: :mod:`repro.hart.blocks`).  None when built inside
+        #: ``blocks.blocks_disabled()`` (``--block-cache=off``): pure
+        #: single-step execution, the engine's one off switch.
         self.blocks = _blocks.BlockEngine(self) if _blocks.default_enabled else None
         self._regions: list[tuple[Region, Owner]] = []
         # Sorted-by-base view of ``_regions`` for bisect lookup.  Regions
@@ -207,15 +206,10 @@ class Machine:
         self._region_index.insert(position, (region.end, owner))
 
     def owner_of(self, address: int) -> Optional[Owner]:
-        if _toggle.enabled:
-            position = bisect_right(self._region_bases, address) - 1
-            if position >= 0:
-                end, owner = self._region_index[position]
-                if address < end:
-                    return owner
-            return None
-        for region, owner in self._regions:
-            if region.contains(address):
+        position = bisect_right(self._region_bases, address) - 1
+        if position >= 0:
+            end, owner = self._region_index[position]
+            if address < end:
                 return owner
         return None
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from typing import Protocol
 
-from repro.perf import toggle as _toggle
 from repro.spec.step import BusError
 
 _PAGE_SHIFT = 12
@@ -172,11 +171,9 @@ class SystemBus:
         self.ram = ram
         self._devices: list[Device] = []
         # Per-address memo of ``device_at`` results.  Keyed per bus instance
-        # (not module-wide) so two machines never share lookups; validated
-        # against the global cache generation so ``perf.clear_caches`` works
-        # without the toggle module pinning dead bus instances alive.
+        # (not module-wide) so two machines never share lookups; ``attach``
+        # clears it, the only change to the device map.
         self._device_cache: dict[int, object] = {}
-        self._device_cache_gen = _toggle.generation
         self.device_lookup_hits = 0
         self.device_lookup_misses = 0
 
@@ -190,12 +187,7 @@ class SystemBus:
         self._device_cache.clear()
 
     def device_at(self, address: int) -> Device | None:
-        if not _toggle.enabled:
-            return self._device_at_uncached(address)
         cache = self._device_cache
-        if self._device_cache_gen != _toggle.generation:
-            cache.clear()
-            self._device_cache_gen = _toggle.generation
         found = cache.get(address)
         if found is not None:
             self.device_lookup_hits += 1

@@ -16,7 +16,6 @@ from functools import lru_cache
 
 from repro.isa.bits import bits, to_signed
 from repro.perf import register_cache, register_stats_provider
-from repro.perf import toggle as _toggle
 from repro.isa.encoding import (
     FUNCT3_TO_BRANCH,
     FUNCT3_TO_CSR,
@@ -205,7 +204,4 @@ def decode(word: int) -> Instruction:
     encodings; the spec and the emulator both surface this as an
     illegal-instruction exception to the executing hart.
     """
-    word &= 0xFFFFFFFF
-    if _toggle.enabled:
-        return _decode_cached(word)
-    return _decode_word(word)
+    return _decode_cached(word & 0xFFFFFFFF)

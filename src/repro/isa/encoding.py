@@ -8,12 +8,8 @@ The two are property-tested as exact inverses (see ``tests/isa``).
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from repro.isa.bits import bits
 from repro.isa.instructions import Instruction
-from repro.perf import register_cache, register_stats_provider
-from repro.perf import toggle as _toggle
 
 # Major opcodes
 OPCODE_LOAD = 0x03
@@ -144,13 +140,10 @@ def _j_type(opcode: int, rd: int, imm: int) -> int:
 
 
 def encode(instr: Instruction) -> int:
-    """Encode an :class:`Instruction` into its 32-bit word."""
-    if _toggle.enabled:
-        return _encode_cached(instr)
-    return _encode_instr(instr)
+    """Encode an :class:`Instruction` into its 32-bit word.
 
-
-def _encode_instr(instr: Instruction) -> int:
+    Uncached: :attr:`Instruction.word` memoises the result per instance.
+    """
     m = instr.mnemonic
     rd, rs1, rs2, imm = instr.rd, instr.rs1, instr.rs2, instr.imm
     for name, reg in (("rd", rd), ("rs1", rs1), ("rs2", rs2)):
@@ -202,12 +195,3 @@ def _encode_instr(instr: Instruction) -> int:
             _check_range("zimm", rs1, 0, 31)
         return (instr.csr << 20) | (rs1 << 15) | (CSR_FUNCT3[m] << 12) | (rd << 7) | OPCODE_SYSTEM
     raise EncodingError(f"unknown mnemonic {m!r}")
-
-
-# Instruction is a frozen dataclass (hashable, value-equal), so encoding is
-# a pure function of the instruction and safe to memoize.
-_encode_cached = lru_cache(maxsize=1 << 16)(_encode_instr)
-register_cache(_encode_cached.cache_clear)
-register_stats_provider(
-    "isa.encode", lambda: _encode_cached.cache_info()._asdict()
-)

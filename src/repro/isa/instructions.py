@@ -12,8 +12,6 @@ from __future__ import annotations
 import dataclasses
 from functools import cached_property, lru_cache
 
-from repro.perf import toggle as _toggle
-
 # Register ABI names, indexed by register number.
 ABI_NAMES = (
     "zero", "ra", "sp", "gp", "tp", "t0", "t1", "t2",
@@ -49,29 +47,6 @@ LOAD_SIZES = {"lb": 1, "lbu": 1, "lh": 2, "lhu": 2, "lw": 4, "lwu": 4, "ld": 8}
 STORE_SIZES = {"sb": 1, "sh": 2, "sw": 4, "sd": 8}
 LOAD_SIGNED = {"lb": True, "lh": True, "lw": True, "ld": True,
                "lbu": False, "lhu": False, "lwu": False}
-
-
-class _Encoding:
-    """``Instruction.word``: the 32-bit encoding, from
-    :func:`~repro.isa.encoding.encode`.
-
-    A non-data descriptor.  While the hot-path caches are on, the first
-    read stores the word in the instance ``__dict__``, where later reads
-    find it without a call: interned instructions are re-executed on every
-    trap.  With the caches off nothing is stored and every read encodes
-    afresh.  A word stored before the caches were turned off stays, like
-    the classification predicates: it is a pure function of frozen fields.
-    """
-
-    def __get__(self, instr, owner=None):
-        if instr is None:
-            return self
-        from repro.isa.encoding import encode
-
-        word = encode(instr)
-        if _toggle.enabled:
-            instr.__dict__["word"] = word
-        return word
 
 
 @dataclasses.dataclass(frozen=True)
@@ -127,7 +102,13 @@ class Instruction:
         """Whether a CSR instruction takes a 5-bit immediate (csrr?i forms)."""
         return self.mnemonic in ("csrrwi", "csrrsi", "csrrci")
 
-    word = _Encoding()
+    @cached_property
+    def word(self) -> int:
+        """The 32-bit encoding.  Interned instructions are re-executed on
+        every trap, so later reads find the word without a call."""
+        from repro.isa.encoding import encode
+
+        return encode(self)
 
     def __str__(self) -> str:
         if self.is_csr_op:

@@ -1,12 +1,13 @@
-"""Hot-path observability: cache toggle, counters, and meters.
+"""Hot-path observability: cache registry, counters, and meters.
 
 The interpreter's hot loop (fetch, decode, dispatch, cost accounting)
 is accelerated by a set of caches spread across ``repro.isa`` and
-``repro.hart``.  This package is the single point of control for them:
+``repro.hart``.  Each lookup cache has one form, checked against its
+reference implementation by ``tests/integration/test_cache_differential.py``.
+This package keeps:
 
-* a global enable/disable switch (``set_caches_enabled``), used by the
-  differential tests to prove the caches never change architectural
-  behavior;
+* the module-lifetime cache registry (``register_cache`` /
+  ``clear_caches``), which the benchmarks use for cold runs;
 * hit/miss statistics aggregation (``cache_stats``) — each caching
   module registers a provider instead of this module importing them,
   keeping ``repro.perf`` dependency-free;
@@ -17,33 +18,23 @@ is accelerated by a set of caches spread across ``repro.isa`` and
 from repro.perf.counters import (
     StepMeter,
     cache_stats,
+    clear_caches,
     profile_report,
+    register_cache,
     register_stats_provider,
     reset_stats_providers,
     stats_delta,
     unregister_stats_provider,
 )
-from repro.perf.toggle import (
-    cache_generation,
-    caches_disabled,
-    caches_enabled,
-    clear_caches,
-    register_cache,
-    set_caches_enabled,
-)
 
 __all__ = [
     "StepMeter",
-    "cache_generation",
     "cache_stats",
-    "caches_disabled",
-    "caches_enabled",
     "clear_caches",
     "profile_report",
     "register_cache",
     "register_stats_provider",
     "reset_stats_providers",
-    "set_caches_enabled",
     "stats_delta",
     "unregister_stats_provider",
 ]

@@ -1,4 +1,5 @@
-"""Cache statistics aggregation, the steps/sec meter, and the profile report."""
+"""Cache registries, statistics aggregation, the steps/sec meter, and the
+profile report."""
 
 from __future__ import annotations
 
@@ -6,8 +7,27 @@ import time
 import weakref
 from typing import Callable, Optional
 
+_clear_hooks: list[Callable[[], None]] = []
+
+
+def register_cache(clear: Callable[[], None]) -> Callable[[], None]:
+    """Register a module-lifetime cache's clear function; returns it."""
+    _clear_hooks.append(clear)
+    return clear
+
+
+def clear_caches() -> None:
+    """Empty every module-lifetime cache (the isa decode and intern LRUs).
+
+    Per-machine caches (the bus device memo, the block engine) need no
+    hook: a new machine starts with them empty.
+    """
+    for clear in _clear_hooks:
+        clear()
+
+
 #: Registered providers, keyed by (name, id(owner)).  Module-lifetime
-#: providers (the isa decode/encode LRUs) register with no owner and key
+#: providers (the isa decode and intern LRUs) register with no owner and key
 #: ``(name, None)``; per-instance providers (a machine's bus counters)
 #: key per owner, so two live machines never shadow each other and a
 #: dead machine's entry is dropped by its weakref callback instead of

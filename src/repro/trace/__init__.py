@@ -8,8 +8,7 @@ typed events:
 * :class:`Tracer` — a bounded ring buffer of :class:`TraceEvent`\\ s,
   each stamped with ``mtime`` and the hart's retired-instruction count.
   Attached to a machine via ``machine.tracer``; every emit site costs a
-  single attribute load plus ``is None`` branch when tracing is off,
-  mirroring the ``perf.toggle`` discipline.
+  single attribute load plus ``is None`` branch when tracing is off.
 * :class:`MetricsRegistry` — per-trap-cause latency histograms (guest
   cycles) and world-switch/offload ratio gauges, fed by the paired
   trap-entry/trap-exit events.

@@ -7,8 +7,7 @@ Every layer of the monitor emits through the same two-line pattern::
         tracer.emit(self.machine, "world-switch", hartid, direction=...)
 
 so a disabled tracer (``machine.tracer is None``, the default) costs one
-attribute load and one branch on the hot path — the same budget as the
-``perf.toggle`` cache switch.
+attribute load and one branch on the hot path.
 
 An *enabled* tracer has its own budget (<10% of steps/sec, checked by
 the hot-path benchmark), so the recording path does the minimum work per

@@ -29,10 +29,8 @@ MAILBOX = REGION.base + 0xF000
 @pytest.fixture(autouse=True)
 def _fresh_caches():
     perf.clear_caches()
-    perf.set_caches_enabled(True)
     yield
     perf.clear_caches()
-    perf.set_caches_enabled(True)
 
 
 def _machine(blocks: bool, platform=VISIONFIVE2) -> Machine:
@@ -108,29 +106,12 @@ class TestBlockCaching:
         stats = perf.cache_stats(owner=machine)
         assert stats["hart.blocks"]["hits"] == machine.blocks.hits
 
-    def test_caches_disabled_bypasses_engine(self):
-        machine = _machine(blocks=True)
-        program = _register(machine, _alu_loop_image())
-        with perf.caches_disabled():
-            machine.boot(entry=REGION.base)
-        assert machine.blocks.hits == 0
-        on, _ = _run(_alu_loop_image(), blocks=True)
-        assert _outcome(machine, program) == on
-
     def test_fault_injector_disables_engine(self):
         from repro.faults import FaultInjector, FaultPlan
 
         machine = _machine(blocks=True)
         program = _register(machine, _alu_loop_image())
         machine.install_fault_injector(FaultInjector(FaultPlan(name="quiet")))
-        machine.boot(entry=REGION.base)
-        assert program.ebreak_hit
-        assert machine.blocks.hits == 0
-
-    def test_single_step_flag_disables_engine(self):
-        machine = _machine(blocks=True)
-        program = _register(machine, _alu_loop_image())
-        machine.blocks.single_step = True
         machine.boot(entry=REGION.base)
         assert program.ebreak_hit
         assert machine.blocks.hits == 0

@@ -23,10 +23,8 @@ from repro.trace import Tracer
 @pytest.fixture(autouse=True)
 def _fresh_caches():
     perf.clear_caches()
-    perf.set_caches_enabled(True)
     yield
     perf.clear_caches()
-    perf.set_caches_enabled(True)
 
 
 def _blocks_ctx(blocks: bool):

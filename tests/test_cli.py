@@ -59,8 +59,11 @@ class TestBootCommand:
         assert "hot-path profile" in capsys.readouterr().out
 
     def test_block_cache_off_boot(self, capsys):
-        assert main(["boot", "--block-cache", "off"]) == 0
-        assert "halt:" in capsys.readouterr().out
+        assert main(["boot", "--block-cache", "off", "--profile"]) == 0
+        out = capsys.readouterr().out
+        assert "halt:" in out
+        # The machine is built without an engine, so no engine reports.
+        assert "hart.blocks" not in out
 
     def test_block_cache_off_chaos(self, capsys):
         assert main(["boot", "--chaos", "--chaos-plan", "none",
