@@ -60,6 +60,8 @@ _FIRMWARE_SIDE = ("emulate:csr", "emulate:mret", "emulate:sret",
 
 def test_figure3_trap_distribution(benchmark, show):
     system, boot = once(benchmark, run_boot)
+    # The figure reads the whole log: the boot must fit in the ring.
+    assert system.machine.stats.dropped == 0
     events = [
         e for e in system.machine.stats.events
         if e.detail and not any(e.detail.startswith(p) for p in _FIRMWARE_SIDE)

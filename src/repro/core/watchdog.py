@@ -357,7 +357,7 @@ class FirmwareWatchdog:
             "consecutive_failures": self.consecutive_failures[hartid],
             "trap_tail": [
                 (e.cause, e.is_interrupt, e.handler, e.detail)
-                for e in self.machine.stats.events[-self.RECORD_TAIL:]
+                for e in self.machine.stats.tail(self.RECORD_TAIL)
             ],
         })
 

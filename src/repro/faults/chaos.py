@@ -94,9 +94,11 @@ class ChaosResult:
     #: Watchdog quarantine records (hart, reason, pending kind) captured
     #: at the moment of quarantine; see ``FirmwareWatchdog.quarantine_records``.
     quarantine_log: tuple = ()
-    #: Last :data:`TRAP_LOG_LIMIT` trap events (flight recorder); the
-    #: full count is ``trap_log_total``.
+    #: Last :data:`TRAP_LOG_LIMIT` trap events (flight recorder).
     trap_log: tuple = ()
+    #: Every trap event the run logged, net of watchdog rewinds
+    #: (``TrapStats.logged``): exact even once the machine's bounded
+    #: ring has dropped the oldest events.
     trap_log_total: int = 0
     console: str = ""
     error: Optional[str] = None
@@ -438,10 +440,10 @@ def run_chaos(
             hartid: dict(counts)
             for hartid, counts in machine.stats.recovery_counts_by_hart.items()
         }
-        result.trap_log_total = len(machine.stats.events)
+        result.trap_log_total = machine.stats.logged
         result.trap_log = tuple(
             (e.cause, e.is_interrupt, e.handler, e.detail)
-            for e in machine.stats.events[-TRAP_LOG_LIMIT:]
+            for e in machine.stats.tail(TRAP_LOG_LIMIT)
         )
     if miralis is not None and miralis.watchdog is not None:
         result.recoveries = dict(miralis.watchdog.counters)

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from collections import Counter, defaultdict
+import itertools
+from collections import Counter, defaultdict, deque
 from typing import Optional
 
 from repro.isa import constants as c
@@ -52,12 +53,26 @@ def trap_detail(kind: str, value) -> str:
     return f"{kind}:{value}"
 
 
+#: Events the trap log holds: the most recent ones, in a fixed ring.  The
+#: largest log read in full (the Fig. 3 boot, about 3,100 events) fits
+#: with room to spare; at ~128 B per event the ring tops out near 1 MB.
+TRAP_LOG_CAPACITY = 8192
+
+
 class TrapStats:
-    """Event log plus aggregate counters."""
+    """A bounded trap log plus exact aggregate counters.
+
+    ``events`` is a ring of the last :data:`TRAP_LOG_CAPACITY` events, so
+    a run's memory stops growing with its length; the counters, ``logged``
+    and ``dropped`` stay exact however long the run.
+    """
 
     def __init__(self, keep_events: bool = True):
         self.keep_events = keep_events
-        self.events: list[TrapEvent] = []
+        self.events: deque[TrapEvent] = deque(maxlen=TRAP_LOG_CAPACITY)
+        #: Events recorded into the log, net of rewinds: what the log
+        #: would hold if it were unbounded.
+        self.logged = 0
         self.trap_counts: Counter[str] = Counter()
         self.handler_counts: Counter[str] = Counter()
         self.world_switches = 0
@@ -81,6 +96,7 @@ class TrapStats:
         self.trap_counts[cause_name(cause, is_interrupt)] += 1
         if self.keep_events:
             self.events.append(event)
+            self.logged += 1
         self._last = event
         self._last_by_hart[hart] = event
         return event
@@ -159,10 +175,25 @@ class TrapStats:
         """The most recently recorded trap (also kept when events aren't)."""
         return self._last
 
+    @property
+    def dropped(self) -> int:
+        """Logged events the ring no longer holds."""
+        return self.logged - len(self.events)
+
+    def tail(self, n: int) -> list[TrapEvent]:
+        """The last ``n`` logged events still in the ring, oldest first."""
+        return list(itertools.islice(reversed(self.events), n))[::-1]
+
+    def _require_full_log(self, reader: str) -> None:
+        if self.dropped:
+            raise ValueError(
+                f"{reader} needs the whole trap log, but the ring dropped "
+                f"{self.dropped} of {self.logged} events")
+
     # -- state protocol (checkpoints) -------------------------------------
 
     def snapshot_state(self) -> dict:
-        return {
+        state = {
             "events": [dataclasses.replace(event) for event in self.events],
             "trap_counts": Counter(self.trap_counts),
             "handler_counts": Counter(self.handler_counts),
@@ -176,10 +207,17 @@ class TrapStats:
                 for hart, counts in self.recovery_counts_by_hart.items()
             },
         }
+        # Only a wrapped ring needs the count: a run that never wraps keeps
+        # the document it had when the log was an unbounded list.
+        if self.dropped:
+            state["logged"] = self.logged
+        return state
 
     def restore_state(self, state: dict) -> None:
-        self.events[:] = [dataclasses.replace(event)
-                          for event in state["events"]]
+        self.events.clear()
+        self.events.extend(dataclasses.replace(event)
+                           for event in state["events"])
+        self.logged = state.get("logged", len(state["events"]))
         self.trap_counts = Counter(state["trap_counts"])
         self.handler_counts = Counter(state["handler_counts"])
         self.world_switches = state["world_switches"]
@@ -215,7 +253,7 @@ class TrapStats:
         histograms describe executions that were abandoned.
         """
         return {
-            "events_len": len(self.events),
+            "events_len": self.logged,
             "trap_counts": dict(self.trap_counts),
             "handler_counts": dict(self.handler_counts),
             "world_switches": self.world_switches,
@@ -225,14 +263,22 @@ class TrapStats:
         }
 
     def rewind_to_epoch(self, epoch: dict) -> None:
-        """Truncate events and restore counters to a marked epoch.
+        """Drop the events logged since a marked epoch and restore counters.
 
-        ``recovery_counts`` is deliberately *not* rewound: recovery
+        Events are popped from the right of the ring; if the abandoned
+        activation wrapped it, the pre-epoch events it pushed out stay
+        dropped.  ``recovery_counts`` is deliberately *not* rewound: recovery
         decisions are facts about the run (they happened, and they are
         counted before the rollback), not state of the abandoned
         activation.
         """
-        del self.events[epoch["events_len"]:]
+        abandoned = self.logged - epoch["events_len"]
+        if abandoned >= len(self.events):
+            self.events.clear()
+        else:
+            for _ in range(abandoned):
+                self.events.pop()
+        self.logged = epoch["events_len"]
         self.trap_counts = Counter(epoch["trap_counts"])
         self.handler_counts = Counter(epoch["handler_counts"])
         self.world_switches = epoch["world_switches"]
@@ -251,8 +297,10 @@ class TrapStats:
         window_mtime``) to a Counter of cause names; windows with no
         events are absent.  A dense list would allocate one bucket per
         elapsed window, which for a small window on a long run means
-        millions of empty Counters.
+        millions of empty Counters.  Raises ``ValueError`` once the ring
+        has dropped events.
         """
+        self._require_full_log("events_by_window")
         buckets: dict[int, Counter] = {}
         for event in self.events:
             bucket = buckets.setdefault(event.mtime // window_mtime, Counter())
@@ -260,7 +308,11 @@ class TrapStats:
         return buckets
 
     def detail_counts(self) -> Counter:
-        """Counts by handler detail string (e.g. SBI call names)."""
+        """Counts by handler detail string (e.g. SBI call names).
+
+        Raises ``ValueError`` once the ring has dropped events.
+        """
+        self._require_full_log("detail_counts")
         counts: Counter[str] = Counter()
         for event in self.events:
             if event.detail:
@@ -269,6 +321,7 @@ class TrapStats:
 
     def reset(self) -> None:
         self.events.clear()
+        self.logged = 0
         self.trap_counts.clear()
         self.handler_counts.clear()
         self.world_switches = 0

@@ -12,7 +12,7 @@ field added without a decision fails this test.
 
 import dataclasses
 import enum
-from collections import Counter, defaultdict
+from collections import Counter, defaultdict, deque
 
 import pytest
 
@@ -135,6 +135,9 @@ def perturbed(value):
         return {**value, "~probe": 7}
     if isinstance(value, list):
         return [perturbed(value[0]), *value[1:]] if value else [7]
+    if isinstance(value, deque):
+        items = [perturbed(value[0]), *list(value)[1:]] if value else [7]
+        return deque(items, maxlen=value.maxlen)
     if isinstance(value, tuple):
         return (*value, 7)
     raise TypeError(f"no perturbation for {type(value).__name__}")
