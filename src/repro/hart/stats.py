@@ -86,15 +86,22 @@ class TrapStats:
         self.recovery_counts: Counter[str] = Counter()
         #: Per-hart recovery decisions; always sums to recovery_counts.
         self.recovery_counts_by_hart: dict[int, Counter] = defaultdict(Counter)
+        # Annotation targets.  ``_last`` is always its hart's entry in
+        # ``_last_by_hart``; the ``_seq`` maps give each target's position
+        # in the log (``0 .. logged - 1``), which an epoch needs to find it
+        # again in a restored ring.
         self._last: Optional[TrapEvent] = None
         self._last_by_hart: dict[int, TrapEvent] = {}
+        self._seq_by_hart: dict[int, Optional[int]] = {}
         self._injected_by_hart: dict[int, TrapEvent] = {}
+        self._injected_seq_by_hart: dict[int, Optional[int]] = {}
 
     def record_trap(self, hart, cause, is_interrupt, from_mode, mtime) -> TrapEvent:
         event = TrapEvent(hart, cause, is_interrupt, from_mode, mtime)
         self.total_traps += 1
         self.trap_counts[cause_name(cause, is_interrupt)] += 1
         if self.keep_events:
+            self._seq_by_hart[hart] = self.logged
             self.events.append(event)
             self.logged += 1
         self._last = event
@@ -111,6 +118,7 @@ class TrapStats:
         event = self._last_by_hart.get(hart)
         if event is not None:
             self._injected_by_hart[hart] = event
+            self._injected_seq_by_hart[hart] = self._seq_by_hart.get(hart)
 
     def annotate_last(self, handler: str, detail: str = "",
                       hart: Optional[int] = None,
@@ -231,15 +239,16 @@ class TrapStats:
             hart: Counter(counts)
             for hart, counts in state["recovery_counts_by_hart"].items()
         })
-        self._relink_last()
-
-    def _relink_last(self) -> None:
-        """Re-derive the last-trap pointers, which would otherwise dangle."""
+        # A document carries no annotation targets: relink each hart's
+        # last trap from the ring (a hart with none there gets no target).
         self._last = self.events[-1] if self.events else None
         self._last_by_hart = {}
-        self._injected_by_hart = {}
-        for event in self.events:
+        self._seq_by_hart = {}
+        for seq, event in enumerate(self.events, self.dropped):
             self._last_by_hart[event.hart] = event
+            self._seq_by_hart[event.hart] = seq
+        self._injected_by_hart = {}
+        self._injected_seq_by_hart = {}
 
     # -- epochs (watchdog restore / checkpoint rewind) --------------------
 
@@ -251,8 +260,19 @@ class TrapStats:
         :meth:`rewind_to_epoch` rolls the *metrics* back too — otherwise
         every retried activation double-counts its traps and the reported
         histograms describe executions that were abandoned.
+
+        The epoch also records the annotation targets and each target's
+        ``(handler, detail)``: the abandoned activation may re-annotate
+        pre-epoch events (the firmware classifying its injected trap), and
+        the rewind must undo that along with the counts.  Each target is
+        kept as ``(seq, event, handler, detail)``, O(harts) in all.
         """
         return {
+            "last_hart": None if self._last is None else self._last.hart,
+            "last_by_hart": self._targets(self._last_by_hart,
+                                          self._seq_by_hart),
+            "injected_by_hart": self._targets(self._injected_by_hart,
+                                              self._injected_seq_by_hart),
             "events_len": self.logged,
             "trap_counts": dict(self.trap_counts),
             "handler_counts": dict(self.handler_counts),
@@ -285,8 +305,33 @@ class TrapStats:
         self.firmware_emulations = epoch["firmware_emulations"]
         self.fastpath_hits = epoch["fastpath_hits"]
         self.total_traps = epoch["total_traps"]
-        # annotate_last on a missing event is a no-op.
-        self._relink_last()
+        self._last_by_hart, self._seq_by_hart = self._relink(
+            epoch["last_by_hart"])
+        self._injected_by_hart, self._injected_seq_by_hart = self._relink(
+            epoch["injected_by_hart"])
+        self._last = self._last_by_hart.get(epoch["last_hart"])
+
+    @staticmethod
+    def _targets(events: dict, seqs: dict) -> dict:
+        return {hart: (seqs.get(hart), event, event.handler, event.detail)
+                for hart, event in events.items()}
+
+    def _relink(self, targets: dict) -> tuple[dict, dict]:
+        """Point at an epoch's targets again, with their annotations as
+        marked.  A target still in the ring is found by its log position
+        (after a checkpoint restore the epoch holds a copy of it); one the
+        ring dropped stays a detached event, so annotating it still moves
+        the counts exactly."""
+        events, seqs = {}, {}
+        dropped = self.dropped
+        for hart, (seq, event, handler, detail) in targets.items():
+            if seq is not None and seq >= dropped:
+                event = self.events[seq - dropped]
+            seqs[hart] = seq
+            event.handler = handler
+            event.detail = detail
+            events[hart] = event
+        return events, seqs
 
     # -- analysis helpers ------------------------------------------------
 
@@ -332,4 +377,6 @@ class TrapStats:
         self.recovery_counts_by_hart.clear()
         self._last = None
         self._last_by_hart.clear()
+        self._seq_by_hart.clear()
         self._injected_by_hart.clear()
+        self._injected_seq_by_hart.clear()

@@ -14,13 +14,15 @@ back with it:
   leaked straight through a restore (the snapshot held no memory at
   all);
 * the trap-stats and tracer epochs — an abandoned activation's traps
-  must not be double-counted by the retried one.
+  must not be double-counted by the retried one, and its re-annotations
+  of earlier traps must not survive the retry.
 
 Recovery *decisions* (``recovery_counts``, watchdog counters, quarantine
 dumps) are facts about the run, not activation state, and are never
 rolled back.  That is why the stats roll back by epoch, not by their
-full ``snapshot_state``: an epoch is a few counters, while a full state
-would copy the whole event log at every arm.
+full ``snapshot_state``: an epoch is a few counters plus one annotation
+target per hart, while a full state would copy the trap-log ring at
+every arm.
 """
 
 from __future__ import annotations

@@ -7,11 +7,14 @@ at and past its capacity, through the state protocol and the epoch
 rewind, and bound a real runaway chaos cell's log without a timer.
 """
 
+from collections import Counter
+
 import pytest
 
 from repro.faults import chaos
 from repro.hart.machine import Machine
 from repro.hart.stats import TRAP_LOG_CAPACITY, TrapStats
+from repro.statecopy import copy_state
 
 
 def _record(stats, mtime, hart=0):
@@ -28,6 +31,26 @@ def _filled(count):
 
 def _mtimes(events):
     return [event.mtime for event in events]
+
+
+def _annotation_counts(stats):
+    """What ``handler_counts`` must equal for a log that dropped nothing."""
+    return Counter(event.handler for event in stats.events
+                   if event.handler != "unclassified")
+
+
+def _machines(monkeypatch):
+    """Collect every :class:`Machine` built from here on (``run_chaos``
+    returns only its result)."""
+    built = []
+    original = Machine.__init__
+
+    def init(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(Machine, "__init__", init)
+    return built
 
 
 class TestWrap:
@@ -137,17 +160,88 @@ class TestRewind:
         assert stats.dropped == 20
 
 
+class TestRewindRestoresAnnotations:
+    """A rewind restores the last-trap pointers and the annotations of the
+    events they point to, so ``handler_counts`` keeps matching the log."""
+
+    def test_pre_epoch_annotation_is_rolled_back(self):
+        stats = TrapStats()
+        served = _record(stats, 1)
+        stats.annotate_last("miralis-worldswitch", hart=0)
+        epoch = stats.mark_epoch()
+        stats.pin_injected(0)
+        stats.annotate_last("firmware", detail="sbi:x", hart=0, injected=True)
+        _record(stats, 2)
+        stats.rewind_to_epoch(epoch)
+        assert (served.handler, served.detail) == ("miralis-worldswitch", "")
+        assert stats.handler_counts == Counter({"miralis-worldswitch": 1})
+        stats.annotate_last("miralis-recovery", detail="retry", hart=0)
+        assert stats.handler_counts == _annotation_counts(stats)
+
+    def test_rewind_restores_the_injection_pin(self):
+        stats = TrapStats()
+        pinned = _record(stats, 1)
+        stats.pin_injected(0)
+        _record(stats, 2)
+        epoch = stats.mark_epoch()
+        _record(stats, 3)
+        stats.rewind_to_epoch(epoch)
+        stats.annotate_last("firmware", hart=0, injected=True)
+        assert pinned.handler == "firmware"
+        assert stats.handler_counts == _annotation_counts(stats)
+
+    def test_pointers_survive_a_wrap(self):
+        stats = TrapStats()
+        _record(stats, 0, hart=1)
+        stats.annotate_last("miralis", hart=1)
+        last = _record(stats, 1, hart=0)
+        epoch = stats.mark_epoch()
+        for mtime in range(2, TRAP_LOG_CAPACITY + 7):
+            _record(stats, mtime)
+        stats.rewind_to_epoch(epoch)
+        # Both pre-epoch events were pushed out of the ring, yet hart 1's
+        # re-annotation still moves its count, as an unbounded log would.
+        assert len(stats.events) == 0
+        assert stats.last_event is last
+        stats.annotate_last("miralis-worldswitch", hart=1)
+        assert stats.handler_counts == Counter({"miralis-worldswitch": 1})
+
+    def test_rewind_after_a_restore_lands_on_ring_events(self):
+        """A checkpoint copies the epoch and the log separately; the
+        rewind must still point at the restored log's own events."""
+        stats = TrapStats()
+        _record(stats, 1)
+        stats.pin_injected(0)
+        _record(stats, 2)
+        epoch = copy_state(stats.mark_epoch())
+        restored = TrapStats()
+        restored.restore_state(stats.snapshot_state())
+        _record(restored, 3)
+        restored.rewind_to_epoch(epoch)
+        restored.annotate_last("firmware", hart=0, injected=True)
+        restored.annotate_last("miralis-emulate", hart=0)
+        assert [event.handler for event in restored.events] == [
+            "firmware", "miralis-emulate"]
+        assert restored.handler_counts == _annotation_counts(restored)
+
+
+@pytest.mark.parametrize("plan", ["csr-chaos", "decode-flip", "mtvec-smash",
+                                  "stall-loop"])
+@pytest.mark.parametrize("firmware", chaos.CHAOS_FIRMWARES)
+def test_chaos_handler_counts_match_the_log(firmware, plan, monkeypatch):
+    """Cells whose watchdog retries activations: after every rewind the
+    counters and the event annotations still describe the same log."""
+    built = _machines(monkeypatch)
+    chaos.run_chaos(firmware, plan, 0)
+    stats = built[-1].stats
+    assert stats.dropped == 0
+    assert stats.handler_counts == _annotation_counts(stats)
+
+
 def test_runaway_chaos_cell_keeps_a_bounded_log(monkeypatch):
     """A trap storm cut only by the dispatch budget: the ring stays at its
     capacity while ``logged`` stays equal to the exact trap count."""
-    built = []
-    original = Machine.__init__
-
-    def init(self, *args, **kwargs):
-        original(self, *args, **kwargs)
-        built.append(self)
-
-    monkeypatch.setattr(Machine, "__init__", init)
+    built = _machines(monkeypatch)
     monkeypatch.setattr(chaos, "MAX_DISPATCHES", 60_000)
     chaos.run_chaos("opensbi", "csr-chaos", 119)
     stats = built[-1].stats

@@ -18,10 +18,15 @@ document byte for byte across any refactor of how state is gathered:
 A digest here changes only when the checkpoint *format* changes on
 purpose; then re-record it and say so.  ``transient-mmio`` x 3 was
 re-recorded when the watchdog gained its trap-storm lists: that boot
-halts inside a firmware activation, so its capture carries them.
+halts inside a firmware activation, so its capture carries them.  The two
+faulted digests and the untraced quarantine were re-recorded when
+trap-stats epochs began keeping their annotation targets (those captures
+hold a live activation snapshot); ``UNANNOTATED`` shows nothing else moved.
 """
 
 import dataclasses
+import hashlib
+import json
 
 import pytest
 
@@ -54,12 +59,48 @@ NATIVE_POST_HALT = (
     "df8d7f83015b0d3903cd80e0974abe5ff9c532c4befac25a04ebb8060a27b795")
 FAULTED_POST_HALT = {
     ("mtvec-smash", 1):
-        "f9527158342896327db47e68b7aed70527b2212dbe54a373a367e7bd8e43296c",
+        "f4035fc1c47d2ecd2acdf47b9255bb4d3d79f6c66b944164e5f0e9573d3632e9",
     ("transient-mmio", 3):
-        "c7270853e32fc14932f1981da224f7873221cbb3777edb30a87448af5730eafc",
+        "ec203e222e62e20c261b0faf97b8cbef210ac3746b94d77c4c0168202080c1d1",
 }
 QUARANTINED_UNTRACED = (
-    "ccecfa5861dffbe2f6a798772fa589c774718f2161093aedc2c899b243ea0bec")
+    "a14d3560c5b59d5c7cf1f17f45561721cf73c6a72d919a1bfd52d931eecdf3ee")
+
+#: The digests above re-recorded when trap-stats epochs began keeping the
+#: annotation targets, keyed like ``FAULTED_POST_HALT`` (the untraced
+#: quarantine under ``"quarantined"``) and mapped to the digest of the
+#: document without those targets, handler counts, or any trap event's
+#: handler and detail, recorded before that change.  These still match,
+#: so the change moved the epochs' targets and annotations and nothing else.
+UNANNOTATED = {
+    ("mtvec-smash", 1):
+        "12bde1675300889129ec1812796315f712078b560e9fb7f4eeaeeff89e65b609",
+    ("transient-mmio", 3):
+        "f14cde7b9440e7bb3a0f22a5718b02a4716da519648ebae3df08f884c63cb7a3",
+    "quarantined":
+        "bb223b82e21e82029149afb2f307242f4982a12104dcc2a8f2a7e5910d534f5a",
+}
+
+#: Epoch keys naming annotation targets.
+_TARGET_KEYS = ("last_hart", "last_by_hart", "injected_by_hart")
+
+
+def _unannotated(value):
+    """A checkpoint document without annotation targets or annotations."""
+    if isinstance(value, list):
+        return [_unannotated(item) for item in value]
+    if not isinstance(value, dict):
+        return value
+    if set(value) == {"~trap"}:
+        return {"~trap": value["~trap"][:5]}
+    return {key: _unannotated(item) for key, item in value.items()
+            if key not in _TARGET_KEYS and key != "handler_counts"}
+
+
+def _unannotated_digest(checkpoint) -> str:
+    encoded = json.dumps(_unannotated(checkpoint.doc()), sort_keys=True,
+                         separators=(",", ":")).encode()
+    return hashlib.sha256(encoded).hexdigest()
 
 
 def _kernel_entry_checkpoint(firmware, harts):
@@ -134,3 +175,13 @@ def test_quarantined_round_trip_through_a_fresh_machine():
     assert system.miralis.watchdog.quarantined[0]
     recaptured = capture(system.machine, phase=checkpoint.phase)
     assert recaptured.digest() == QUARANTINED_UNTRACED
+
+
+@pytest.mark.parametrize("case", sorted(UNANNOTATED, key=str))
+def test_rerecorded_digest_moved_only_annotations(case):
+    if case == "quarantined":
+        system = _faulted_boot("mtvec-smash", 1)
+    else:
+        system = _faulted_boot(*case, tracer=Tracer())
+    checkpoint = capture(system.machine, phase="halted")
+    assert _unannotated_digest(checkpoint) == UNANNOTATED[case]
