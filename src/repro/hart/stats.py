@@ -292,12 +292,9 @@ class TrapStats:
         counted before the rollback), not state of the abandoned
         activation.
         """
-        abandoned = self.logged - epoch["events_len"]
-        if abandoned >= len(self.events):
-            self.events.clear()
-        else:
-            for _ in range(abandoned):
-                self.events.pop()
+        for _ in range(min(self.logged - epoch["events_len"],
+                           len(self.events))):
+            self.events.pop()
         self.logged = epoch["events_len"]
         self.trap_counts = Counter(epoch["trap_counts"])
         self.handler_counts = Counter(epoch["handler_counts"])
