@@ -37,6 +37,24 @@ from repro.statecopy import copy_state
 
 _INTERRUPT_BIT = c.INTERRUPT_BIT
 
+#: The mode a trap's OS resumes in, by the trap's ``mstatus.MPP``: a trap
+#: taken from M-mode belongs to the S-mode OS; MPP=2 is reserved.
+_OS_MODE_BY_MPP = (c.U_MODE, c.S_MODE, None, c.S_MODE)
+
+#: :func:`repro.snapshot.activation.capture_activation`, bound by the
+#: first arm rather than imported here: importing ``repro.snapshot`` loads
+#: the checkpoint store, which a run that never arms a watchdog (the
+#: trap-mix benchmarks) must not pay for at start-up.
+_capture_activation = None
+
+
+def _bind_capture_activation():
+    global _capture_activation
+    from repro.snapshot.activation import capture_activation
+
+    _capture_activation = capture_activation
+    return capture_activation
+
 
 class FirmwareWatchdog:
     """Per-hart failure detection and graceful recovery for vM-mode."""
@@ -158,9 +176,8 @@ class FirmwareWatchdog:
     def _activation_snapshot(self, hart, vctx) -> dict:
         """Everything a retry (or replay) must restore — see
         :mod:`repro.snapshot.activation` for the contract."""
-        from repro.snapshot.activation import capture_activation
-
-        return capture_activation(self, hart, vctx)
+        return (_capture_activation or _bind_capture_activation())(
+            self, hart, vctx)
 
     def _activation_restore(self, hart, vctx, snap: dict) -> None:
         from repro.snapshot.activation import restore_activation
@@ -180,10 +197,10 @@ class FirmwareWatchdog:
         supervisor state into ``vctx``, so restoring it reproduces the
         exact state a retry (or a quarantine fallback to the OS) needs.
         """
-        from repro.isa.bits import get_field
-
-        mpp = get_field(hart.state.csr.mstatus, c.MSTATUS_MPP)
-        os_mode = c.PrivilegeLevel(mpp if mpp != 3 else 1)
+        mpp = (hart.state.csr.mstatus & c.MSTATUS_MPP) >> c.MSTATUS_MPP_SHIFT
+        os_mode = _OS_MODE_BY_MPP[mpp]
+        if os_mode is None:
+            raise ValueError(f"{mpp} is not a valid PrivilegeLevel")
         self._snapshots[hart.hartid] = self._activation_snapshot(hart, vctx)
         self._pending[hart.hartid] = (
             "trap", code, is_interrupt, mtval, mepc, os_mode

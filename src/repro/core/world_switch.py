@@ -20,8 +20,9 @@ U64 = (1 << 64) - 1
 _S_STATUS_FIELDS = c.SSTATUS_MASK
 
 # The supervisor CSRs transferred on every world switch, as
-# ``(csr, VirtContext field)`` pairs.
-_S_CSR_FIELDS = (
+# ``(csr, VirtContext field)`` pairs.  The sandbox policy saves and
+# scrubs the same eight around the switch (``repro.policy.sandbox``).
+S_CSR_FIELDS = (
     (c.CSR_STVEC, "stvec"),
     (c.CSR_SSCRATCH, "sscratch"),
     (c.CSR_SEPC, "sepc"),
@@ -59,9 +60,9 @@ class WorldSwitcher:
 
         # Load physical S CSRs into the virtual copies.
         read = csr_file.read
-        for csr, field in _S_CSR_FIELDS:
+        for csr, field in S_CSR_FIELDS:
             setattr(vctx, field, read(csr))
-        csr_ops = len(_S_CSR_FIELDS)
+        csr_ops = len(S_CSR_FIELDS)
         if self.has_sstc:
             vctx.stimecmp = csr_file.stimecmp
             csr_ops += 1
@@ -115,9 +116,9 @@ class WorldSwitcher:
         csr_file = hart.state.csr
 
         write = csr_file.write
-        for csr, field in _S_CSR_FIELDS:
+        for csr, field in S_CSR_FIELDS:
             write(csr, getattr(vctx, field))
-        csr_ops = len(_S_CSR_FIELDS)
+        csr_ops = len(S_CSR_FIELDS)
         if self.has_sstc:
             csr_file.stimecmp = vctx.stimecmp
             csr_ops += 1

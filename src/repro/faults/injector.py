@@ -250,8 +250,13 @@ class FaultInjector:
 
     # -- decision engine ---------------------------------------------------
 
-    def _decide(self, site: str, detail: str, **attrs) -> Optional[FaultSpec]:
-        """Advance the decision point at ``site``; the firing spec or None."""
+    def _decide(self, site: str, **attrs) -> Optional[tuple[FaultSpec, int]]:
+        """Advance the decision point at ``site``.
+
+        Returns the firing spec and the decision index, or None.  The
+        caller commits a firing decision with :meth:`_commit`, so a
+        decision's detail string is formatted only when it fires.
+        """
         specs = self._site_specs.get(site)
         if specs is None:
             return None
@@ -273,25 +278,29 @@ class FaultInjector:
                 if probability < 1.0 and self._rng.random() >= probability:
                     continue
                 hits[spec_index] += 1
-                self.injections.append(InjectionEvent(site, index, detail))
-                machine = self.machine
-                if machine is not None and machine.tracer is not None:
-                    machine.tracer.emit(
-                        machine, "fault-inject", attrs.get("hart") or 0,
-                        site=site, index=index, detail=detail, seed=self.seed,
-                    )
-                return spec
+                return spec, index
         return None
+
+    def _commit(self, site: str, index: int, detail: str,
+                hartid: Optional[int]) -> None:
+        """Log one injection and trace it."""
+        self.injections.append(InjectionEvent(site, index, detail))
+        machine = self.machine
+        if machine is not None and machine.tracer is not None:
+            machine.tracer.emit(
+                machine, "fault-inject", hartid or 0,
+                site=site, index=index, detail=detail, seed=self.seed,
+            )
 
     # -- site-specific entry points ---------------------------------------
 
     def corrupt_vcsr_write(self, hartid: int, csr: int, value: int) -> int:
         """Possibly corrupt a value about to be written to a virtual CSR."""
-        spec = self._decide(
-            "vcsr-write", f"csr={csr:#x}", hart=hartid, csr=csr
-        )
-        if spec is None:
+        fired = self._decide("vcsr-write", hart=hartid, csr=csr)
+        if fired is None:
             return value
+        spec, index = fired
+        self._commit("vcsr-write", index, f"csr={csr:#x}", hartid)
         if spec.xor_mask is not None:
             corrupted = (value ^ spec.xor_mask) & U64
         else:
@@ -306,20 +315,29 @@ class FaultInjector:
     def mmio_error(self, device: str, kind: str, offset: int,
                    hartid: Optional[int] = None) -> bool:
         """Whether this device access suffers a transient bus error."""
-        return self._decide(
-            "mmio", f"{device}:{kind}@{offset:#x}",
-            device=device, kind=kind, hart=hartid,
-        ) is not None
+        fired = self._decide("mmio", device=device, kind=kind, hart=hartid)
+        if fired is None:
+            return False
+        self._commit("mmio", fired[1], f"{device}:{kind}@{offset:#x}", hartid)
+        return True
 
     def flip_instruction(self, hartid: int, mnemonic: str) -> bool:
         """Whether a decoded firmware instruction is flipped to illegal."""
-        return self._decide("decode", f"flip:{mnemonic}", hart=hartid) is not None
+        fired = self._decide("decode", hart=hartid)
+        if fired is None:
+            return False
+        self._commit("decode", fired[1], f"flip:{mnemonic}", hartid)
+        return True
 
     def stall_firmware(self, hartid: int) -> bool:
         """Whether the current firmware trap resumes without emulation."""
         if "stall" not in self._site_specs:
             return False
-        return self._decide("stall", f"hart{hartid}", hart=hartid) is not None
+        fired = self._decide("stall", hart=hartid)
+        if fired is None:
+            return False
+        self._commit("stall", fired[1], f"hart{hartid}", hartid)
+        return True
 
     # -- hook factories ----------------------------------------------------
 

@@ -91,6 +91,21 @@ class Ram:
             bytes(self.read(address + i, 1) for i in range(size)), "little"
         )
 
+    def read_bytes(self, address: int, length: int) -> bytes:
+        """``length`` bytes from ``address``: one slice per page spanned.
+
+        Touches (allocates) the same pages per-byte :meth:`read` calls
+        would, so a bulk read leaves the page dict as they leave it.
+        """
+        chunks = []
+        end = address + length
+        while address < end:
+            page, offset = self._page(address)
+            stop = min(_PAGE_SIZE, offset + end - address)
+            chunks.append(page[offset:stop])
+            address += stop - offset
+        return b"".join(chunks)
+
     def write(self, address: int, size: int, value: int) -> None:
         end = address + size
         if self.code_pages and not self.code_pages.isdisjoint(

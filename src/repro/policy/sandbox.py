@@ -26,13 +26,13 @@ from typing import Optional
 
 from repro.core.vcpu import VirtContext, World
 from repro.core.vpmp import napot_power_of_two_cover
+from repro.core.world_switch import S_CSR_FIELDS
 from repro.isa import constants as c
 from repro.isa.bits import napot_encode
 from repro.isa.decoder import decode
 from repro.isa.instructions import IllegalInstructionError
 from repro.policy.interface import PolicyAction, PolicyModule
 from repro.sbi.spec_registry import allowed_read_registers, allowed_write_registers
-from repro.sbi.types import SbiCall
 from repro.spec.step import BusError
 
 U64 = (1 << 64) - 1
@@ -102,39 +102,41 @@ class FirmwareSandboxPolicy(PolicyModule):
     def _hash_os_image(self) -> str:
         """Measure the initial S-mode image (boot attestation anchor)."""
         kernel_region = self.machine.region_named("kernel")
-        digest = hashlib.sha256()
-        for offset in range(0, 0x1000, 8):
-            word = self.machine.ram.read(kernel_region.base + offset, 8)
-            digest.update(word.to_bytes(8, "little"))
-        return digest.hexdigest()
+        image = self.machine.ram.read_bytes(kernel_region.base, 0x1000)
+        return hashlib.sha256(image).hexdigest()
 
     # ------------------------------------------------------------------
     # Register scrubbing around world switches
     # ------------------------------------------------------------------
 
     def on_switch_from_os(self, hart, vctx: VirtContext) -> PolicyAction:
-        """Save the OS register file and expose only allowed arguments."""
+        """Save the OS register file and expose only allowed arguments.
+
+        The scrubbed file is built whole and loaded in one call: only the
+        call's readable argument registers keep their values.
+        """
         state = hart.state
-        cause = state.csr.mcause & ~c.INTERRUPT_BIT
-        is_interrupt = bool(state.csr.mcause & c.INTERRUPT_BIT)
-        frame = {"regs": state.xregs, "writable": frozenset({10, 11})}
-        readable: frozenset[int] = frozenset()
-        if not is_interrupt and cause == c.TrapCause.ECALL_FROM_S:
-            call = SbiCall.from_regs(frame["regs"])
-            readable = allowed_read_registers(call.eid, call.fid)
-            frame["writable"] = allowed_write_registers(call.eid, call.fid)
-        elif not is_interrupt and cause == c.TrapCause.ILLEGAL_INSTRUCTION:
+        mcause = state.csr.mcause
+        regs = state.xregs
+        scrubbed = [0] * 32
+        if mcause & c.INTERRUPT_BIT:
+            writable: frozenset[int] = frozenset()
+        elif mcause == c.TrapCause.ECALL_FROM_S:
+            eid, fid = regs[17], regs[16]
+            for index in allowed_read_registers(eid, fid):
+                scrubbed[index] = regs[index]
+            writable = allowed_write_registers(eid, fid)
+        elif mcause == c.TrapCause.ILLEGAL_INSTRUCTION:
             # Instruction emulation: the firmware writes the decoded rd.
             try:
                 instr = decode(state.csr.read(c.CSR_MTVAL))
-                frame["writable"] = frozenset({instr.rd}) - {0}
+                writable = frozenset({instr.rd}) - {0}
             except IllegalInstructionError:
-                frame["writable"] = frozenset()
+                writable = frozenset()
         else:
-            frame["writable"] = frozenset()
-        for index in range(1, 32):
-            if index not in readable:
-                state.set_xreg(index, 0)
+            writable = frozenset()
+        state.load_xregs(scrubbed)
+        frame = {"regs": regs, "writable": writable}
         self._scrub_s_csrs(hart, frame)
         self._saved_frames[hart.hartid] = frame
         self.scrubbed_switches += 1
@@ -142,28 +144,20 @@ class FirmwareSandboxPolicy(PolicyModule):
 
     # S-mode CSRs saved around the world switch ("the policy saves and
     # restores general purpose registers and S-mode CSRs to prevent
-    # unintended leakage", §5.2).  This hook runs before the monitor loads
-    # the physical values into the shadow state, so zeroing the physical
-    # registers here makes the firmware see scrubbed values, and restoring
-    # into the shadow state before the switch back reinstates the truth.
-    _SCRUBBED_S_CSRS = (
-        ("stvec", c.CSR_STVEC),
-        ("sscratch", c.CSR_SSCRATCH),
-        ("sepc", c.CSR_SEPC),
-        ("scause", c.CSR_SCAUSE),
-        ("stval", c.CSR_STVAL),
-        ("satp", c.CSR_SATP),
-        ("scounteren", c.CSR_SCOUNTEREN),
-        ("senvcfg", c.CSR_SENVCFG),
-    )
+    # unintended leakage", §5.2): the world switch's own table.  This hook
+    # runs before the monitor loads the physical values into the shadow
+    # state, so zeroing the physical registers here makes the firmware see
+    # scrubbed values, and restoring into the shadow state before the
+    # switch back reinstates the truth.
 
     def _scrub_s_csrs(self, hart, frame: dict) -> None:
         csr_file = hart.state.csr
         saved = {"mstatus_s": csr_file.mstatus & c.SSTATUS_MASK,
                  "sie": csr_file.mie & c.SIP_MASK}
-        for attr, csr in self._SCRUBBED_S_CSRS:
-            saved[attr] = csr_file.read(csr)
-            csr_file.write(csr, 0)
+        read, write = csr_file.read, csr_file.write
+        for csr, field in S_CSR_FIELDS:
+            saved[field] = read(csr)
+            write(csr, 0)
         csr_file.mstatus &= ~c.SSTATUS_MASK | c.MSTATUS_UXL  # keep UXL
         frame["s_csrs"] = saved
 
@@ -172,18 +166,25 @@ class FirmwareSandboxPolicy(PolicyModule):
         if not frame or "s_csrs" not in frame:
             return
         saved = frame["s_csrs"]
-        for attr, _csr in self._SCRUBBED_S_CSRS:
-            setattr(vctx, attr, saved[attr])
+        for _csr, field in S_CSR_FIELDS:
+            setattr(vctx, field, saved[field])
         vctx.mstatus = (vctx.mstatus & ~c.SSTATUS_MASK) | saved["mstatus_s"]
         vctx.mie = (vctx.mie & ~c.SIP_MASK) | saved["sie"]
 
     def _restore_registers(self, hart) -> None:
+        """Reload the saved OS file, keeping the firmware's results in the
+        writable registers: one merged file, one load."""
         frame = self._saved_frames.get(hart.hartid)
         if frame is None:
             return
-        for index in range(1, 32):
-            if index not in frame["writable"]:
-                hart.state.set_xreg(index, frame["regs"][index])
+        state = hart.state
+        merged = list(frame["regs"])
+        writable = frame["writable"]
+        if writable:
+            current = state.xregs
+            for index in writable:
+                merged[index] = current[index]
+        state.load_xregs(merged)
         self._saved_frames[hart.hartid] = None
 
     # ------------------------------------------------------------------

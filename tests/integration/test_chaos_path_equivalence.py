@@ -1,23 +1,27 @@
 """The chaos layers' per-trap helpers against the forms they replaced.
 
-``FaultInjector._decide`` walks a per-site spec index, ``CoverageMap.record``
-memoises each path's bitmap slot, ``_copy`` returns scalars and scalar
-lists at once, and ``csr_access_allowed`` reads its static rule from the
-per-config CSR table.  The references below are the replaced code, kept
-verbatim in logic; the rewritten helpers must agree with them on every
-input.
+``FaultInjector._decide`` walks a per-site spec index and formats a
+decision's detail only when it fires, ``CoverageMap.record`` memoises each
+path's bitmap slot, ``_copy`` returns scalars and scalar lists at once,
+``csr_access_allowed`` reads its static rule from the per-config CSR
+table, and the sandbox policy scrubs and restores whole register files
+and hashes the OS image from one bulk ``Ram.read_bytes``.  The references
+below are the replaced code, kept verbatim in logic; the rewritten
+helpers must agree with them on every input.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 from collections import Counter, defaultdict
+from types import SimpleNamespace
 from typing import Optional
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.vcpu import World
+from repro.core.vcpu import VirtContext, World
 from repro.coverage.map import (
     BLOCK_BITS,
     U64,
@@ -34,8 +38,20 @@ from repro.faults.injector import (
     FaultSpec,
     InjectionEvent,
 )
+from repro.hart.memory import Ram
 from repro.hart.stats import TrapEvent
 from repro.isa import constants as c
+from repro.isa.decoder import decode
+from repro.isa.encoding import encode
+from repro.isa.instructions import IllegalInstructionError, Instruction
+from repro.policy.interface import PolicyAction
+from repro.policy.sandbox import FirmwareSandboxPolicy
+from repro.sbi.spec_registry import (
+    all_signatures,
+    allowed_read_registers,
+    allowed_write_registers,
+)
+from repro.sbi.types import SbiCall
 from repro.statecopy import copy_state as _copy
 from repro.spec.platform import PREMIER_P550, RVA23_MACHINE, VISIONFIVE2
 from repro.spec.state import MachineState
@@ -49,13 +65,15 @@ HARTS = st.integers(min_value=0, max_value=2)
 
 
 class ReferenceInjector(FaultInjector):
-    """The injector with the enumerate-every-spec decision loop."""
+    """The injector with the enumerate-every-spec decision loop, which
+    formats every decision's detail up front."""
 
     def __init__(self, plan: FaultPlan, seed: int = 0):
         super().__init__(plan, seed)
         self._ref_hits: Counter[int] = Counter()
 
-    def _decide(self, site: str, detail: str, **attrs) -> Optional[FaultSpec]:
+    def _ref_decide(self, site: str, detail: str,
+                    **attrs) -> Optional[FaultSpec]:
         if site not in self.plan.sites:
             return None
         index = self._site_counts[site]
@@ -75,8 +93,36 @@ class ReferenceInjector(FaultInjector):
             return spec
         return None
 
+    def corrupt_vcsr_write(self, hartid: int, csr: int, value: int) -> int:
+        spec = self._ref_decide(
+            "vcsr-write", f"csr={csr:#x}", hart=hartid, csr=csr
+        )
+        if spec is None:
+            return value
+        if spec.xor_mask is not None:
+            corrupted = (value ^ spec.xor_mask) & U64
+        else:
+            corrupted = (value ^ (1 << self._rng.getrandbits(6))) & U64
+        last = self.injections[-1]
+        self.injections[-1] = last._replace(
+            detail=f"csr={csr:#x} {value:#x}->{corrupted:#x}"
+        )
+        return corrupted
+
+    def mmio_error(self, device: str, kind: str, offset: int,
+                   hartid: Optional[int] = None) -> bool:
+        return self._ref_decide(
+            "mmio", f"{device}:{kind}@{offset:#x}",
+            device=device, kind=kind, hart=hartid,
+        ) is not None
+
+    def flip_instruction(self, hartid: int, mnemonic: str) -> bool:
+        return self._ref_decide("decode", f"flip:{mnemonic}",
+                                hart=hartid) is not None
+
     def stall_firmware(self, hartid: int) -> bool:
-        return self._decide("stall", f"hart{hartid}", hart=hartid) is not None
+        return self._ref_decide("stall", f"hart{hartid}",
+                                hart=hartid) is not None
 
 
 def _optional(strategy):
@@ -343,3 +389,236 @@ def test_csr_access_allowed_matches_reference(platform, tvm, stce,
                             == reference_csr_access_allowed(state, csr,
                                                             is_write)), (
                         hex(csr), mode, is_write)
+
+
+# -- FirmwareSandboxPolicy world-switch hooks --------------------------------
+
+
+class ReferenceSandbox(FirmwareSandboxPolicy):
+    """The sandbox with per-register scrub and restore, its own S-CSR
+    table, and an OS-image hash of 512 eight-byte reads."""
+
+    _SCRUBBED_S_CSRS = (
+        ("stvec", c.CSR_STVEC),
+        ("sscratch", c.CSR_SSCRATCH),
+        ("sepc", c.CSR_SEPC),
+        ("scause", c.CSR_SCAUSE),
+        ("stval", c.CSR_STVAL),
+        ("satp", c.CSR_SATP),
+        ("scounteren", c.CSR_SCOUNTEREN),
+        ("senvcfg", c.CSR_SENVCFG),
+    )
+
+    def _hash_os_image(self) -> str:
+        kernel_region = self.machine.region_named("kernel")
+        digest = hashlib.sha256()
+        for offset in range(0, 0x1000, 8):
+            word = self.machine.ram.read(kernel_region.base + offset, 8)
+            digest.update(word.to_bytes(8, "little"))
+        return digest.hexdigest()
+
+    def on_switch_from_os(self, hart, vctx):
+        state = hart.state
+        cause = state.csr.mcause & ~c.INTERRUPT_BIT
+        is_interrupt = bool(state.csr.mcause & c.INTERRUPT_BIT)
+        frame = {"regs": state.xregs, "writable": frozenset({10, 11})}
+        readable: frozenset[int] = frozenset()
+        if not is_interrupt and cause == c.TrapCause.ECALL_FROM_S:
+            call = SbiCall.from_regs(frame["regs"])
+            readable = allowed_read_registers(call.eid, call.fid)
+            frame["writable"] = allowed_write_registers(call.eid, call.fid)
+        elif not is_interrupt and cause == c.TrapCause.ILLEGAL_INSTRUCTION:
+            try:
+                instr = decode(state.csr.read(c.CSR_MTVAL))
+                frame["writable"] = frozenset({instr.rd}) - {0}
+            except IllegalInstructionError:
+                frame["writable"] = frozenset()
+        else:
+            frame["writable"] = frozenset()
+        for index in range(1, 32):
+            if index not in readable:
+                state.set_xreg(index, 0)
+        self._scrub_s_csrs(hart, frame)
+        self._saved_frames[hart.hartid] = frame
+        self.scrubbed_switches += 1
+        return PolicyAction.CONTINUE
+
+    def _scrub_s_csrs(self, hart, frame: dict) -> None:
+        csr_file = hart.state.csr
+        saved = {"mstatus_s": csr_file.mstatus & c.SSTATUS_MASK,
+                 "sie": csr_file.mie & c.SIP_MASK}
+        for attr, csr in self._SCRUBBED_S_CSRS:
+            saved[attr] = csr_file.read(csr)
+            csr_file.write(csr, 0)
+        csr_file.mstatus &= ~c.SSTATUS_MASK | c.MSTATUS_UXL  # keep UXL
+        frame["s_csrs"] = saved
+
+    def _restore_s_csrs(self, hart, vctx) -> None:
+        frame = self._saved_frames.get(hart.hartid)
+        if not frame or "s_csrs" not in frame:
+            return
+        saved = frame["s_csrs"]
+        for attr, _csr in self._SCRUBBED_S_CSRS:
+            setattr(vctx, attr, saved[attr])
+        vctx.mstatus = (vctx.mstatus & ~c.SSTATUS_MASK) | saved["mstatus_s"]
+        vctx.mie = (vctx.mie & ~c.SIP_MASK) | saved["sie"]
+
+    def _restore_registers(self, hart) -> None:
+        frame = self._saved_frames.get(hart.hartid)
+        if frame is None:
+            return
+        for index in range(1, 32):
+            if index not in frame["writable"]:
+                hart.state.set_xreg(index, frame["regs"][index])
+        self._saved_frames[hart.hartid] = None
+
+
+S_CSRS = tuple(csr for _attr, csr in ReferenceSandbox._SCRUBBED_S_CSRS)
+SBI_CALLS = [(sig.eid, sig.fid) for sig in all_signatures()]
+XLEN_VALUES = st.integers(0, U64)
+
+
+def _typed(value):
+    """``value`` with the type of every container and leaf spelled out, so
+    two frames compare equal only if their shapes and types match too."""
+    if isinstance(value, dict):
+        return ("dict", [(key, _typed(item)) for key, item in value.items()])
+    if isinstance(value, (list, tuple)):
+        return (type(value).__name__, [_typed(item) for item in value])
+    if isinstance(value, frozenset):
+        return ("frozenset", sorted(value),
+                sorted({type(item).__name__ for item in value}))
+    return (type(value).__name__, value)
+
+
+@st.composite
+def trap_causes(draw) -> tuple[int, int, list[int]]:
+    """``(mcause, mtval, register file)`` of a trap the OS hands over."""
+    regs = [0] + draw(st.lists(XLEN_VALUES, min_size=31, max_size=31))
+    kind = draw(st.sampled_from(
+        ("sbi", "unknown-sbi", "interrupt", "illegal", "other")))
+    mtval = draw(st.integers(0, (1 << 32) - 1))
+    if kind in ("sbi", "unknown-sbi"):
+        if kind == "sbi":
+            eid, fid = draw(st.sampled_from(SBI_CALLS))
+        else:
+            eid, fid = draw(XLEN_VALUES), draw(XLEN_VALUES)
+        regs[17], regs[16] = eid, fid
+        return int(c.TrapCause.ECALL_FROM_S), mtval, regs
+    if kind == "interrupt":
+        return (c.INTERRUPT_BIT | draw(st.sampled_from((1, 3, 5, 7, 9, 11))),
+                mtval, regs)
+    if kind == "illegal":
+        # A CSR instruction (rd = 0 included) or an arbitrary word.
+        if draw(st.booleans()):
+            mtval = encode(Instruction(
+                draw(st.sampled_from(("csrrw", "csrrs", "csrrc"))),
+                rd=draw(st.integers(0, 31)), rs1=draw(st.integers(0, 31)),
+                csr=draw(st.sampled_from(S_CSRS))))
+        return int(c.TrapCause.ILLEGAL_INSTRUCTION), mtval, regs
+    return draw(st.sampled_from((0, 1, 3, 5, 7, 8, 12))), mtval, regs
+
+
+def _sandbox_hart(policy_type, mcause, mtval, regs, s_csrs, mstatus, mie):
+    policy = policy_type()
+    policy._saved_frames = {0: None}
+    hart = SimpleNamespace(hartid=0, state=MachineState(VISIONFIVE2))
+    state = hart.state
+    state.load_xregs(regs)
+    csr_file = state.csr
+    for csr, value in zip(S_CSRS, s_csrs):
+        csr_file.write(csr, value)
+    csr_file.write(c.CSR_MSTATUS, mstatus)
+    csr_file.write(c.CSR_MIE, mie)
+    csr_file.mcause = mcause
+    csr_file.write(c.CSR_MTVAL, mtval)
+    return policy, hart
+
+
+def _physical(hart) -> list[int]:
+    csr_file = hart.state.csr
+    return [*hart.state.xregs, *(csr_file.read(csr) for csr in S_CSRS),
+            csr_file.mstatus, csr_file.mie]
+
+
+@settings(max_examples=300, deadline=None)
+@given(trap=trap_causes(),
+       s_csrs=st.lists(XLEN_VALUES, min_size=8, max_size=8),
+       mstatus=XLEN_VALUES, mie=XLEN_VALUES,
+       firmware_regs=st.lists(XLEN_VALUES, min_size=32, max_size=32),
+       vctx_mstatus=XLEN_VALUES, vctx_mie=XLEN_VALUES)
+def test_sandbox_switch_hooks_match_reference(trap, s_csrs, mstatus, mie,
+                                              firmware_regs, vctx_mstatus,
+                                              vctx_mie):
+    mcause, mtval, regs = trap
+    new, new_hart = _sandbox_hart(FirmwareSandboxPolicy, mcause, mtval, regs,
+                                  s_csrs, mstatus, mie)
+    ref, ref_hart = _sandbox_hart(ReferenceSandbox, mcause, mtval, regs,
+                                  s_csrs, mstatus, mie)
+    new.on_switch_from_os(new_hart, None)
+    ref.on_switch_from_os(ref_hart, None)
+    assert _physical(new_hart) == _physical(ref_hart)
+    assert _typed(new._saved_frames) == _typed(ref._saved_frames)
+    assert new.scrubbed_switches == ref.scrubbed_switches == 1
+
+    # The firmware runs, then the switch back restores the OS's state.
+    vctxs = []
+    for policy, hart in ((new, new_hart), (ref, ref_hart)):
+        hart.state.load_xregs(firmware_regs)
+        vctx = VirtContext(VISIONFIVE2)
+        vctx.mstatus, vctx.mie = vctx_mstatus, vctx_mie
+        policy._restore_s_csrs(hart, vctx)
+        policy._restore_registers(hart)
+        vctxs.append(vctx.snapshot_state())
+    assert new_hart.state.xregs == ref_hart.state.xregs
+    assert vctxs[0] == vctxs[1]
+    assert new._saved_frames == ref._saved_frames == {0: None}
+
+
+# -- Ram.read_bytes and the OS-image hash --------------------------------------
+
+RAM_BASE = 0x8000_0000
+RAM_PAGES = 6
+ram_writes = st.lists(
+    st.tuples(st.integers(0, RAM_PAGES * 4096 - 8),
+              st.sampled_from((1, 2, 4, 8)), XLEN_VALUES),
+    max_size=40)
+
+
+def _ram(writes) -> Ram:
+    ram = Ram(RAM_BASE, RAM_PAGES * 4096)
+    for offset, size, value in writes:
+        ram.write(RAM_BASE + offset, size, value & ((1 << (8 * size)) - 1))
+    return ram
+
+
+@settings(max_examples=200, deadline=None)
+@given(writes=ram_writes,
+       reads=st.lists(st.tuples(st.integers(0, RAM_PAGES * 4096 - 1),
+                                st.integers(0, 9000)), max_size=8))
+def test_read_bytes_matches_byte_reads(writes, reads):
+    bulk, single = _ram(writes), _ram(writes)
+    for offset, length in reads:
+        length = min(length, RAM_PAGES * 4096 - offset)
+        address = RAM_BASE + offset
+        data = bulk.read_bytes(address, length)
+        assert type(data) is bytes
+        assert data == bytes(single.read(address + i, 1)
+                             for i in range(length))
+        # Both touched (allocated) the same pages, never-touched ones too.
+        assert bulk._pages.keys() == single._pages.keys()
+
+
+@settings(max_examples=100, deadline=None)
+@given(writes=ram_writes,
+       kernel_offset=st.integers(0, (RAM_PAGES - 1) * 4096))
+def test_os_image_hash_matches_reference(writes, kernel_offset):
+    hashes = []
+    for policy_type in (FirmwareSandboxPolicy, ReferenceSandbox):
+        ram = _ram(writes)
+        kernel = SimpleNamespace(base=RAM_BASE + kernel_offset)
+        policy = policy_type()
+        policy.machine = SimpleNamespace(
+            ram=ram, region_named={"kernel": kernel}.__getitem__)
+        hashes.append((policy._hash_os_image(), set(ram._pages)))
+    assert hashes[0] == hashes[1]

@@ -16,7 +16,10 @@ after a warm-up pass (so lookup caches are filled):
   runs with the storm out of reach (``max_fault_repeats=10**9``) and
   keeps its ~8k runaway traps per run;
 - 100 ops of the Fig. 12 Memcached stream under ``miralis-no-offload``,
-  where every op world-switches into the firmware and back.
+  where every op world-switches into the firmware and back;
+- the full SBI chaos cell ``opensbi`` x ``none`` x seed 1: the sandbox
+  policy, watchdog and fault injector armed, ~38 world-switch round trips
+  over ~219 traps, so the sandbox hooks and the activation arm count.
 
 Each budget is the count measured when it was set plus 10% headroom.  A
 change that lowers the count should lower the budget with it.
@@ -44,8 +47,10 @@ HEADROOM = 1.10
 #: Python version -> workload -> calls per recorded trap when set.  3.12
 #: inlines comprehensions, hence its lower Memcached count.
 MEASURED = {
-    (3, 11): {"stall-loop": 36.68, "memcached-reinject": 62.06},
-    (3, 12): {"stall-loop": 36.68, "memcached-reinject": 61.59},
+    (3, 11): {"stall-loop": 36.68, "memcached-reinject": 62.06,
+              "opensbi-none": 96.92},
+    (3, 12): {"stall-loop": 36.68, "memcached-reinject": 61.59,
+              "opensbi-none": 95.24},
 }
 
 _RECORD_TRAP = TrapStats.record_trap.__code__
@@ -89,6 +94,10 @@ def _stall_loop() -> None:
     chaos.run_chaos("opensbi", "stall-loop", 137, coverage=CoverageMap())
 
 
+def _opensbi_none() -> None:
+    chaos.run_chaos("opensbi", "none", 1, coverage=CoverageMap())
+
+
 def _memcached_reinject(measure):
     """Boot ``miralis-no-offload`` and hand ``measure`` the op loop."""
     kinds, weights = zip(*MEMCACHED.weights())
@@ -128,11 +137,15 @@ def calls_per_trap(workload: str) -> float:
                                _runaway_config):
             _stall_loop()  # warm-up
             return CallCounter().run(_stall_loop)
+    if workload == "opensbi-none":
+        _opensbi_none()  # warm-up
+        return CallCounter().run(_opensbi_none)
     _memcached_reinject(lambda ops: ops())  # warm-up
     return _memcached_reinject(lambda ops: CallCounter().run(ops))
 
 
-@pytest.mark.parametrize("workload", ["stall-loop", "memcached-reinject"])
+@pytest.mark.parametrize("workload",
+                         ["stall-loop", "memcached-reinject", "opensbi-none"])
 def test_calls_per_trap_within_budget(workload):
     measured = MEASURED.get(sys.version_info[:2])
     if measured is None:
