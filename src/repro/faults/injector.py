@@ -300,16 +300,14 @@ class FaultInjector:
         if fired is None:
             return value
         spec, index = fired
-        self._commit("vcsr-write", index, f"csr={csr:#x}", hartid)
         if spec.xor_mask is not None:
             corrupted = (value ^ spec.xor_mask) & U64
         else:
             corrupted = (value ^ (1 << self._rng.getrandbits(6))) & U64
-        # Patch the recorded detail with the actual corruption.
-        last = self.injections[-1]
-        self.injections[-1] = last._replace(
-            detail=f"csr={csr:#x} {value:#x}->{corrupted:#x}"
-        )
+        # Committed once the corruption is known, so the trace event
+        # carries the same detail as the injection log.
+        self._commit("vcsr-write", index,
+                     f"csr={csr:#x} {value:#x}->{corrupted:#x}", hartid)
         return corrupted
 
     def mmio_error(self, device: str, kind: str, offset: int,
