@@ -41,20 +41,6 @@ _INTERRUPT_BIT = c.INTERRUPT_BIT
 #: taken from M-mode belongs to the S-mode OS; MPP=2 is reserved.
 _OS_MODE_BY_MPP = (c.U_MODE, c.S_MODE, None, c.S_MODE)
 
-#: :func:`repro.snapshot.activation.capture_activation`, bound by the
-#: first arm rather than imported here: importing ``repro.snapshot`` loads
-#: the checkpoint store, which a run that never arms a watchdog (the
-#: trap-mix benchmarks) must not pay for at start-up.
-_capture_activation = None
-
-
-def _bind_capture_activation():
-    global _capture_activation
-    from repro.snapshot.activation import capture_activation
-
-    _capture_activation = capture_activation
-    return capture_activation
-
 
 class FirmwareWatchdog:
     """Per-hart failure detection and graceful recovery for vM-mode."""
@@ -63,6 +49,12 @@ class FirmwareWatchdog:
         self.miralis = miralis
         self.machine = miralis.machine
         self.config = config
+        # Imported here, not at module level: ``repro.snapshot`` loads the
+        # checkpoint store, which a run without a watchdog (the trap-mix
+        # benchmarks) must not pay for at start-up.
+        from repro.snapshot.activation import capture_activation
+
+        self._capture_activation = capture_activation
         num_harts = self.machine.config.num_harts
         self.quarantined = [False] * num_harts
         self.consecutive_failures = [0] * num_harts
@@ -176,8 +168,7 @@ class FirmwareWatchdog:
     def _activation_snapshot(self, hart, vctx) -> dict:
         """Everything a retry (or replay) must restore — see
         :mod:`repro.snapshot.activation` for the contract."""
-        return (_capture_activation or _bind_capture_activation())(
-            self, hart, vctx)
+        return self._capture_activation(self, hart, vctx)
 
     def _activation_restore(self, hart, vctx, snap: dict) -> None:
         from repro.snapshot.activation import restore_activation

@@ -52,7 +52,8 @@ NOT_STATE = {
     "VirtContext": set(vcpu.WIRING),
     "VirtualClint": {"machine", "clint"},
     "FastPath": {"miralis", "machine", "costs"},
-    "FirmwareWatchdog": {"miralis", "machine", "config"},
+    "FirmwareWatchdog": {"miralis", "machine", "config",
+                         "_capture_activation"},
     "Miralis": {"machine", "region", "firmware", "config", "vpmp",
                 "switcher"},
     "DefaultPolicy": set(),  # binds no wiring: its init is the no-op
