@@ -513,7 +513,8 @@ def trap_causes(draw) -> tuple[int, int, list[int]]:
         if draw(st.booleans()):
             mtval = encode(Instruction(
                 draw(st.sampled_from(("csrrw", "csrrs", "csrrc"))),
-                rd=draw(st.integers(0, 31)), rs1=draw(st.integers(0, 31)),
+                rd=draw(st.one_of(st.just(0), st.integers(1, 31))),
+                rs1=draw(st.integers(0, 31)),
                 csr=draw(st.sampled_from(S_CSRS))))
         return int(c.TrapCause.ILLEGAL_INSTRUCTION), mtval, regs
     return draw(st.sampled_from((0, 1, 3, 5, 7, 8, 12))), mtval, regs
