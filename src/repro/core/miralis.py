@@ -368,18 +368,12 @@ class Miralis:
         if (instr is not None and injector is not None
                 and injector.flip_instruction(hart.hartid, instr.mnemonic)):
             instr = None  # injected decoder glitch: treat as illegal
-        self.machine.stats.annotate_last(
-            "miralis-emulate",
-            detail=trap_detail("emulate", instr.mnemonic if instr else "invalid"),
-            hart=hart.hartid,
-        )
-        self.machine.stats.note_firmware_emulation()
-        tracer = self.machine.tracer
-        if tracer is not None:
-            tracer.emit(
-                self.machine, "fw-emulate", hart.hartid,
-                what=instr.mnemonic if instr else "invalid",
-            )
+        what = instr.mnemonic if instr else "invalid"
+        stats = self.machine.stats
+        stats.annotate_last("miralis-emulate",
+                            detail=trap_detail("emulate", what),
+                            hart=hart.hartid)
+        stats.note_firmware_emulation(hart.hartid, what)
         self.emulation_count += 1
         self._charge_host(hart, costs.emulate_instruction)
         if instr is None:

@@ -14,7 +14,6 @@ from collections import Counter
 from typing import Optional
 
 from repro.core.vcpu import VirtContext
-from repro.hart.stats import trap_detail
 from repro.isa import constants as c
 from repro.isa.decoder import decode
 from repro.isa.instructions import IllegalInstructionError, Instruction
@@ -60,15 +59,7 @@ class FastPath:
     def _note(self, hart, name: str) -> None:
         """Count one offload hit (stats, annotation, trace)."""
         self.hits[name] += 1
-        stats = self.machine.stats
-        stats.note_fastpath()
-        stats.annotate_last(
-            "miralis-fastpath", detail=trap_detail("offload", name),
-            hart=hart.hartid,
-        )
-        tracer = self.machine.tracer
-        if tracer is not None:
-            tracer.fastpath(self.machine, hart.hartid, name)
+        self.machine.stats.note_fastpath(hart.hartid, name)
 
     # The firmware observes interrupt state through the emulated CSR view
     # (``vctx.mip``): a world-switched emulation of these traps ends with

@@ -67,19 +67,8 @@ class Hart:
                 is_interrupt=trap.is_interrupt,
                 from_mode=None,  # mode before the trap is folded into cause
                 mtime=machine.read_mtime(),
+                pc=state.pc,
             )
-            tracer = machine.tracer
-            if tracer is not None:
-                tracer.trap_entry(
-                    machine, self.hartid, trap.cause, trap.is_interrupt,
-                )
-            coverage = machine.coverage
-            if coverage is not None:
-                view = machine.world_view
-                coverage.record(
-                    self.hartid, trap.cause, trap.is_interrupt, state.pc,
-                    None if view is None else view[self.hartid],
-                )
         self.cycles += cost
         machine.cycles += cost
         self.instret += 1
@@ -113,17 +102,8 @@ class Hart:
             is_interrupt=True,
             from_mode=from_mode,
             mtime=self.machine.read_mtime(),
+            pc=self.state.pc,
         )
-        tracer = self.machine.tracer
-        if tracer is not None:
-            tracer.trap_entry(self.machine, self.hartid, trap.cause, True)
-        coverage = self.machine.coverage
-        if coverage is not None:
-            view = self.machine.world_view
-            coverage.record(
-                self.hartid, trap.cause, True, self.state.pc,
-                None if view is None else view[self.hartid],
-            )
         return True
 
     # -- state protocol -------------------------------------------------

@@ -69,7 +69,7 @@ class Machine:
         # Read by ``read_mtime`` several times per trap.
         self._frequency_hz = config.frequency_hz
         self.cycle_model = cycle_model_for(config)
-        self.stats = TrapStats(keep_events=keep_trap_events)
+        self.stats = TrapStats(keep_events=keep_trap_events, machine=self)
         self.cycles = 0.0
         self.halted = False
         self.halt_reason: Optional[str] = None

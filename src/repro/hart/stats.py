@@ -11,6 +11,7 @@ import dataclasses
 import functools
 import itertools
 from collections import Counter, defaultdict, deque
+from types import SimpleNamespace
 from typing import Optional
 
 from repro.isa import constants as c
@@ -53,6 +54,9 @@ def trap_detail(kind: str, value) -> str:
     return f"{kind}:{value}"
 
 
+#: What a :class:`TrapStats` built without a machine reads its sinks from.
+_NO_SINKS = SimpleNamespace(tracer=None, coverage=None)
+
 #: Events the trap log holds: the most recent ones, in a fixed ring.  The
 #: largest log read in full (the Fig. 3 boot, about 3,100 events) fits
 #: with room to spare; at ~128 B per event the ring tops out near 1 MB.
@@ -64,11 +68,15 @@ class TrapStats:
 
     ``events`` is a ring of the last :data:`TRAP_LOG_CAPACITY` events, so
     a run's memory stops growing with its length; the counters, ``logged``
-    and ``dropped`` stay exact however long the run.
+    and ``dropped`` stay exact however long the run.  It is the one entry
+    point for the trap-path events it counts: each passes them on to the
+    machine's tracer and, for a trap, its coverage map.
     """
 
-    def __init__(self, keep_events: bool = True):
+    def __init__(self, keep_events: bool = True, machine=None):
         self.keep_events = keep_events
+        #: Wiring: each event reads ``machine.tracer``/``machine.coverage``.
+        self.machine = _NO_SINKS if machine is None else machine
         self.events: deque[TrapEvent] = deque(maxlen=TRAP_LOG_CAPACITY)
         #: Events recorded into the log, net of rewinds: what the log
         #: would hold if it were unbounded.
@@ -96,16 +104,29 @@ class TrapStats:
         self._injected_by_hart: dict[int, TrapEvent] = {}
         self._injected_seq_by_hart: dict[int, Optional[int]] = {}
 
-    def record_trap(self, hart, cause, is_interrupt, from_mode, mtime) -> TrapEvent:
+    def record_trap(self, hart, cause, is_interrupt, from_mode, mtime,
+                    pc: int = 0) -> TrapEvent:
+        """Record one trap, then pass it to the tracer and coverage map
+        (``pc``: the handler-entry pc the coverage edge keys on)."""
         event = TrapEvent(hart, cause, is_interrupt, from_mode, mtime)
+        name = cause_name(cause, is_interrupt)
         self.total_traps += 1
-        self.trap_counts[cause_name(cause, is_interrupt)] += 1
+        self.trap_counts[name] += 1
         if self.keep_events:
             self._seq_by_hart[hart] = self.logged
             self.events.append(event)
             self.logged += 1
         self._last = event
         self._last_by_hart[hart] = event
+        machine = self.machine
+        tracer = machine.tracer
+        if tracer is not None:
+            tracer.trap_entry(machine, hart, name, is_interrupt)
+        coverage = machine.coverage
+        if coverage is not None:
+            view = machine.world_view
+            coverage.record(hart, cause, is_interrupt, pc,
+                            None if view is None else view[hart])
         return event
 
     def pin_injected(self, hart: int) -> None:
@@ -159,14 +180,38 @@ class TrapStats:
         if detail:
             event.detail = detail
 
-    def note_world_switch(self) -> None:
+    def note_world_switch(self, hart: int, direction: str, csr_ops: int,
+                          target: Optional[c.PrivilegeLevel] = None) -> None:
+        """Count one world switch and trace it (``target``: enter-os only)."""
         self.world_switches += 1
+        machine = self.machine
+        tracer = machine.tracer
+        if tracer is not None:
+            if target is None:
+                tracer.emit(machine, "world-switch", hart,
+                            direction=direction, csr_ops=csr_ops)
+            else:
+                tracer.emit(machine, "world-switch", hart,
+                            direction=direction, target=target.short_name,
+                            csr_ops=csr_ops)
 
-    def note_firmware_emulation(self) -> None:
+    def note_firmware_emulation(self, hart: int, what: str) -> None:
+        """Count one firmware instruction emulation and trace it."""
         self.firmware_emulations += 1
+        machine = self.machine
+        tracer = machine.tracer
+        if tracer is not None:
+            tracer.emit(machine, "fw-emulate", hart, what=what)
 
-    def note_fastpath(self) -> None:
+    def note_fastpath(self, hart: int, name: str) -> None:
+        """Count one offload hit, annotate its trap and trace it."""
         self.fastpath_hits += 1
+        self.annotate_last("miralis-fastpath",
+                           detail=trap_detail("offload", name), hart=hart)
+        machine = self.machine
+        tracer = machine.tracer
+        if tracer is not None:
+            tracer.fastpath(machine, hart, name)
 
     def note_recovery(self, kind: str, hart: Optional[int] = None) -> None:
         """Count one watchdog recovery decision (first-class, not moved).

@@ -1,10 +1,13 @@
 """The event recorder: a bounded ring buffer of typed monitor events.
 
-Every layer of the monitor emits through the same two-line pattern::
+The four trap-path events ``TrapStats`` counts (trap entry, world switch,
+fast-path hit, firmware emulation) reach the tracer through it: the site
+makes one ``machine.stats`` call, which counts the event and emits it.
+Every other layer emits through the same two-line pattern::
 
     tracer = self.machine.tracer
     if tracer is not None:
-        tracer.emit(self.machine, "world-switch", hartid, direction=...)
+        tracer.emit(self.machine, "vclint", hartid, op=...)
 
 so a disabled tracer (``machine.tracer is None``, the default) costs one
 attribute load and one branch on the hot path.
@@ -12,10 +15,10 @@ attribute load and one branch on the hot path.
 An *enabled* tracer has its own budget (<10% of steps/sec, checked by
 the hot-path benchmark), so the recording path does the minimum work per
 event: the ring holds plain tuples and :class:`TraceEvent` objects are
-materialized lazily by :meth:`Tracer.events`; trap cause names are
-memoized instead of re-deriving the enum name on every trap; and trap
-latencies are buffered and folded into the metrics registry in batches
-(flushed transparently when :attr:`metrics` is read).
+materialized lazily by :meth:`Tracer.events`; trap cause names arrive
+from ``TrapStats``, which derives each once for its own counters; and
+trap latencies are buffered and folded into the metrics registry in
+batches (flushed transparently when :attr:`metrics` is read).
 
 The ring is bounded (old events are dropped, counted in :attr:`dropped`)
 but the per-kind and per-cause counters are cumulative, so aggregate
@@ -28,7 +31,6 @@ from collections import Counter, deque
 from typing import Optional
 
 from repro.hart.cycles import cycles_to_mtime
-from repro.hart.stats import cause_name
 from repro.trace.metrics import MetricsRegistry
 
 #: The event kinds the monitor emits, one per instrumented subsystem.
@@ -108,9 +110,6 @@ class Tracer:
         self._seq = 0
         # Per-hart open trap: (cause name, machine.cycles at entry).
         self._open: dict[int, tuple[str, float]] = {}
-        # (cause << 1 | is_interrupt) -> name; enum-name derivation (and
-        # even a tuple key) is too slow for the per-trap path.
-        self._names: dict[int, str] = {}
         # Clock frequency of the traced machine, captured on first emit:
         # events are stamped with the cheap ``machine.cycles`` attribute
         # and converted to mtime lazily when materialized.  A tracer
@@ -132,16 +131,12 @@ class Tracer:
                            machine.harts[hart].instret, args))
         self._counts[kind] += 1
 
-    def trap_entry(self, machine, hartid: int, cause: int,
+    def trap_entry(self, machine, hartid: int, name: str,
                    is_interrupt: bool) -> None:
-        """A hart took a trap; opens the latency span for this hart."""
+        """A hart took a trap, whose cause name ``TrapStats.record_trap``
+        passes in; opens the latency span for this hart."""
         if self._hz is None:
             self._hz = machine.config.frequency_hz
-        key = cause << 1 | is_interrupt
-        name = self._names.get(key)
-        if name is None:
-            name = cause_name(cause, is_interrupt)
-            self._names[key] = name
         self._pending_causes.append(name)
         cycles = machine.cycles
         self._open[hartid] = (name, cycles)
@@ -197,8 +192,9 @@ class Tracer:
 
     @property
     def trap_causes(self) -> Counter:
-        """Cumulative trap-entry events per cause name; by construction
-        equal to ``TrapStats.trap_counts`` for the same run."""
+        """Cumulative trap-entry events per cause name; equal by
+        construction to ``TrapStats.trap_counts`` for the same run, whose
+        ``record_trap`` is the one caller of :meth:`trap_entry`."""
         pending = self._pending_causes
         if pending:
             self._causes.update(pending)

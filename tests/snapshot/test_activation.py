@@ -87,7 +87,6 @@ class TestMetricsRewind:
             machine.stats.record_trap(hart=0, cause=CAUSE, is_interrupt=False,
                                       from_mode=None, mtime=0)
             if tracer is not None:
-                tracer.trap_entry(machine, 0, CAUSE, False)
                 tracer.trap_exit(machine, 0, "miralis-emulate")
 
     def test_abandoned_activation_traps_are_not_double_counted(self):

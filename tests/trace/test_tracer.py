@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from repro.faults.chaos import CHAOS_FIRMWARES, run_chaos
+from repro.hart.machine import Machine
 from repro.spec.platform import VISIONFIVE2
 from repro.system import build_virtualized
 from repro.trace import (
@@ -27,6 +29,20 @@ def _demo_workload(kernel, ctx):
     kernel.sbi_send_ipi(ctx, 0b1, 0)
     ctx.compute(100)
     kernel.print(ctx, f"up at {t0}\n")
+
+
+#: The four firmwares fault-free, plus a cell whose activations retry.
+CHAOS_CELLS = [(firmware, "none", 1) for firmware in CHAOS_FIRMWARES] + [
+    ("opensbi", "decode-flip", 0)]
+
+
+def assert_counted_events_match(tracer, stats):
+    counts = tracer.counts
+    assert counts["trap-entry"] == stats.total_traps
+    assert counts["world-switch"] == stats.world_switches
+    assert counts["fastpath"] == stats.fastpath_hits
+    assert counts["fw-emulate"] == stats.firmware_emulations
+    assert dict(tracer.trap_causes) == dict(stats.trap_counts)
 
 
 @pytest.fixture(scope="module")
@@ -61,8 +77,28 @@ class TestTracer:
     def test_cause_counters_match_stats(self, traced_boot):
         system, tracer = traced_boot
         assert tracer.dropped == 0
-        assert dict(tracer.trap_causes) == dict(system.machine.stats.trap_counts)
-        assert tracer.counts["trap-entry"] == system.machine.stats.total_traps
+        assert_counted_events_match(tracer, system.machine.stats)
+        assert tracer.counts["fastpath"] > 0
+
+    @pytest.mark.parametrize("firmware,plan,seed", CHAOS_CELLS)
+    def test_chaos_counters_match_stats(self, firmware, plan, seed,
+                                        monkeypatch):
+        """Every event ``TrapStats`` counts reaches the tracer through it,
+        so the two agree after watchdog rewinds too."""
+        built = []
+        original = Machine.__init__
+
+        def init(self, *args, **kwargs):
+            original(self, *args, **kwargs)
+            built.append(self)
+
+        monkeypatch.setattr(Machine, "__init__", init)
+        tracer = Tracer()
+        result = run_chaos(firmware, plan, seed, tracer=tracer)
+        assert result.error is None
+        if plan != "none":
+            assert result.recoveries.get("retries", 0) > 0
+        assert_counted_events_match(tracer, built[-1].stats)
 
     def test_ring_wraps_but_counters_stay_exact(self):
         tracer = Tracer(capacity=8)
