@@ -296,18 +296,16 @@ class Miralis:
     # ------------------------------------------------------------------
 
     def _inject_firmware_trap(self, hart, vctx, cause, is_interrupt, tval,
-                              trapped_pc, pin: bool = True) -> None:
+                              trapped_pc) -> None:
         """Inject a virtual trap, with watchdog depth/vector validation.
 
         The virtual firmware will classify and annotate this trap, but
         emulating its handler raises further traps on the same hart
-        first — pin the delivered event as its annotation target.
-        ``pin=False`` keeps the existing pin: a watchdog *retry* re-serves
-        the originally pinned trap, and re-pinning would hijack whatever
-        event the recovery machinery just annotated.
+        first — pin the delivered event as its annotation target.  A
+        watchdog retry pins too: its rewind restored the pin from before
+        the activation, and the hart's last trap is the one retried.
         """
-        if pin:
-            self.machine.stats.pin_injected(hart.hartid)
+        self.machine.stats.pin_injected(hart.hartid)
         pc = inject_virtual_trap(vctx, cause, is_interrupt, tval, trapped_pc)
         if self.watchdog is not None:
             self.watchdog.note_injection(hart, vctx)
@@ -781,8 +779,7 @@ class Miralis:
         """Retry a failed trap activation: re-inject the original trap."""
         self.world[hart.hartid] = World.FIRMWARE
         self._refresh_vmip(hart, vctx)
-        self._inject_firmware_trap(hart, vctx, code, is_interrupt, mtval, mepc,
-                                   pin=False)
+        self._inject_firmware_trap(hart, vctx, code, is_interrupt, mtval, mepc)
         hart.state.mode = c.U_MODE
         self._sync_physical_mie(hart, vctx)
         self._charge_host(hart, self.config.costs.inject)

@@ -11,6 +11,7 @@ from collections import Counter
 
 import pytest
 
+from repro.core.miralis import Miralis
 from repro.faults import chaos
 from repro.hart.machine import Machine
 from repro.hart.stats import TRAP_LOG_CAPACITY, TrapStats
@@ -250,3 +251,43 @@ def test_runaway_chaos_cell_keeps_a_bounded_log(monkeypatch):
     assert stats.logged == stats.total_traps
     assert sum(stats.trap_counts.values()) == stats.total_traps
     assert stats.tail(chaos.TRAP_LOG_LIMIT)[-1] is stats.last_event
+
+
+@pytest.mark.parametrize("firmware,plan,seed", [
+    ("opensbi", "csr-chaos", 1), ("opensbi", "decode-flip", 1),
+    ("rustsbi", "decode-flip", 1), ("malicious", "decode-flip", 1)])
+def test_retried_activation_annotates_the_retried_trap(firmware, plan, seed,
+                                                       monkeypatch):
+    """Every ``injected=True`` annotation lands on the trap the hart's
+    latest injection delivered, a watchdog retry's re-injection included,
+    never on a trap an earlier activation served."""
+    built = _machines(monkeypatch)
+    served = {}
+    retries = []
+    misses = []
+    inject = Miralis._inject_firmware_trap
+    reinject = Miralis.reinject_after_recovery
+    annotate = TrapStats.annotate_last
+
+    def noting_inject(self, hart, *args, **kwargs):
+        served[hart.hartid] = self.machine.stats.last_event
+        inject(self, hart, *args, **kwargs)
+
+    def noting_reinject(self, hart, *args, **kwargs):
+        retries.append(hart.hartid)
+        reinject(self, hart, *args, **kwargs)
+
+    def checked_annotate(self, handler, detail="", hart=None,
+                         injected=False):
+        annotate(self, handler, detail, hart, injected)
+        if injected and hart in served and served[hart].handler != handler:
+            misses.append((handler, detail))
+
+    monkeypatch.setattr(Miralis, "_inject_firmware_trap", noting_inject)
+    monkeypatch.setattr(Miralis, "reinject_after_recovery", noting_reinject)
+    monkeypatch.setattr(TrapStats, "annotate_last", checked_annotate)
+    chaos.run_chaos(firmware, plan, seed)
+    assert retries, "the cell retried no activation"
+    assert misses == []
+    stats = built[-1].stats
+    assert stats.handler_counts == _annotation_counts(stats)

@@ -12,9 +12,10 @@ them means a host-only change altered a simulated bit, an injection
 decision or a coverage bit.  The four ``stall-loop`` digests were
 re-recorded once, for a model change: the watchdog's no-progress storm
 detector ends the runaway loop long before the trap budget did.  The
-three SBI ``decode-flip`` digests were re-recorded when a watchdog rewind
-began restoring the annotations it used to leave behind; ``UNANNOTATED``
-shows that only handler annotations moved.
+three SBI ``decode-flip`` digests were re-recorded twice: when a watchdog
+rewind began restoring the annotations it used to leave behind, and when
+a retried activation began pinning its own trap for the firmware's
+annotation.  ``UNANNOTATED`` shows that only handler annotations moved.
 
 Only cells that run to an end are pinned; at this seed all 32 do.
 """
@@ -35,7 +36,7 @@ CHAOS_SEED = 1
 
 GOLDEN = {
     "opensbi/csr-chaos": "9e8189235a9ed150e9dbde64d7111acc5f75b88cf4e1ef0ba16586a033e52295",
-    "opensbi/decode-flip": "5c8e2df309aef3f21fae2785323311a2a6175b4d64d042dc0064c71ec83b3250",
+    "opensbi/decode-flip": "3d090a05010c23859e35cce5b1cff3d9ac5129a49c0d44da5dd42efe022315b0",
     "opensbi/flaky-uart": "5dfde586014dbfe2b1f7f40814bea61e9eb9450203e761981beff94683db5730",
     "opensbi/mtvec-smash": "6f4cadea92af20f55d8c50e6260fa20cacd9e4792fa09d394b9b2867ee352398",
     "opensbi/none": "9cba293dba9f2433276c4523ca623f7dff0ec775593e9e2f61346e4b2ef94384",
@@ -43,7 +44,7 @@ GOLDEN = {
     "opensbi/stall-loop": "f6e0bdee9c82348971fc4e20e97a7152bf147b6384aa982f0c22407deb6ff107",
     "opensbi/transient-mmio": "5637df41b2c3d1467a366a9460e457aa7463099af60cb924a3c9cfc3ddcfeba4",
     "rustsbi/csr-chaos": "9de50d7434bd53d55fda287681df9641db3de548ba36d0e1231639eb3261c153",
-    "rustsbi/decode-flip": "37a6b7878d246805d59271034ae8744702cd92f2de143c03fb690e6d9bde3ae9",
+    "rustsbi/decode-flip": "7691aaf40446673e4e4989dc88353f3092179bffe4ccddbd40a894399a284aad",
     "rustsbi/flaky-uart": "41f777965c1f557fdb4f4d7409885c12620684b8f4617125698b1d427cf69791",
     "rustsbi/mtvec-smash": "878d7c1c89c4e80a339409ebd5c58ad26ed433f97f987ae3e4473633ee8c4826",
     "rustsbi/none": "3f847ef32684c49635854bdc0bca1c480061ccc150e2b8d141d59c45f1425b35",
@@ -59,7 +60,7 @@ GOLDEN = {
     "zephyr/stall-loop": "2e658c10ae3555afb57f855c89baf4889ea111bebcd1df340948e1c349450399",
     "zephyr/transient-mmio": "c8ad53de3ef8187e59d1f434829ba45af526c5aba3fd068387a8bef6b0dac6d4",
     "malicious/csr-chaos": "e0b59c3e44bf1c8042736a08dce6b09601577a359ede8ac30ce5aa4895985bcd",
-    "malicious/decode-flip": "c40e73720507a5f3654700ac291d31c4a2cce0374a8b93dce159592dd73f37a6",
+    "malicious/decode-flip": "a48d6e53fffdff25cb045e6f8a0dfea87c211ed2e09a30832fc9912d33941ce8",
     "malicious/flaky-uart": "5dfde586014dbfe2b1f7f40814bea61e9eb9450203e761981beff94683db5730",
     "malicious/mtvec-smash": "6f69579173d9d6a1b1f28a86e6408ca317aff54633adb4877b564c176a02615a",
     "malicious/none": "e86756f71eef3153e37d54a796e3fc8fb15ba7baa3bd0f991521c98ff1087902",
@@ -72,8 +73,9 @@ GOLDEN = {
 #: The cells above re-recorded when a watchdog rewind began restoring the
 #: annotations of pre-epoch trap events, each mapped to its digest with
 #: every trap's handler and detail left out, recorded before that change.
-#: These still match, so the rewind fix moved annotations and nothing
-#: else: not a trap, a cycle, an injection, a console byte or a halt.
+#: These still match, so the rewind fix and the retry-pin fix moved
+#: annotations and nothing else: not a trap, a cycle, an injection, a
+#: console byte or a halt.
 UNANNOTATED = {
     "opensbi/decode-flip": "a3056d6e88d7a2550e7fdb07b1c918a1c605b21aae8b3d10aa12a1f6db4aed1e",
     "rustsbi/decode-flip": "b03627934181c7340bc97ec90a49f51d5c8baf761f45ed897f7697e352c59bfb",
