@@ -32,17 +32,10 @@ class OpenSbiFirmware(BaseFirmware):
     TRAP_PROLOGUE_INSTRUCTIONS = 110
     TRAP_EPILOGUE_INSTRUCTIONS = 90
 
-    #: Offset within the firmware region where telemetry counters live.
-    TELEMETRY_OFFSET = 0x2000
-
     def platform_init(self, ctx: GuestContext, hartid: int) -> None:
         # Generic platform scan: probe CLINT and UART.
         ctx.load(self.machine.clint.mtime_address, size=8)
         ctx.load(self.machine.uart.base + 0x05, size=1)
-
-    def record_telemetry(self, ctx: GuestContext, slot: int, value: int) -> None:
-        """Write a counter into the firmware's own data region (allowed)."""
-        ctx.store(self.region.base + self.TELEMETRY_OFFSET + 8 * slot, value, size=8)
 
 
 class VisionFive2Firmware(OpenSbiFirmware):

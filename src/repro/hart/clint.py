@@ -178,10 +178,6 @@ class Clint:
         self._window_hi = hi
         self._window_cmp = list(self.mtimecmp)
 
-    def next_timer_deadline(self) -> int:
-        """Earliest mtimecmp across harts (used to fast-forward idle time)."""
-        return min(self.mtimecmp)
-
     # -- state protocol ---------------------------------------------------
 
     def snapshot_state(self) -> dict:

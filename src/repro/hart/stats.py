@@ -377,23 +377,6 @@ class TrapStats:
 
     # -- analysis helpers ------------------------------------------------
 
-    def events_by_window(self, window_mtime: int) -> dict[int, Counter]:
-        """Bucket event causes into fixed-duration windows (Figure 3).
-
-        Returns a sparse mapping from window index (``mtime //
-        window_mtime``) to a Counter of cause names; windows with no
-        events are absent.  A dense list would allocate one bucket per
-        elapsed window, which for a small window on a long run means
-        millions of empty Counters.  Raises ``ValueError`` once the ring
-        has dropped events.
-        """
-        self._require_full_log("events_by_window")
-        buckets: dict[int, Counter] = {}
-        for event in self.events:
-            bucket = buckets.setdefault(event.mtime // window_mtime, Counter())
-            bucket[cause_name(event.cause, event.is_interrupt)] += 1
-        return buckets
-
     def detail_counts(self) -> Counter:
         """Counts by handler detail string (e.g. SBI call names).
 

@@ -25,17 +25,6 @@ REGISTER_NUMBERS.update({f"x{i}": i for i in range(32)})
 REGISTER_NUMBERS["fp"] = 8
 
 
-# Mnemonics considered *privileged* in the paper's sense: they trap when
-# executed in vM-mode (physical U-mode) and are emulated by the VFM.
-PRIVILEGED_MNEMONICS = frozenset(
-    {
-        "csrrw", "csrrs", "csrrc", "csrrwi", "csrrsi", "csrrci",
-        "mret", "sret", "wfi", "sfence.vma",
-        "fence.i",  # trivially emulable; included for completeness
-        "ecall",  # traps by design at every level
-    }
-)
-
 CSR_MNEMONICS = frozenset(
     {"csrrw", "csrrs", "csrrc", "csrrwi", "csrrsi", "csrrci"}
 )
@@ -70,11 +59,6 @@ class Instruction:
     # executed instruction.  ``cached_property`` writes straight into the
     # instance ``__dict__``, which bypasses the frozen-dataclass setattr
     # guard without weakening it for the declared fields.
-
-    @cached_property
-    def is_privileged(self) -> bool:
-        """Whether this instruction is privileged (traps from vM-mode)."""
-        return self.mnemonic in PRIVILEGED_MNEMONICS
 
     @cached_property
     def is_csr_op(self) -> bool:

@@ -83,9 +83,6 @@ class MetricsRegistry:
             nested.setdefault(cause, Counter())[handler] = count
         return nested
 
-    def set_gauge(self, name: str, value: float) -> None:
-        self.gauges[name] = value
-
     # -- epochs (watchdog restore / checkpoint rewind) --------------------
 
     def mark_epoch(self) -> dict:

@@ -15,30 +15,12 @@ byte-identical at any worker count.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable
 
 from repro.triage.signature import (
     cell_fallback_material,
     signature_from_material,
 )
-
-
-def _first_bundle(payload: dict) -> Optional[dict]:
-    """The representative bundle a cell payload carries, if any.
-
-    Chaos/verif cells attach one ``"bundle"``; fuzz cells attach one per
-    finding — the first (lowest seed, stable order) represents the cell.
-    """
-    if not isinstance(payload, dict):
-        return None
-    bundle = payload.get("bundle")
-    if bundle is not None:
-        return bundle
-    for finding in payload.get("findings", ()):
-        candidate = finding.get("bundle")
-        if candidate is not None:
-            return candidate
-    return None
 
 
 def _cell_signatures(result) -> list[dict]:

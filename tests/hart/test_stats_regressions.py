@@ -12,30 +12,6 @@ def _record(stats, mtime):
     )
 
 
-class TestEventsByWindow:
-    def test_sparse_for_large_mtime(self):
-        """A single late event with window=1 must not allocate one bucket
-        per elapsed tick (the seeded dense-allocation bug)."""
-        stats = TrapStats()
-        _record(stats, 1_000_000)
-        windows = stats.events_by_window(1)
-        assert len(windows) == 1
-        assert sum(windows[1_000_000].values()) == 1
-
-    def test_window_indices_are_sparse_keys(self):
-        stats = TrapStats()
-        _record(stats, 3)
-        _record(stats, 7)
-        _record(stats, 95)
-        windows = stats.events_by_window(10)
-        assert sorted(windows) == [0, 9]
-        assert sum(windows[0].values()) == 2
-        assert sum(windows[9].values()) == 1
-
-    def test_empty(self):
-        assert TrapStats().events_by_window(10) == {}
-
-
 class TestAnnotateLast:
     def test_annotate_without_trap_is_a_noop(self):
         stats = TrapStats()

@@ -124,19 +124,6 @@ class TestTrapStats:
         assert stats.detail_counts()["sbi:test"] == 1
         assert cause_name(IRQ_MTI, True) == "irq:MACHINE_TIMER"
 
-    def test_windowing(self):
-        from repro.hart.stats import TrapStats
-        from repro.isa.constants import TrapCause
-
-        stats = TrapStats()
-        for mtime in (0, 5, 14):
-            stats.record_trap(hart=0, cause=TrapCause.ECALL_FROM_S,
-                              is_interrupt=False, from_mode=None, mtime=mtime)
-        windows = stats.events_by_window(10)
-        assert len(windows) == 2
-        assert sum(windows[0].values()) == 2
-        assert sum(windows[1].values()) == 1
-
     def test_reset(self):
         from repro.hart.stats import TrapStats
         from repro.isa.constants import TrapCause
