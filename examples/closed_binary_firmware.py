@@ -76,8 +76,9 @@ def main():
     reason = machine.boot(entry=miralis.region.base)
     print(f"halt: {reason}")
     print(f"blob instructions executed:      {blob.steps}")
-    print(f"privileged instructions emulated: {miralis.emulation_count}")
-    print(f"world switches:                  {machine.stats.world_switches}")
+    stats = machine.stats
+    print(f"privileged instructions emulated: {stats.firmware_emulations}")
+    print(f"world switches:                  {stats.world_switches}")
     print()
     print("A raw binary image — no sources, no modifications, not even")
     print("knowledge of its layout beyond the entry point — booted the OS")

@@ -38,9 +38,7 @@ def run_sbi_firmware(firmware_class, virtualized):
     system = builder(VISIONFIVE2, firmware_class=firmware_class,
                      workload=os_workload(results))
     system.run()
-    results["emulated"] = (
-        system.miralis.emulation_count if system.virtualized else 0
-    )
+    results["emulated"] = system.machine.stats.firmware_emulations
     return results
 
 

@@ -41,7 +41,7 @@ def main():
     miralis = virtualized.miralis
     print(f"traps to M-mode:       {stats.total_traps}")
     print(f"fast-path hits:        {dict(miralis.offload.hits)}")
-    print(f"emulated instructions: {miralis.emulation_count}")
+    print(f"emulated instructions: {stats.firmware_emulations}")
     print(f"world switches:        {stats.world_switches}")
     print()
     print("The firmware executed entirely in user mode, yet the OS saw")

@@ -127,6 +127,10 @@ def command_boot(args: argparse.Namespace) -> int:
     from repro.policy import DefaultPolicy, FirmwareSandboxPolicy
 
     if args.chaos:
+        if args.profile:
+            print("--profile does not apply to --chaos (its recoveries: "
+                  "line reports the watchdog's decisions)")
+            return 2
         return command_chaos(args)
     if args.firmware in ("zephyr", "malicious"):
         print(f"--firmware={args.firmware} requires --chaos "
@@ -200,7 +204,7 @@ def command_boot(args: argparse.Namespace) -> int:
     print(f"simulated time:   {system.machine.elapsed_seconds * 1000:.3f} ms")
     if system.virtualized:
         print(f"world switches:   {stats.world_switches}")
-        print(f"emulated instrs:  {system.miralis.emulation_count}")
+        print(f"emulated instrs:  {stats.firmware_emulations}")
         print(f"fast-path hits:   {dict(system.miralis.offload.hits)}")
     scheduler = system.machine.scheduler
     if scheduler is not None:
@@ -499,6 +503,11 @@ def command_campaign(args: argparse.Namespace) -> int:
             print("--warm-start is incompatible with --chaos-harts "
                   "(SMP runs are not checkpointable)")
             return 2
+        if args.chaos_trace_dir is not None:
+            import os
+
+            # Created once here: every cell writes its dump into it.
+            os.makedirs(args.chaos_trace_dir, exist_ok=True)
         firmwares = _parse_list(args.chaos_firmwares)
         if args.warm_start:
             bad = [f for f in firmwares if f not in WARM_FIRMWARES]
@@ -841,7 +850,7 @@ def build_parser() -> argparse.ArgumentParser:
                       default="sandbox")
     boot.add_argument("--profile", action="store_true",
                       help="print a hot-path profile (cache hit rates, "
-                           "steps/sec) after the run")
+                           "steps/sec) after the run; not with --chaos")
     boot.add_argument("--chaos", action="store_true",
                       help="boot under a fault-injection plan with the "
                            "firmware watchdog armed")
@@ -1010,7 +1019,7 @@ def build_parser() -> argparse.ArgumentParser:
                                "byte-identical to a cold run)")
     campaign.add_argument("--chaos-trace-dir", default=None, metavar="DIR",
                           help="write a Chrome trace dump per chaos cell "
-                               "into DIR")
+                               "into DIR (created if missing)")
     campaign.add_argument("--bundle-dir", default=None, metavar="DIR",
                           help="write every captured repro bundle into DIR "
                                "(named by failure signature)")

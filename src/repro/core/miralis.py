@@ -11,8 +11,6 @@ pending virtual interrupts and returns to the appropriate world.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.core import bugs
 from repro.core.config import MiralisConfig
 from repro.core.csr_emul import CsrEffect
@@ -97,7 +95,6 @@ class Miralis:
             vctx.virtual_pmp_count = self.vpmp.virtual_count
         self.switcher = WorldSwitcher(self)
         self.offload = FastPath(self)
-        self.emulation_count = 0
         self.violations: list[str] = []
         self._booted = [False] * num_harts
         self._policy_initialized = False
@@ -107,7 +104,6 @@ class Miralis:
         )
         if self.watchdog is not None:
             machine.firmware_panic_hook = self.watchdog.on_panic
-            machine.recovery_stats = self.watchdog.counters
 
     # ------------------------------------------------------------------
     # State protocol (checkpoints): composes the components' pairs
@@ -119,7 +115,6 @@ class Miralis:
             "vctx": [vctx.snapshot_state() for vctx in self.vctx],
             "vclint": self.vclint.snapshot_state(),
             "offload": self.offload.snapshot_state(),
-            "emulation_count": self.emulation_count,
             "violations": list(self.violations),
             "booted": list(self._booted),
             "policy_initialized": self._policy_initialized,
@@ -137,7 +132,6 @@ class Miralis:
             vctx.restore_state(vctx_state)
         self.vclint.restore_state(state["vclint"])
         self.offload.restore_state(state["offload"])
-        self.emulation_count = state["emulation_count"]
         self.violations[:] = state["violations"]
         self._booted[:] = state["booted"]
         self._policy_initialized = state["policy_initialized"]
@@ -372,7 +366,6 @@ class Miralis:
                             detail=trap_detail("emulate", what),
                             hart=hart.hartid)
         stats.note_firmware_emulation(hart.hartid, what)
-        self.emulation_count += 1
         self._charge_host(hart, costs.emulate_instruction)
         if instr is None:
             self._inject_firmware_trap(
@@ -801,7 +794,7 @@ class Miralis:
             hart=hart.hartid,
         )
         if self.watchdog is not None:
-            self.watchdog._count(hart.hartid, "quarantined-served")
+            self.watchdog.count(hart.hartid, "quarantined-served")
         if is_interrupt:
             # The fast path forwards timer/IPI interrupts; anything else
             # is dropped (its virtual handler no longer exists).
@@ -833,7 +826,7 @@ class Miralis:
         before this is reached.
         """
         if self.watchdog is not None:
-            self.watchdog._count(hart.hartid, "default-sbi")
+            self.watchdog.count(hart.hartid, "default-sbi")
         eid, fid = call.eid, call.fid
         if eid == sbi.EXT_BASE:
             if fid == sbi.FN_BASE_GET_SPEC_VERSION:

@@ -11,7 +11,6 @@ reducing world switches from 5 500/s to ~1.17/s during boot.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Optional
 
 from repro.core.vcpu import VirtContext
 from repro.isa import constants as c

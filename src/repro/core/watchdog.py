@@ -22,8 +22,8 @@ the firmware it hosts is buggy or hostile.  The watchdog supplies the
 Recovery transfers control by raising
 :class:`~repro.hart.program.FirmwareRecovered`, which abandons the
 Python frames of the wedged firmware instruction stream — the software
-analogue of resetting the vM-mode context.  Every decision is counted in
-:attr:`counters` (surfaced via ``perf``) and annotated in the trap log.
+analogue of resetting the vM-mode context.  Every decision is counted,
+per hart, in :attr:`hart_counters` and annotated in the trap log.
 """
 
 from __future__ import annotations
@@ -61,16 +61,17 @@ class FirmwareWatchdog:
         #: Whether the hart ever completed a firmware→OS switch; decides
         #: whether quarantine can fall back to the OS or must halt.
         self.os_entered = [False] * num_harts
-        #: Aggregate decision counts (kept for dashboards/back-compat)
-        #: plus the per-hart views: a secondary hart's fault loop must
-        #: not be indistinguishable from a hart-0 failure.  Every
-        #: increment goes through :meth:`_count`, so the per-hart lists
-        #: always sum to the aggregate.
-        self.counters: Counter[str] = Counter()
+        #: Decision counts, one Counter per hart: a secondary hart's
+        #: fault loop must not be indistinguishable from a hart-0
+        #: failure.  The only store of watchdog decisions; every
+        #: increment goes through :meth:`count`, and :attr:`counters`
+        #: sums them.  Decisions are facts about the run, so an
+        #: activation rollback never rewinds them; the trap log's
+        #: ``miralis-recovery`` annotations cannot stand in for them,
+        #: since several decisions may share one trap event.
         self.hart_counters: list[Counter[str]] = [
             Counter() for _ in range(num_harts)
         ]
-        self.events: list[tuple[int, str, str]] = []
         #: One structured record per quarantine decision — the raw
         #: material for repro bundles (see :mod:`repro.triage`).  Each
         #: record carries the hart, the reason, what activation was
@@ -101,10 +102,8 @@ class FirmwareWatchdog:
             "quarantined": list(self.quarantined),
             "consecutive_failures": list(self.consecutive_failures),
             "os_entered": list(self.os_entered),
-            "counters": Counter(self.counters),
             "hart_counters": [Counter(per_hart)
                               for per_hart in self.hart_counters],
-            "events": list(self.events),
             "quarantine_records": copy_state(self.quarantine_records),
             "vm_traps": list(self._vm_traps),
             "inject_depth": list(self._inject_depth),
@@ -123,15 +122,13 @@ class FirmwareWatchdog:
         return state
 
     def restore_state(self, state: dict) -> None:
-        # In place: ``machine.recovery_stats`` aliases the counters.
+        # Older documents also carry ``counters`` and ``events``, copies
+        # of what is restored here; they are ignored.
         self.quarantined[:] = state["quarantined"]
         self.consecutive_failures[:] = state["consecutive_failures"]
         self.os_entered[:] = state["os_entered"]
-        self.counters.clear()
-        self.counters.update(state["counters"])
         self.hart_counters = [Counter(per_hart)
                               for per_hart in state["hart_counters"]]
-        self.events[:] = [tuple(event) for event in state["events"]]
         self.quarantine_records[:] = copy_state(state["quarantine_records"])
         self._vm_traps[:] = state["vm_traps"]
         self._inject_depth[:] = state["inject_depth"]
@@ -147,9 +144,16 @@ class FirmwareWatchdog:
         self._pending[:] = [None if entry is None else tuple(entry)
                             for entry in state["pending"]]
 
-    def _count(self, hartid: int, name: str) -> None:
-        """Count one watchdog decision, keyed by hart and in aggregate."""
-        self.counters[name] += 1
+    @property
+    def counters(self) -> Counter[str]:
+        """Decision counts over all harts (a new Counter per read)."""
+        total: Counter[str] = Counter()
+        for per_hart in self.hart_counters:
+            total.update(per_hart)
+        return total
+
+    def count(self, hartid: int, name: str) -> None:
+        """Count one watchdog decision on ``hartid``."""
         self.hart_counters[hartid][name] += 1
 
     # ------------------------------------------------------------------
@@ -224,7 +228,7 @@ class FirmwareWatchdog:
         hartid = hart.hartid
         self._vm_traps[hartid] += 1
         if self._vm_traps[hartid] > self.config.vm_trap_budget:
-            self._count(hartid, "detect:trap-budget")
+            self.count(hartid, "detect:trap-budget")
             self.recover(hart, vctx, "vM-mode trap budget exhausted")
         if mcause & _INTERRUPT_BIT:
             self._storm_next[hartid] = None
@@ -234,7 +238,7 @@ class FirmwareWatchdog:
         if self._storm_next[hartid] == (mcause, mepc, mtval, instret):
             self._storm_repeats[hartid] += 1
             if self._storm_repeats[hartid] >= self.config.max_fault_repeats:
-                self._count(hartid, "detect:trap-storm")
+                self.count(hartid, "detect:trap-storm")
                 self.recover(
                     hart, vctx,
                     f"firmware re-executing a trapping instruction at "
@@ -248,7 +252,7 @@ class FirmwareWatchdog:
         hartid = hart.hartid
         self._inject_depth[hartid] += 1
         if self._inject_depth[hartid] > self.config.max_nested_traps:
-            self._count(hartid, "detect:double-trap")
+            self.count(hartid, "detect:double-trap")
             self.recover(hart, vctx, "virtual double-trap cascade")
 
     def note_virtual_xret(self, hart) -> None:
@@ -264,7 +268,7 @@ class FirmwareWatchdog:
             self._last_fault_tval[hartid] = mtval
             self._fault_repeats[hartid] = 1
         if self._fault_repeats[hartid] >= self.config.max_fault_repeats:
-            self._count(hartid, "detect:fault-loop")
+            self.count(hartid, "detect:fault-loop")
             self.recover(
                 hart, vctx,
                 f"firmware faulting repeatedly on {mtval:#x} (PMP/access loop)",
@@ -274,7 +278,7 @@ class FirmwareWatchdog:
         hartid = hart.hartid
         self._violations[hartid] += 1
         if self._violations[hartid] >= self.config.max_violations_per_activation:
-            self._count(hartid, "detect:violation-storm")
+            self.count(hartid, "detect:violation-storm")
             self.recover(hart, vctx, f"policy violation storm ({message})")
 
     def on_panic(self, hart, message: str) -> None:
@@ -286,18 +290,18 @@ class FirmwareWatchdog:
             return
         if self.miralis.world[hartid] is not World.FIRMWARE:
             return
-        self._count(hartid, "detect:panic")
+        self.count(hartid, "detect:panic")
         self.recover(hart, self.miralis.vctx[hartid], f"firmware panic: {message}")
 
     def on_bad_vector(self, hart, vctx, pc: int) -> None:
-        self._count(hart.hartid, "detect:bad-vector")
+        self.count(hart.hartid, "detect:bad-vector")
         self.recover(
             hart, vctx,
             f"virtual trap vector targets unmapped memory ({pc:#x})",
         )
 
     def on_wfi_stall(self, hart, vctx) -> None:
-        self._count(hart.hartid, "detect:wfi-stall")
+        self.count(hart.hartid, "detect:wfi-stall")
         self.recover(hart, vctx, "wfi with no wakeup source armed")
 
     # ------------------------------------------------------------------
@@ -318,11 +322,7 @@ class FirmwareWatchdog:
         quarantine halt when no OS exists to fall back to).
         """
         hartid = hart.hartid
-        self._count(hartid, "recoveries")
-        self.events.append((hartid, "recover", reason))
-        # annotate_last has move semantics (one annotation per trap event),
-        # so the authoritative per-kind totals live in recovery_counts.
-        self.machine.stats.note_recovery("recoveries", hart=hartid)
+        self.count(hartid, "recoveries")
         self._trace(hartid, "recover", reason)
         self.consecutive_failures[hartid] += 1
         attempt = self.consecutive_failures[hartid]
@@ -332,8 +332,7 @@ class FirmwareWatchdog:
                 or snapshot is None or pending is None):
             self._quarantine(hart, vctx, reason)
         # Bounded exponential backoff, charged as monitor host work.
-        self._count(hartid, "retries")
-        self.machine.stats.note_recovery("retries", hart=hartid)
+        self.count(hartid, "retries")
         self._trace(hartid, "retry", reason, attempt=attempt)
         backoff = self.config.retry_backoff_cycles * (1 << (attempt - 1))
         self.miralis._charge_host(hart, backoff)
@@ -372,9 +371,7 @@ class FirmwareWatchdog:
     def _quarantine(self, hart, vctx, reason: str) -> None:
         hartid = hart.hartid
         self.quarantined[hartid] = True
-        self._count(hartid, "quarantines")
-        self.events.append((hartid, "quarantine", reason))
-        self.machine.stats.note_recovery("quarantines", hart=hartid)
+        self.count(hartid, "quarantines")
         self._trace(hartid, "quarantine", reason)
         tracer = self.machine.tracer
         if tracer is not None:
@@ -409,16 +406,3 @@ class FirmwareWatchdog:
         vctx.mie &= c.SIP_MASK
         self.machine.halt(f"miralis: firmware quarantined ({reason})")
         raise MachineHalted(self.machine.halt_reason)
-
-    # ------------------------------------------------------------------
-    # Reporting
-    # ------------------------------------------------------------------
-
-    def summary(self) -> dict:
-        return {
-            "counters": dict(self.counters),
-            "hart_counters": [dict(per_hart) for per_hart in self.hart_counters],
-            "quarantined": list(self.quarantined),
-            "events": list(self.events),
-            "quarantine_records": [dict(r) for r in self.quarantine_records],
-        }

@@ -78,15 +78,11 @@ class ChaosResult:
     halt_reason: str = ""
     checkpoint: bool = False
     quarantined: bool = False
+    #: Watchdog decisions summed over harts (``watchdog.counters``).
     recoveries: dict = dataclasses.field(default_factory=dict)
-    #: Watchdog decisions keyed by hart (``watchdog.hart_counters``);
-    #: each key must sum across harts to its ``recoveries`` aggregate.
+    #: Watchdog decisions keyed by hart (``watchdog.hart_counters``, the
+    #: store ``recoveries`` is summed from).
     hart_recoveries: list = dataclasses.field(default_factory=list)
-    #: The trap-statistics view of the same recovery activity
-    #: (``machine.stats.recovery_counts``); must agree with ``recoveries``.
-    stat_recoveries: dict = dataclasses.field(default_factory=dict)
-    #: Per-hart trap-statistics recovery counts.
-    stat_hart_recoveries: dict = dataclasses.field(default_factory=dict)
     injections: int = 0
     #: Every committed injection as ``(site, index, detail)`` — the raw
     #: material for repro-bundle failure signatures.
@@ -435,11 +431,6 @@ def run_chaos(
         )
     if machine is not None:
         result.console = machine.uart.text()
-        result.stat_recoveries = dict(machine.stats.recovery_counts)
-        result.stat_hart_recoveries = {
-            hartid: dict(counts)
-            for hartid, counts in machine.stats.recovery_counts_by_hart.items()
-        }
         result.trap_log_total = machine.stats.logged
         result.trap_log = tuple(
             (e.cause, e.is_interrupt, e.handler, e.detail)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
-from collections import Counter, defaultdict, deque
+from collections import Counter, deque
 from types import SimpleNamespace
 from typing import Optional
 
@@ -87,13 +87,6 @@ class TrapStats:
         self.firmware_emulations = 0
         self.fastpath_hits = 0
         self.total_traps = 0
-        #: Recovery decisions (recoveries/retries/quarantines), counted
-        #: explicitly: ``annotate_last`` moves counts when a trap is
-        #: re-annotated, so handler counts cannot double as recovery
-        #: counts (several recoveries may share one trap event).
-        self.recovery_counts: Counter[str] = Counter()
-        #: Per-hart recovery decisions; always sums to recovery_counts.
-        self.recovery_counts_by_hart: dict[int, Counter] = defaultdict(Counter)
         # Annotation targets.  ``_last`` is always its hart's entry in
         # ``_last_by_hart``; the ``_seq`` maps give each target's position
         # in the log (``0 .. logged - 1``), which an epoch needs to find it
@@ -213,16 +206,6 @@ class TrapStats:
         if tracer is not None:
             tracer.fastpath(machine, hart, name)
 
-    def note_recovery(self, kind: str, hart: Optional[int] = None) -> None:
-        """Count one watchdog recovery decision (first-class, not moved).
-
-        ``hart`` keys the per-hart view; callers that cannot name a hart
-        still contribute to the aggregate only.
-        """
-        self.recovery_counts[kind] += 1
-        if hart is not None:
-            self.recovery_counts_by_hart[hart][kind] += 1
-
     @property
     def last_event(self) -> Optional[TrapEvent]:
         """The most recently recorded trap (also kept when events aren't)."""
@@ -254,11 +237,6 @@ class TrapStats:
             "firmware_emulations": self.firmware_emulations,
             "fastpath_hits": self.fastpath_hits,
             "total_traps": self.total_traps,
-            "recovery_counts": Counter(self.recovery_counts),
-            "recovery_counts_by_hart": {
-                hart: Counter(counts)
-                for hart, counts in self.recovery_counts_by_hart.items()
-            },
         }
         # Only a wrapped ring needs the count: a run that never wraps keeps
         # the document it had when the log was an unbounded list.
@@ -277,13 +255,6 @@ class TrapStats:
         self.firmware_emulations = state["firmware_emulations"]
         self.fastpath_hits = state["fastpath_hits"]
         self.total_traps = state["total_traps"]
-        # Unlike the epoch rewind, a restore resets recovery counts too: a
-        # warm-started cell must not inherit another cell's decisions.
-        self.recovery_counts = Counter(state["recovery_counts"])
-        self.recovery_counts_by_hart = defaultdict(Counter, {
-            hart: Counter(counts)
-            for hart, counts in state["recovery_counts_by_hart"].items()
-        })
         # A document carries no annotation targets: relink each hart's
         # last trap from the ring (a hart with none there gets no target).
         self._last = self.events[-1] if self.events else None
@@ -332,10 +303,7 @@ class TrapStats:
 
         Events are popped from the right of the ring; if the abandoned
         activation wrapped it, the pre-epoch events it pushed out stay
-        dropped.  ``recovery_counts`` is deliberately *not* rewound: recovery
-        decisions are facts about the run (they happened, and they are
-        counted before the rollback), not state of the abandoned
-        activation.
+        dropped.
         """
         for _ in range(min(self.logged - epoch["events_len"],
                            len(self.events))):
@@ -398,8 +366,6 @@ class TrapStats:
         self.firmware_emulations = 0
         self.fastpath_hits = 0
         self.total_traps = 0
-        self.recovery_counts.clear()
-        self.recovery_counts_by_hart.clear()
         self._last = None
         self._last_by_hart.clear()
         self._seq_by_hart.clear()

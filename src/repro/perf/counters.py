@@ -192,11 +192,6 @@ def profile_report(
     if meter is not None and meter.elapsed > 0:
         lines.append(f"wall seconds:         {meter.elapsed:.3f}")
         lines.append(f"steps/sec:            {meter.steps_per_second:,.0f}")
-    recovery = getattr(machine, "recovery_stats", None)
-    if recovery:
-        lines.append("-- firmware recovery " + "-" * 39)
-        for name in sorted(recovery):
-            lines.append(f"{name:<22}{recovery[name]}")
     lines.append("-- caches " + "-" * 50)
     merged = stats_delta(cache_stats(), baseline)
     merged.update(cache_stats(owner=machine))  # per-run by construction

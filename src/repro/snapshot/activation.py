@@ -17,9 +17,9 @@ back with it:
   must not be double-counted by the retried one, and its re-annotations
   of earlier traps must not survive the retry.
 
-Recovery *decisions* (``recovery_counts``, watchdog counters, quarantine
-dumps) are facts about the run, not activation state, and are never
-rolled back.  That is why the stats roll back by epoch, not by their
+Recovery *decisions* (the watchdog's ``hart_counters`` and quarantine
+records) are facts about the run, not activation state, and are never
+rolled back.  The trap stats roll back by epoch, not by their
 full ``snapshot_state``: an epoch is a few counters plus one annotation
 target per hart, while a full state would copy the trap-log ring at
 every arm.

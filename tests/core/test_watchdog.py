@@ -239,17 +239,16 @@ class TestTrapRecovery:
         )
         system.run()
         stats = system.machine.stats
-        # Recovery decisions are first-class facts: activation rollback
-        # rewinds handler annotations with the abandoned trap events, so
-        # the authoritative per-kind totals live in recovery_counts.
-        assert stats.recovery_counts["recoveries"] >= 1
-        assert stats.recovery_counts["quarantines"] >= 1
+        watchdog = system.miralis.watchdog
+        # Recovery decisions are counted by the watchdog: activation
+        # rollback rewinds handler annotations with the abandoned trap
+        # events, so the trap log alone under-counts them.
+        assert watchdog.counters["recoveries"] >= 1
+        assert watchdog.counters["quarantines"] >= 1
         # The quarantined hart's OS keeps being served by the monitor,
         # which surfaces in the (surviving) trap log.
         assert stats.handler_counts.get("miralis-quarantine", 0) >= 1
-        assert system.machine.recovery_stats is system.miralis.watchdog.counters
-        events = system.miralis.watchdog.events
-        assert any(kind == "quarantine" for _, kind, _ in events)
+        assert watchdog.quarantine_records
 
 
 class TestWatchdogDisabled:

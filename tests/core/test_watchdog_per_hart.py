@@ -86,16 +86,6 @@ def test_trap_storm_counted_on_its_hart_only():
     assert watchdog.counters["detect:trap-storm"] == 1
 
 
-def test_stats_recovery_counts_keyed_by_hart():
-    system, watchdog, hart, vctx = _armed(2)
-    stats = system.machine.stats
-    with pytest.raises(FirmwareRecovered):
-        watchdog.recover(hart, vctx, "synthetic")
-    assert stats.recovery_counts_by_hart[2]["recoveries"] == 1
-    assert stats.recovery_counts_by_hart[0]["recoveries"] == 0
-    assert stats.recovery_counts["recoveries"] == 1
-
-
 def test_per_hart_counters_sum_to_aggregate():
     system, watchdog, hart, vctx = _armed(1)
     with pytest.raises(FirmwareRecovered):
@@ -108,6 +98,3 @@ def test_per_hart_counters_sum_to_aggregate():
     for key in watchdog.counters:
         total = sum(per_hart[key] for per_hart in watchdog.hart_counters)
         assert total == watchdog.counters[key], key
-    assert watchdog.summary()["hart_counters"] == [
-        dict(per_hart) for per_hart in watchdog.hart_counters
-    ]

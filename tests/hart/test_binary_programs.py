@@ -194,7 +194,7 @@ class TestClosedBinaryUnderMiralis:
         # The blob answered the unknown SBI call itself (world switch).
         assert seen["unknown_sbi"] == (-2) & ((1 << 64) - 1)
         # Every privileged instruction of the blob really was emulated.
-        assert miralis.emulation_count >= 10
+        assert machine.stats.firmware_emulations >= 10
         assert machine.stats.world_switches >= 2
         # And the blob only ever ran in U-mode: it never hit its native
         # M-mode ebreak path.

@@ -57,27 +57,14 @@ class TestChaosDeterminism:
 
 
 class TestRecoveryAccounting:
-    """Watchdog counters and trap-statistics recovery counts must agree.
+    """The watchdog's decision counts tell a consistent story.
 
-    The watchdog counts its decisions in ``counters`` while the trap log
-    is annotated via ``annotate_last`` — which has move semantics, so
-    annotations alone under-count when several recoveries share one trap
-    event.  ``TrapStats.recovery_counts`` is the first-class mirror; this
-    suite pins the invariant that both views (and the ``ChaosResult``
-    surface) tell the same story.
+    The trap log is annotated via ``annotate_last``, which has move
+    semantics, so annotations alone under-count when several recoveries
+    share one trap event; the watchdog's per-hart ``hart_counters`` are
+    the one store of its decisions, and ``ChaosResult.recoveries`` is
+    their sum.
     """
-
-    @pytest.mark.parametrize("plan", CHAOS_SUITE)
-    def test_watchdog_and_stats_recovery_counts_agree(self, plan):
-        result = run_chaos("opensbi", plan, seed=MATRIX_SEED)
-        assert result.error is None, result.report()
-        for kind in ("recoveries", "retries", "quarantines"):
-            assert result.recoveries.get(kind, 0) == \
-                result.stat_recoveries.get(kind, 0), (
-                f"{plan}: watchdog counted "
-                f"{result.recoveries.get(kind, 0)} {kind} but the trap "
-                f"stats recorded {result.stat_recoveries.get(kind, 0)}"
-            )
 
     @pytest.mark.parametrize("plan", ["mtvec-smash", "stall-loop"])
     def test_every_recovery_is_a_retry_or_quarantine(self, plan):
@@ -111,12 +98,6 @@ class TestRecoveryAccounting:
             assert per_hart == total, (
                 f"{plan}: {kind} aggregate {total} but per-hart sum {per_hart}"
             )
-        for kind, total in result.stat_recoveries.items():
-            per_hart = sum(
-                counts.get(kind, 0)
-                for counts in result.stat_hart_recoveries.values()
-            )
-            assert per_hart == total, kind
 
     def test_chaos_at_two_harts_deterministic_and_accounted(self):
         """The chaos contract holds under SMP interleaving: identical

@@ -184,4 +184,4 @@ class TestWorldTracking:
         system = build_virtualized(VISIONFIVE2)
         system.run()
         # PMP probing alone costs dozens of emulated CSR instructions.
-        assert system.miralis.emulation_count > 40
+        assert system.machine.stats.firmware_emulations > 40

@@ -133,7 +133,7 @@ class TestRustSbiVirtualized:
         assert "self-test complete" in reason
         assert failures["list"] == []
         # The test suite genuinely exercised the emulator.
-        assert system.miralis.emulation_count > 20
+        assert system.machine.stats.firmware_emulations > 20
 
 
 class TestZephyrVirtualized:
@@ -160,7 +160,7 @@ class TestZephyrVirtualized:
         assert zephyr.suite_passed(), zephyr.test_log
         # The RTOS timer ticks were delivered as virtual M interrupts.
         assert zephyr.ticks >= 5
-        assert miralis.emulation_count > 0
+        assert machine.stats.firmware_emulations > 0
 
 
 class TestClosedBinaryFirmware:

@@ -149,8 +149,8 @@ class TestMetricsRewind:
         vctx = system.miralis.vctx[0]
 
         snap = watchdog._activation_snapshot(hart, vctx)
-        machine.stats.note_recovery("recoveries", hart=0)
-        machine.stats.note_recovery("retries", hart=0)
+        watchdog.count(0, "recoveries")
+        watchdog.count(0, "retries")
         watchdog._activation_restore(hart, vctx, snap)
-        assert machine.stats.recovery_counts["recoveries"] == 1
-        assert machine.stats.recovery_counts["retries"] == 1
+        assert watchdog.hart_counters[0]["recoveries"] == 1
+        assert watchdog.hart_counters[0]["retries"] == 1

@@ -22,6 +22,14 @@ halts inside a firmware activation, so its capture carries them.  The two
 faulted digests and the untraced quarantine were re-recorded when
 trap-stats epochs began keeping their annotation targets (those captures
 hold a live activation snapshot); ``UNANNOTATED`` shows nothing else moved.
+
+Every digest here, ``UNANNOTATED`` included, was re-recorded when each
+monitor decision got one store and five copies left the document: the
+trap stats' ``recovery_counts`` and ``recovery_counts_by_hart``, the
+watchdog's ``counters`` and ``events``, and Miralis's ``emulation_count``.
+Each new value is the digest of the previous document with exactly those
+keys removed.  Documents that still carry them restore unchanged
+(:func:`test_document_with_the_removed_copies_still_restores`).
 """
 
 import dataclasses
@@ -33,38 +41,38 @@ import pytest
 from repro.faults.chaos import MAX_DISPATCHES, _build_sbi_system
 from repro.faults.injector import FaultInjector
 from repro.faults.plans import resolve_plan
-from repro.snapshot import capture, restore
+from repro.snapshot import Checkpoint, capture, restore
 from repro.spec.platform import VISIONFIVE2
 from repro.system import build_native, build_virtualized
 from repro.trace.tracer import Tracer
 
 KERNEL_ENTRY = {
     ("opensbi", 1):
-        "138c9e6c2a8097713e7fe72d96177d9f0aaed8fcbee65c8a63862ed91e9676b2",
+        "bd78c6b16d07dae8c946b4b2877b676a7eb9d932ff6ab366da8caa1d0850cff3",
     ("opensbi", 2):
-        "42a8ad19fdf95b3b7bf00621dfa2cef0a319a3c7fa1f3aa3275f19b02106a5e0",
+        "d2453aa91902c927df2cdb2ea1dd080a76da21ddd805b7dd30482ee0ec1fa0bc",
     ("opensbi", 4):
-        "59962a85a5efa116cc6c2648d8f47771307cb0e8f064d30c5c2c29ca1cbfcd80",
+        "d37ea84e187f97bbe6a330bc2afb415dc5c0742b961615cfe17a3d76f99f87f1",
     ("rustsbi", 1):
-        "08ea508db15ec7daf93c21647796dbe2b0cf6dfe58e7e34cc9748b90ce5ede36",
+        "3a83f7053e9c7440206efc2b474105f3348ec2d5062244f885c9e05dc183433b",
     ("rustsbi", 2):
-        "1b97e8f3e006a8db0127abec3c0d7530f982be872725ba52ce1935a9b4e7e61c",
+        "f1ead685afa8a5938490a77a872f5a26b6d41a1476285111434f5d002301305a",
     ("rustsbi", 4):
-        "97e7049d2adadcab23c9f78c2f0bc22e79c8f6ca8924773f963315a883a5e59b",
+        "aa7d8f2c6783ec1d48ddfbc05cda9fc125472e4d9c76f2d18743a75982e83b6a",
 }
 
-PRE_BOOT = "a5162b22d3f7173204a7a05295be67c5bf9418625f0e4acd3bf252a356b18ba2"
-POST_HALT = "d9e28147032a385e0c35763f91b8f41a2857b4b60c739288274d3df2e4b9d2eb"
+PRE_BOOT = "d7506fcba1a5dd3e757c72fc42e9a1543672bd22363e48acf14aa64d75e75817"
+POST_HALT = "bacf9985ce27b16788f867f094a950f646a05a3a907a385fe3a5269c3383a652"
 NATIVE_POST_HALT = (
-    "df8d7f83015b0d3903cd80e0974abe5ff9c532c4befac25a04ebb8060a27b795")
+    "efb877e10514ff36d6034b2274277ddf8cb7491c559051ad09a050b6a67ab485")
 FAULTED_POST_HALT = {
     ("mtvec-smash", 1):
-        "f4035fc1c47d2ecd2acdf47b9255bb4d3d79f6c66b944164e5f0e9573d3632e9",
+        "0e9695332af87720a22cec7e5dcf6c642d255911fa6fccebc230c33717d5c9ae",
     ("transient-mmio", 3):
-        "ec203e222e62e20c261b0faf97b8cbef210ac3746b94d77c4c0168202080c1d1",
+        "a734537a94ecf77d10ea7ce7fafe2b3c65da71a06a33a46160e0360f7e7003c2",
 }
 QUARANTINED_UNTRACED = (
-    "a14d3560c5b59d5c7cf1f17f45561721cf73c6a72d919a1bfd52d931eecdf3ee")
+    "7ea59c75ce08edc14c63e289e2e56d8539feb1be55129d9250cb0ad4f6f30967")
 
 #: The digests above re-recorded when trap-stats epochs began keeping the
 #: annotation targets, keyed like ``FAULTED_POST_HALT`` (the untraced
@@ -72,13 +80,15 @@ QUARANTINED_UNTRACED = (
 #: document without those targets, handler counts, or any trap event's
 #: handler and detail, recorded before that change.  These still match,
 #: so the change moved the epochs' targets and annotations and nothing else.
+#: (Re-recorded with the other digests when the five copies left the
+#: document.)
 UNANNOTATED = {
     ("mtvec-smash", 1):
-        "12bde1675300889129ec1812796315f712078b560e9fb7f4eeaeeff89e65b609",
+        "b8e434a933fa564f599d9d395051649d014f45ea655f422de0aba86b47df2309",
     ("transient-mmio", 3):
-        "f14cde7b9440e7bb3a0f22a5718b02a4716da519648ebae3df08f884c63cb7a3",
+        "6afb924863f1a9820cf01925525a09885a5556dbcf41c4f41d55cf069e8e0eba",
     "quarantined":
-        "bb223b82e21e82029149afb2f307242f4982a12104dcc2a8f2a7e5910d534f5a",
+        "2ca481ee3138e365f3ec6fcf501215aa430a64bf5d7e49ddfb96a9bbd303b3e7",
 }
 
 #: Epoch keys naming annotation targets.
@@ -164,6 +174,26 @@ def test_kernel_entry_round_trip_through_a_fresh_machine():
     restore(system.machine, checkpoint)
     recaptured = capture(system.machine, phase=checkpoint.phase)
     assert recaptured.digest() == KERNEL_ENTRY["opensbi", 2]
+
+
+def test_document_with_the_removed_copies_still_restores():
+    """A document written while decisions were still counted in copies
+    (five keys no longer captured) restores to the same machine."""
+    checkpoint = _kernel_entry_checkpoint("opensbi", 1)
+    doc = checkpoint.doc()
+    state = doc["state"]
+    counts = {"recoveries": 1, "retries": 1}
+    state["stats"]["recovery_counts"] = dict(counts)
+    state["stats"]["recovery_counts_by_hart"] = {"~dmap": [[0, dict(counts)]]}
+    monitor = state["monitor"]
+    monitor["emulation_count"] = state["stats"]["firmware_emulations"]
+    monitor["watchdog"]["counters"] = dict(counts)
+    monitor["watchdog"]["events"] = [{"~tuple": [0, "recover", "old"]}]
+    platform = dataclasses.replace(VISIONFIVE2, num_harts=1)
+    system, _ = _build_sbi_system(platform, "opensbi")
+    restore(system.machine, Checkpoint.from_doc(doc))
+    recaptured = capture(system.machine, phase=checkpoint.phase)
+    assert recaptured.digest() == checkpoint.digest()
 
 
 def test_quarantined_round_trip_through_a_fresh_machine():

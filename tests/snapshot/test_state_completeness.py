@@ -34,7 +34,7 @@ NOT_STATE = {
         "_resume_stacks", "max_dispatches", "hart_start_hook",
         "firmware_panic_hook", "fault_injector", "tracer", "scheduler",
         "coverage", "world_view", "monitor", "wall_deadline",
-        "recovery_stats", "_frequency_hz",
+        "_frequency_hz",
         # Components a checkpoint composes next to the machine's own.
         "stats", "clint", "plic", "uart", "harts",
     },

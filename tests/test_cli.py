@@ -129,6 +129,13 @@ class TestChaosCommand:
             build_parser().parse_args(["boot", "--chaos",
                                        "--firmware", "seabios"])
 
+    def test_chaos_profile_refused(self, capsys):
+        # A chaos run has no hot-path profile; its watchdog decisions are
+        # on the report's ``recoveries:`` line.
+        assert main(["boot", "--chaos", "--profile"]) == 2
+        out = capsys.readouterr().out.strip().splitlines()
+        assert len(out) == 1 and "--profile" in out[0]
+
 
 class TestBootFailureDiagnosis:
     def test_firmware_panic_exits_nonzero(self, capsys, monkeypatch):
@@ -208,6 +215,16 @@ class TestCampaignCommand:
                       if line.startswith("campaign:")][0]
             total += int(header.split()[1])
         assert total == 6
+
+    def test_chaos_trace_dir_is_created(self, capsys, tmp_path):
+        trace_dir = tmp_path / "nested" / "traces"
+        assert main(["campaign", "--families", "chaos",
+                     "--chaos-firmwares", "zephyr",
+                     "--chaos-plans", "none",
+                     "--chaos-trace-dir", str(trace_dir)]) == 0
+        assert "aggregate: 1/1 ok" in capsys.readouterr().out
+        assert [path.name for path in trace_dir.iterdir()] == [
+            "campaign-zephyr-none-s0.json"]
 
     def test_unknown_family_rejected(self, capsys):
         assert main(["campaign", "--families", "verif,nonsense"]) == 2
