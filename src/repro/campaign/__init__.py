@@ -14,8 +14,9 @@ and this package makes that campaign a first-class, parallel subsystem:
 * :mod:`repro.campaign.merge` — the order-independent merger whose
   canonical aggregate is byte-identical at any worker count.
 
-Surfaced as ``python -m repro campaign`` and behind
-``repro verify --workers``.
+Surfaced as ``python -m repro campaign``; ``repro verify``, ``repro
+fuzz`` (``--cov`` too) and ``repro cov report`` run their sweeps
+through it as well.
 """
 
 from repro.campaign.cells import (
@@ -36,6 +37,7 @@ from repro.campaign.merge import (
     canonical_aggregate,
     canonical_json,
     exit_code,
+    fold_kept,
     merge_campaign,
     merged_check_reports,
     report_from_dict,
@@ -61,6 +63,7 @@ __all__ = [
     "covfuzz_cells",
     "execute_cell",
     "exit_code",
+    "fold_kept",
     "fuzz_cells",
     "merge_campaign",
     "merged_check_reports",

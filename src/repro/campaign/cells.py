@@ -209,72 +209,55 @@ def _run_verif_cell(params: dict) -> tuple[str, dict]:
 
 def fuzz_cells(start: int = 0, count: int = 20, length: int = 30,
                platform: str = "visionfive2", offload: bool = True,
-               chunk: int = 4,
-               cell_budget_seconds: Optional[float] = None,
-               ) -> list[CampaignCell]:
+               chunk: int = 4) -> list[CampaignCell]:
     """Shard a differential-fuzz seed range into cells of ``chunk`` seeds."""
-    cells = []
-    for lo, hi in _chunks(count, chunk):
-        params = dict(start=start + lo, stop=start + hi, length=length,
-                      platform=platform, offload=offload)
-        if cell_budget_seconds is not None:
-            params["budget_seconds"] = cell_budget_seconds
-        cells.append(CampaignCell.make(
+    return [
+        CampaignCell.make(
             "fuzz",
             f"fuzz:{platform}:l{length}:o{int(offload)}:"
             f"s{start + lo:05d}-{start + hi:05d}",
-            **params,
-        ))
-    return cells
+            start=start + lo, stop=start + hi, length=length,
+            platform=platform, offload=offload,
+        )
+        for lo, hi in _chunks(count, chunk)
+    ]
+
+
+def _finding_payload(finding, params: dict, **bundle_options) -> dict:
+    """One fuzz finding as payload data, built from its repro bundle so
+    the payload's ``diff`` is the bundle's — an identical hang included,
+    whose only differing field is the blown budget in ``crashed``."""
+    from repro.triage.bundle import bundle_from_fuzz
+
+    bundle = bundle_from_fuzz(finding, platform=params["platform"],
+                              length=params["length"], **bundle_options)
+    return {
+        "offload": finding.offload,
+        "diff": bundle["failure"]["diff"],
+        # The decoded input itself — a finding naming only the seed is
+        # not actionable without re-running the generator.
+        "steps": [[action, operand] for action, operand in finding.steps],
+        "bundle": bundle,
+    }
 
 
 def _run_fuzz_cell(params: dict) -> tuple[str, dict]:
     from repro.spec.platform import PLATFORMS
-    from repro.verif.fuzz import run_fuzz_campaign
+    from repro.verif.fuzz import fuzz_scenario
 
-    result = run_fuzz_campaign(
-        range(params["start"], params["stop"]),
-        length=params["length"],
-        platform=PLATFORMS[params["platform"]],
-        offload=params["offload"],
-        campaign_seconds=params.get("budget_seconds"),
-    )
-    from repro.triage.bundle import bundle_from_fuzz
-
+    seeds = range(params["start"], params["stop"])
     findings = []
-    for finding in result.findings:
-        differing = {
-            key: [repr(finding.native[key]), repr(finding.virtualized[key])]
-            for key in sorted(finding.native)
-            if finding.native[key] != finding.virtualized[key]
-        }
-        findings.append({
-            "seed": finding.scenario.seed,
-            "offload": finding.offload,
-            "diff": differing,
-            # The decoded input itself — a finding naming only the seed
-            # is not actionable without re-running the generator.
-            "steps": [[action, operand]
-                      for action, operand in finding.steps],
-            "bundle": bundle_from_fuzz(
-                finding, platform=params["platform"],
-                length=params["length"], source="campaign:fuzz",
-            ),
-        })
-    findings.sort(key=lambda f: (f["seed"], f["offload"]))
-    payload = {
-        "seeds_run": result.seeds_run,
-        "seeds_skipped": result.seeds_skipped,
-        "deadline_hit": result.deadline_hit,
-        "findings": findings,
-    }
-    if result.findings:
-        status = "fail"
-    elif result.seeds_skipped:
-        status = "skipped"  # incomplete is not a pass
-    else:
-        status = "ok"
-    return status, payload
+    for seed in seeds:
+        finding = fuzz_scenario(seed, length=params["length"],
+                                platform=PLATFORMS[params["platform"]],
+                                offload=params["offload"])
+        if finding is not None:
+            findings.append(dict(
+                _finding_payload(finding, params, source="campaign:fuzz"),
+                seed=seed,
+            ))
+    payload = {"seeds_run": list(seeds), "findings": findings}
+    return ("fail" if findings else "ok"), payload
 
 
 # -- covfuzz family (coverage-guided differential fuzzing) -------------------
@@ -282,7 +265,6 @@ def _run_fuzz_cell(params: dict) -> tuple[str, dict]:
 def covfuzz_cells(cells: int = 4, cases: int = 8, length: int = 8,
                   platform: str = "visionfive2", offload: bool = True,
                   seed: int = 0, corpus_dir: Optional[str] = None,
-                  wall_seconds: Optional[float] = None,
                   ) -> list[CampaignCell]:
     """Shard a guided-fuzz run into independent cells.
 
@@ -290,7 +272,8 @@ def covfuzz_cells(cells: int = 4, cases: int = 8, length: int = 8,
     *private in-memory copy* of the starting corpus — cells never write
     shared files, so results are independent of worker interleaving.
     Kept inputs and coverage come back in the payload; the merge step
-    unions them order-independently.
+    unions them order-independently.  ``cases=0`` only replays the
+    corpus (``repro cov report``).
     """
     out = []
     for index in range(cells):
@@ -298,8 +281,6 @@ def covfuzz_cells(cells: int = 4, cases: int = 8, length: int = 8,
                       platform=platform, offload=offload)
         if corpus_dir is not None:
             params["corpus_dir"] = corpus_dir
-        if wall_seconds is not None:
-            params["wall_seconds"] = wall_seconds
         out.append(CampaignCell.make(
             "covfuzz",
             f"covfuzz:{platform}:l{length}:o{int(offload)}:"
@@ -312,8 +293,6 @@ def covfuzz_cells(cells: int = 4, cases: int = 8, length: int = 8,
 def _run_covfuzz_cell(params: dict) -> tuple[str, dict]:
     from repro.coverage import Corpus, run_guided_fuzz
     from repro.spec.platform import PLATFORMS
-    from repro.triage.bundle import bundle_from_fuzz
-    from repro.verif.fuzz import WALL_SECONDS_PER_CASE
 
     corpus = Corpus()  # in-memory: cells must not race on shared files
     corpus_dir = params.get("corpus_dir")
@@ -327,33 +306,19 @@ def _run_covfuzz_cell(params: dict) -> tuple[str, dict]:
         length=params["length"],
         platform=PLATFORMS[params["platform"]],
         offload=params["offload"],
-        wall_seconds=params.get("wall_seconds", WALL_SECONDS_PER_CASE),
     )
     coverage_summary = {
         "digest": result.coverage.digest(),
         "bitmap_bits": result.coverage.bit_count(),
         "paths": result.coverage.path_count(),
     }
-    findings = []
-    for finding in result.findings:
-        differing = {
-            key: [repr(finding.native[key]), repr(finding.virtualized[key])]
-            for key in sorted(finding.native)
-            if finding.native[key] != finding.virtualized[key]
-        }
-        findings.append({
-            "offload": finding.offload,
-            "diff": differing,
-            "steps": [[action, operand]
-                      for action, operand in finding.steps],
-            # Guided inputs are mutants no seed encodes: the bundle must
-            # carry explicit steps so replay drives them directly.
-            "bundle": bundle_from_fuzz(
-                finding, platform=params["platform"],
-                length=params["length"], source="campaign:covfuzz",
-                explicit_steps=True, coverage=coverage_summary,
-            ),
-        })
+    # Guided inputs are mutants no seed encodes: the bundles carry
+    # explicit steps so replay drives them directly.
+    findings = [
+        _finding_payload(finding, params, source="campaign:covfuzz",
+                         explicit_steps=True, coverage=coverage_summary)
+        for finding in result.findings
+    ]
     findings.sort(key=lambda f: f["bundle"]["signature"]["digest"])
     payload = {
         "replayed": result.replayed,

@@ -11,8 +11,8 @@ from sorted, JSON-stable data:
 * verification cells merge through
   :func:`repro.verif.report.merge_reports` — ``inputs_checked`` sums and
   divergences re-sort by input key;
-* fuzz findings sort by ``(seed, offload)`` and skipped seeds are
-  carried, never dropped;
+* fuzz findings sort by ``(seed, offload)``, and the seeds of a cell
+  that did not run are carried as skipped, never dropped;
 * chaos summaries sort by cell key;
 * failures deduplicate by triage signature into ``failure_groups``
   ("3 distinct failures × N occurrences"), sorted by digest.
@@ -21,7 +21,7 @@ from sorted, JSON-stable data:
 from __future__ import annotations
 
 import json
-from typing import Iterable
+from typing import Iterable, Optional
 
 from repro.campaign.cells import VERIF_TASK_ORDER
 from repro.campaign.runner import CampaignResult, CellResult
@@ -108,27 +108,20 @@ def merge_campaign(campaign: CampaignResult) -> dict:
         findings = []
         seeds_run: list[int] = []
         seeds_skipped: list[int] = []
-        deadline_hit = False
         for result in fuzz_results:
             payload = result.payload
             findings.extend(payload.get("findings", ()))
-            seeds_run.extend(payload.get("seeds_run", ()))
-            seeds_skipped.extend(payload.get("seeds_skipped", ()))
-            deadline_hit = deadline_hit or payload.get("deadline_hit", False)
-            if (result.status in ("timeout", "error", "skipped")
-                    and "seeds_run" not in payload):
-                # The cell never reported its seeds: every seed it owned
-                # is un-run, and silently dropping them would turn a
-                # killed worker into a pass.
-                bounds = dict(_cell_range_from_key(result.key))
-                if bounds:
-                    seeds_skipped.extend(range(bounds["start"],
-                                               bounds["stop"]))
+            if "seeds_run" in payload:
+                seeds_run.extend(payload["seeds_run"])
+            else:
+                # The cell never ran (budget, ^C) or never reported (a
+                # killed worker): every seed it owned is un-run, and
+                # silently dropping them would turn it into a pass.
+                seeds_skipped.extend(_cell_seeds(result.key))
         findings.sort(key=lambda f: (f["seed"], f["offload"]))
         aggregate["fuzz"] = {
             "seeds_run": sorted(seeds_run),
             "seeds_skipped": sorted(set(seeds_skipped)),
-            "deadline_hit": deadline_hit,
             "findings": findings,
         }
 
@@ -188,15 +181,28 @@ def merge_campaign(campaign: CampaignResult) -> dict:
     return aggregate
 
 
-def _cell_range_from_key(key: str):
-    """Best-effort seed-range recovery from a fuzz cell key
-    (``fuzz:...:s00000-00008``)."""
+def _cell_seeds(key: str) -> range:
+    """The seed range a fuzz cell key names (``fuzz:...:s00000-00008``)."""
     tail = key.rsplit(":", 1)[-1]
     if tail.startswith("s") and "-" in tail:
         lo, _, hi = tail[1:].partition("-")
         if lo.isdigit() and hi.isdigit():
-            yield "start", int(lo)
-            yield "stop", int(hi)
+            return range(int(lo), int(hi))
+    return range(0)
+
+
+def fold_kept(aggregate: dict, corpus_dir: Optional[str]) -> tuple[int, int]:
+    """Fold a covfuzz aggregate's kept inputs into the corpus at
+    ``corpus_dir`` (in memory when None); returns its entry counts
+    before and after.  One single-process write after the merge, so the
+    on-disk corpus is the same at any worker count."""
+    from repro.coverage import Corpus
+
+    corpus = Corpus(corpus_dir)
+    before = len(corpus)
+    for item in aggregate["covfuzz"]["kept"]:
+        corpus.add_entry(item["entry"])
+    return before, len(corpus)
 
 
 def canonical_aggregate(aggregate: dict) -> dict:
@@ -217,7 +223,7 @@ def canonical_json(aggregate: dict) -> str:
 
 def exit_code(aggregate: dict) -> int:
     """Process exit status for a campaign: 0 clean, 1 failures, 3 when
-    the run is incomplete (a SIGINT drain, or skipped cells/seeds).
+    the run is incomplete (a SIGINT drain, or skipped cells).
     Incompleteness wins over failure: a partial aggregate's verdict is
     not final, so callers must rerun before trusting a 1-vs-0 answer."""
     if aggregate.get("timing", {}).get("interrupted"):
@@ -226,10 +232,5 @@ def exit_code(aggregate: dict) -> int:
     if counts["fail"] or counts["error"] or counts["timeout"]:
         return 1
     if counts["skipped"]:
-        return 3
-    fuzz = aggregate.get("fuzz")
-    if fuzz is not None and fuzz["seeds_skipped"]:
-        return 3
-    if aggregate.get("timing", {}).get("interrupted"):
         return 3
     return 0

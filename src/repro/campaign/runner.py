@@ -21,9 +21,10 @@ Failure containment is per cell:
   is detected by the parent and handled like a timeout.
 
 A campaign-level ``budget_seconds`` deadline stops dispatching and marks
-every unfinished cell ``status="skipped"`` — mirroring the fuzz
-campaign's red-first fix: an aborted campaign is visibly incomplete,
-never a silent pass.
+every unfinished cell ``status="skipped"``: an aborted campaign is
+visibly incomplete, never a silent pass.  It is the only sweep budget —
+``repro fuzz --budget`` runs one seed per cell, so the deadline falls
+between seeds.
 
 With ``handle_sigint=True`` the same incomplete-is-visible rule covers
 a ^C: instead of a KeyboardInterrupt traceback that loses every
@@ -34,7 +35,9 @@ dispatched, the remaining cells are marked ``skipped``, and the partial
 result comes back with ``interrupted=True`` so the CLI can still write
 its aggregate and exit with the incomplete status (3).  Workers ignore
 SIGINT themselves: a terminal ^C signals the whole process group, and
-the drain decision belongs to the parent alone.
+the drain decision belongs to the parent alone.  A serial run has no
+worker to terminate, so there a second ^C raises ``KeyboardInterrupt``
+in the in-flight cell instead of waiting for it.
 """
 
 from __future__ import annotations
@@ -199,7 +202,10 @@ def run_campaign(cells: Iterable[CampaignCell], workers: int = 1,
     interrupted = _InterruptFlag()
     previous_handler = None
     if handle_sigint:
-        previous_handler = signal.signal(signal.SIGINT, interrupted.trip)
+        previous_handler = signal.signal(
+            signal.SIGINT,
+            interrupted.trip if workers > 1 else interrupted.trip_or_raise,
+        )
     try:
         if workers <= 1:
             results = _run_serial(ordered, deadline, progress, interrupted)
@@ -222,6 +228,13 @@ class _InterruptFlag:
         self.tripped = False
 
     def trip(self, signum=None, frame=None) -> None:
+        self.tripped = True
+
+    def trip_or_raise(self, signum=None, frame=None) -> None:
+        """The serial handler: a serial run's in-flight cell cannot be
+        stopped from outside, so a second ^C raises in it."""
+        if self.tripped:
+            raise KeyboardInterrupt
         self.tripped = True
 
 

@@ -320,112 +320,118 @@ def command_verify(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
+def _run_sweep(cells, budget_seconds=None):
+    """Run one command's cells serially through the campaign runner and
+    merge them.  ^C drains like ``repro campaign``: the cell in flight
+    finishes, the rest are skipped, and the report is partial (exit 3)."""
+    from repro.campaign import merge_campaign, run_campaign
+
+    campaign = run_campaign(cells, budget_seconds=budget_seconds,
+                            handle_sigint=True)
+    aggregate = merge_campaign(campaign)
+    if campaign.interrupted:
+        print("campaign interrupted (SIGINT): in-flight cells drained, "
+              "remaining cells skipped")
+    for failure in aggregate["failures"]:
+        if failure["status"] in ("error", "timeout"):
+            print(f"  {failure['key']}: {failure['status'].upper()} "
+                  f"({failure['error']})")
+    return campaign, aggregate
+
+
+def _finding_line(finding: dict) -> str:
+    """A payload finding as ``str(FuzzFinding)`` prints it: the diff in
+    the observation's field order, which the bundle's ``native`` keeps."""
+    from repro.verif.fuzz import describe_finding
+
+    bundle = finding["bundle"]
+    diff = {key: finding["diff"][key] for key in bundle["failure"]["native"]
+            if key in finding["diff"]}
+    return describe_finding(bundle["seeds"]["seed"], finding["offload"],
+                            diff, finding["steps"])
+
+
 def command_fuzz(args: argparse.Namespace) -> int:
-    from repro.verif.fuzz import run_fuzz_campaign
+    from repro.campaign import exit_code, fuzz_cells
 
     if args.cov:
         return _command_fuzz_guided(args)
-    result = run_fuzz_campaign(
-        range(args.start, args.start + args.count),
-        length=args.length,
-        platform=PLATFORMS[args.platform],
-        offload=not args.no_offload,
-        campaign_seconds=args.budget,
+    # One seed per cell: the campaign budget falls between seeds, and
+    # the seeds it cuts off are reported skipped.
+    campaign, aggregate = _run_sweep(
+        fuzz_cells(start=args.start, count=args.count, length=args.length,
+                   platform=args.platform, offload=not args.no_offload,
+                   chunk=1),
+        budget_seconds=args.budget,
     )
-    print(f"{len(result.seeds_run)} scenarios, "
-          f"{len(result.findings)} divergence(s)")
-    for finding in result.findings:
-        print(" ", finding)
-    if args.bundle_dir and result.findings:
-        import os
-
-        from repro.triage import bundle_from_fuzz, save_bundle
-        from repro.triage.bundle import bundle_filename
-
-        os.makedirs(args.bundle_dir, exist_ok=True)
-        for finding in result.findings:
-            bundle = bundle_from_fuzz(
-                finding, platform=args.platform, length=args.length,
-                source="fuzz",
-            )
-            path = os.path.join(args.bundle_dir, bundle_filename(bundle))
-            save_bundle(bundle, path)
-            print(f"  bundle written: {path}")
-    if result.seeds_skipped:
-        print(f"campaign budget hit after {result.elapsed_seconds:.1f}s: "
-              f"{len(result.seeds_skipped)} seed(s) skipped "
-              f"({result.seeds_skipped[0]}..{result.seeds_skipped[-1]})")
-    if result.findings:
-        return 1
-    return 3 if result.seeds_skipped else 0
+    fuzz = aggregate.get("fuzz", {"seeds_run": [], "seeds_skipped": [],
+                                  "findings": []})
+    print(f"{len(fuzz['seeds_run'])} scenarios, "
+          f"{len(fuzz['findings'])} divergence(s)")
+    for finding in fuzz["findings"]:
+        print(" ", _finding_line(finding))
+    if args.bundle_dir:
+        _save_campaign_bundles(campaign, args.bundle_dir)
+    skipped = fuzz["seeds_skipped"]
+    if skipped:
+        cause = ""
+        if aggregate["counts"]["skipped"] and not campaign.interrupted:
+            cause = (f"campaign budget hit after "
+                     f"{campaign.wall_seconds:.1f}s: ")
+        print(f"{cause}{len(skipped)} seed(s) skipped "
+              f"({skipped[0]}..{skipped[-1]})")
+    return exit_code(aggregate)
 
 
 def _command_fuzz_guided(args: argparse.Namespace) -> int:
-    """``repro fuzz --cov``: the coverage-guided loop over a corpus."""
-    from repro.coverage import Corpus, run_guided_fuzz
+    """``repro fuzz --cov``: one covfuzz cell over the corpus; its kept
+    inputs fold into ``--corpus`` after the run."""
+    from repro.campaign import covfuzz_cells, exit_code, fold_kept
 
-    corpus = Corpus(args.corpus)  # in-memory when --corpus is omitted
-    before = len(corpus)
-    result = run_guided_fuzz(
-        corpus, seed=args.start, cases=args.count, length=args.length,
-        platform=PLATFORMS[args.platform], offload=not args.no_offload,
-    )
-    report = result.coverage.report()
-    print(f"guided fuzz: {result.replayed} corpus input(s) replayed, "
-          f"{result.executed} mutation(s) run, {len(result.kept)} kept "
-          f"({before} -> {len(corpus)} corpus entries)")
+    campaign, aggregate = _run_sweep(covfuzz_cells(
+        cells=1, cases=args.count, length=args.length,
+        platform=args.platform, offload=not args.no_offload,
+        seed=args.start, corpus_dir=args.corpus,
+    ))
+    if any(failure["status"] != "fail" for failure in aggregate["failures"]):
+        return exit_code(aggregate)  # the guided run did not finish
+    covfuzz = aggregate["covfuzz"]
+    before, after = fold_kept(aggregate, args.corpus)
+    report = covfuzz["report"]
+    print(f"guided fuzz: {covfuzz['replayed']} corpus input(s) replayed, "
+          f"{covfuzz['executed']} mutation(s) run, "
+          f"{len(covfuzz['kept'])} kept "
+          f"({before} -> {after} corpus entries)")
     print(f"coverage: {report['bitmap_bits']} bitmap bits, "
           f"{report['paths']} exact paths, "
           f"{report['pairs_covered']}/{report['pairs_total']} trap paths "
-          f"(digest {result.coverage.digest()[:12]})")
-    print(f"{len(result.findings)} divergence(s)")
-    for finding in result.findings:
-        print(" ", finding)
-    if args.bundle_dir and result.findings:
-        import os
-
-        from repro.triage import bundle_from_fuzz, save_bundle
-        from repro.triage.bundle import bundle_filename
-
-        os.makedirs(args.bundle_dir, exist_ok=True)
-        coverage_summary = {
-            "digest": result.coverage.digest(),
-            "bitmap_bits": report["bitmap_bits"],
-            "paths": report["paths"],
-        }
-        for finding in result.findings:
-            # Guided inputs are mutants no seed encodes: mark the steps
-            # explicit so replay drives them directly.
-            bundle = bundle_from_fuzz(
-                finding, platform=args.platform, length=args.length,
-                source="fuzz:guided", explicit_steps=True,
-                coverage=coverage_summary,
-            )
-            path = os.path.join(args.bundle_dir, bundle_filename(bundle))
-            save_bundle(bundle, path)
-            print(f"  bundle written: {path}")
-    return 1 if result.findings else 0
+          f"(digest {covfuzz['coverage_digest'][:12]})")
+    print(f"{len(covfuzz['findings'])} divergence(s)")
+    for finding in covfuzz["findings"]:
+        print(" ", _finding_line(finding))
+    if args.bundle_dir:
+        _save_campaign_bundles(campaign, args.bundle_dir)
+    return exit_code(aggregate)
 
 
 def command_cov_report(args: argparse.Namespace) -> int:
-    """``repro cov report``: replay a corpus, print trap-path coverage."""
-    from repro.coverage import Corpus, CoverageMap
-    from repro.verif.fuzz import fuzz_scenario
+    """``repro cov report``: replay a corpus, print trap-path coverage.
 
-    corpus = Corpus(args.corpus)
-    coverage = CoverageMap()
-    divergences = 0
-    for digest, steps in corpus.iter_steps():
-        case = CoverageMap()
-        finding = fuzz_scenario(
-            0, platform=PLATFORMS[args.platform],
-            offload=not args.no_offload, steps=steps, coverage=case,
-        )
-        coverage.absorb(case, source=digest)
-        if finding is not None:
-            divergences += 1
-    report = coverage.report()
-    print(f"corpus: {len(corpus)} input(s) ({args.corpus})")
+    The replay is a covfuzz cell with no mutations: it runs every corpus
+    entry and folds its coverage in under the entry's digest.
+    """
+    from repro.campaign import covfuzz_cells, exit_code
+    from repro.coverage import CoverageMap
+
+    campaign, aggregate = _run_sweep(covfuzz_cells(
+        cells=1, cases=0, platform=args.platform,
+        offload=not args.no_offload, corpus_dir=args.corpus,
+    ))
+    if any(failure["status"] != "fail" for failure in aggregate["failures"]):
+        return exit_code(aggregate)  # the replay did not finish
+    covfuzz = aggregate["covfuzz"]
+    report = covfuzz["report"]
+    print(f"corpus: {covfuzz['replayed']} input(s) ({args.corpus})")
     print(f"coverage: {report['records']} trap(s) recorded, "
           f"{report['bitmap_bits']} bitmap bits, "
           f"{report['paths']} exact paths")
@@ -436,14 +442,17 @@ def command_cov_report(args: argparse.Namespace) -> int:
         keys = ",".join(f"{key:#x}" for key in stats["cause_keys"])
         print(f"  {world:8s} {stats['covered']:2d}/{stats['total']:2d}"
               + (f"  [{keys}]" if keys else ""))
-    print(f"digest: {coverage.digest()}")
-    if divergences:
-        print(f"warning: {divergences} corpus input(s) diverge on replay")
+    print(f"digest: {covfuzz['coverage_digest']}")
+    if covfuzz["findings"]:
+        print(f"warning: {len(covfuzz['findings'])} corpus input(s) "
+              f"diverge on replay")
     if args.json:
         with open(args.json, "w") as handle:
-            handle.write(coverage.canonical_json())
+            handle.write(
+                CoverageMap.from_doc(covfuzz["coverage"]).canonical_json())
         print(f"coverage document written: {args.json}")
-    return 0
+    # A diverging entry is a warning here, not a failed report.
+    return 3 if campaign.interrupted else 0
 
 
 def _parse_list(text: str) -> list[str]:
@@ -459,6 +468,7 @@ def command_campaign(args: argparse.Namespace) -> int:
         chaos_cells,
         covfuzz_cells,
         exit_code,
+        fold_kept,
         fuzz_cells,
         merge_campaign,
         merged_check_reports,
@@ -566,16 +576,8 @@ def command_campaign(args: argparse.Namespace) -> int:
         print(f"  covfuzz divergence "
               f"offload={finding['offload']}: {finding['diff']}")
     if "covfuzz" in aggregate and args.corpus:
-        # Fold the campaign's kept inputs back into the persistent
-        # corpus — a single-process, post-merge write, so the on-disk
-        # corpus stays deterministic at any worker count.
-        from repro.coverage import Corpus
-
-        corpus = Corpus(args.corpus)
-        before = len(corpus)
-        for item in aggregate["covfuzz"]["kept"]:
-            corpus.add_entry(item["entry"])
-        print(f"corpus: {before} -> {len(corpus)} entries ({args.corpus})")
+        before, after = fold_kept(aggregate, args.corpus)
+        print(f"corpus: {before} -> {after} entries ({args.corpus})")
     for failure in aggregate["failures"]:
         print(f"  {failure['key']}: {failure['status'].upper()}"
               + (f" ({failure['error']})" if failure["error"] else ""))
@@ -590,9 +592,7 @@ def command_campaign(args: argparse.Namespace) -> int:
                   f"{len(group['cells'])} cell(s)"
                   + (f" — {cause}" if cause else ""))
     if args.bundle_dir:
-        saved = _save_campaign_bundles(campaign, args.bundle_dir)
-        if saved:
-            print(f"bundles written: {saved} -> {args.bundle_dir}/")
+        _save_campaign_bundles(campaign, args.bundle_dir)
     counts = aggregate["counts"]
     timing = aggregate["timing"]
     print(f"aggregate: {counts['ok']}/{counts['total']} ok "
@@ -611,27 +611,28 @@ def command_campaign(args: argparse.Namespace) -> int:
 
 
 def _save_campaign_bundles(campaign, bundle_dir: str) -> int:
-    """Write every repro bundle the campaign's cells captured; bundles
-    are named by signature, so identical failures dedupe on disk."""
+    """Write every repro bundle the campaign's cells captured and print
+    how many files that made.  Bundles are named by signature, so
+    identical failures share one file; returns the file count."""
     import os
 
     from repro.triage.bundle import bundle_filename, save_bundle
 
-    os.makedirs(bundle_dir, exist_ok=True)
-    saved = 0
+    bundles = {}
     for result in campaign.results:
         payload = result.payload if isinstance(result.payload, dict) else {}
-        bundles = []
-        if payload.get("bundle") is not None:
-            bundles.append(payload["bundle"])
-        for finding in payload.get("findings", ()):
-            if finding.get("bundle") is not None:
-                bundles.append(finding["bundle"])
-        for bundle in bundles:
-            save_bundle(bundle,
-                        os.path.join(bundle_dir, bundle_filename(bundle)))
-            saved += 1
-    return saved
+        found = [payload.get("bundle")] + [
+            finding.get("bundle") for finding in payload.get("findings", ())]
+        for bundle in found:
+            if bundle is not None:
+                bundles[os.path.join(bundle_dir,
+                                     bundle_filename(bundle))] = bundle
+    if bundles:
+        os.makedirs(bundle_dir, exist_ok=True)
+        for path, bundle in bundles.items():
+            save_bundle(bundle, path)
+        print(f"bundles written: {len(bundles)} -> {bundle_dir}/")
+    return len(bundles)
 
 
 def _snapshot_summary(checkpoint) -> str:
@@ -934,8 +935,8 @@ def build_parser() -> argparse.ArgumentParser:
                            "mutation budget)")
     fuzz.add_argument("--corpus", default=None, metavar="DIR",
                       help="with --cov: persistent corpus directory "
-                           "(loaded before the run, kept inputs written "
-                           "through; omit for an in-memory corpus)")
+                           "(loaded before the run, kept inputs folded "
+                           "in after it; omit for an in-memory corpus)")
     fuzz.set_defaults(func=command_fuzz)
 
     cov = sub.add_parser("cov", help="trap-path coverage tooling")

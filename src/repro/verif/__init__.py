@@ -18,13 +18,10 @@ from repro.verif.execution import (
     run_execution_check,
 )
 from repro.verif.fuzz import (
-    FuzzCampaignResult,
     FuzzFinding,
     Observation,
     Scenario,
-    fuzz_campaign,
     fuzz_scenario,
-    run_fuzz_campaign,
 )
 from repro.verif.interrupts import run_interrupt_check
 from repro.verif.report import CheckReport, Divergence, merge_reports
@@ -42,13 +39,10 @@ from repro.verif.spaces import (
 
 __all__ = [
     "BOUNDARY_VALUES",
-    "FuzzCampaignResult",
     "FuzzFinding",
     "Observation",
     "Scenario",
-    "fuzz_campaign",
     "fuzz_scenario",
-    "run_fuzz_campaign",
     "CheckReport",
     "Divergence",
     "merge_reports",

@@ -361,14 +361,28 @@ class FuzzFinding:
         return differing
 
     def __str__(self) -> str:
-        steps = " ".join(f"{action}({operand:#x})"
-                         for action, operand in self.steps[:6])
-        if len(self.steps) > 6:
-            steps += f" …+{len(self.steps) - 6}"
-        return (
-            f"seed={self.scenario.seed} offload={self.offload}: "
-            f"{self.diff()} [input: {steps}]"
+        return describe_finding(
+            self.scenario.seed, self.offload,
+            {key: (repr(native), repr(virtual))
+             for key, (native, virtual) in self.diff().items()},
+            self.steps,
         )
+
+
+def describe_finding(seed: int, offload: bool, diff: dict, steps) -> str:
+    """One report line per finding.
+
+    ``diff`` maps each differing field to the reprs of its (native,
+    virtualized) values — the form cell payloads and bundles carry — so
+    a finding prints the same from a live :class:`FuzzFinding` and from
+    a campaign aggregate.
+    """
+    shown = ", ".join(f"{key!r}: ({native}, {virtual})"
+                      for key, (native, virtual) in diff.items())
+    text = " ".join(f"{action}({operand:#x})" for action, operand in steps[:6])
+    if len(steps) > 6:
+        text += f" …+{len(steps) - 6}"
+    return f"seed={seed} offload={offload}: {{{shown}}} [input: {text}]"
 
 
 def fuzz_scenario(seed: int, length: int = 40,
@@ -408,83 +422,3 @@ def fuzz_scenario(seed: int, length: int = 40,
         # into an equal-observation "pass".
         return FuzzFinding(scenario, offload, native, virtual)
     return None
-
-
-@dataclasses.dataclass
-class FuzzCampaignResult:
-    """Outcome of a (possibly budget-limited) fuzz campaign.
-
-    The per-case budgets bound one scenario, but nothing used to bound
-    the *campaign*: a pathological seed range could run for hours and, if
-    aborted externally, the un-run seeds vanished into an implicit pass.
-    ``seeds_skipped`` makes the abort explicit — a campaign that hit its
-    deadline is incomplete, not clean.
-    """
-
-    findings: list[FuzzFinding] = dataclasses.field(default_factory=list)
-    seeds_run: list[int] = dataclasses.field(default_factory=list)
-    seeds_skipped: list[int] = dataclasses.field(default_factory=list)
-    deadline_hit: bool = False
-    elapsed_seconds: float = 0.0
-
-    @property
-    def complete(self) -> bool:
-        return not self.seeds_skipped
-
-    @property
-    def clean(self) -> bool:
-        """No divergence found *and* every seed actually ran."""
-        return not self.findings and self.complete
-
-
-def run_fuzz_campaign(seeds, length: int = 40,
-                      platform: PlatformConfig = VISIONFIVE2,
-                      offload: bool = True,
-                      max_dispatches: int = MAX_DISPATCHES_PER_CASE,
-                      wall_seconds: float = WALL_SECONDS_PER_CASE,
-                      campaign_seconds: Optional[float] = None,
-                      ) -> FuzzCampaignResult:
-    """Run a seed range under an optional campaign-level wall deadline.
-
-    ``campaign_seconds`` bounds the whole campaign: once the deadline
-    passes, remaining seeds are not run but are *reported* in
-    ``seeds_skipped`` (the checked deadline is campaign-level, so one
-    slow-but-within-budget case never hides later seeds silently).
-    """
-    import time
-
-    result = FuzzCampaignResult()
-    start = time.monotonic()
-    deadline = None if campaign_seconds is None else start + campaign_seconds
-    pending = list(seeds)
-    for index, seed in enumerate(pending):
-        if deadline is not None and time.monotonic() >= deadline:
-            result.deadline_hit = True
-            result.seeds_skipped = pending[index:]
-            break
-        finding = fuzz_scenario(seed, length=length, platform=platform,
-                                offload=offload,
-                                max_dispatches=max_dispatches,
-                                wall_seconds=wall_seconds)
-        result.seeds_run.append(seed)
-        if finding is not None:
-            result.findings.append(finding)
-    result.elapsed_seconds = time.monotonic() - start
-    return result
-
-
-def fuzz_campaign(seeds: range, length: int = 40,
-                  platform: PlatformConfig = VISIONFIVE2,
-                  offload: bool = True,
-                  max_dispatches: int = MAX_DISPATCHES_PER_CASE,
-                  wall_seconds: float = WALL_SECONDS_PER_CASE,
-                  ) -> list[FuzzFinding]:
-    """Run a seed range; returns all findings (empty = no divergence).
-
-    Compatibility shim over :func:`run_fuzz_campaign`; callers that need
-    a campaign deadline or the skipped-seed report use the latter.
-    """
-    return run_fuzz_campaign(
-        seeds, length=length, platform=platform, offload=offload,
-        max_dispatches=max_dispatches, wall_seconds=wall_seconds,
-    ).findings

@@ -2,9 +2,9 @@
 
 Each test here fails on the pre-fix code:
 
-* S1 — ``run_fuzz_campaign`` did not exist and ``fuzz_campaign`` had no
-  campaign-level deadline: an expired budget silently truncated the seed
-  list and reported success.
+* S1 — the fuzz sweep had no campaign-level deadline: an expired
+  budget silently truncated the seed list and reported success.  The
+  campaign runner's budget now covers it, one seed per cell.
 * S2 — ``ChaosResult.trap_log`` grew unboundedly (one tuple per trap for
   the whole boot) and there was no ``trap_log_total``.
 * S3 — ``merge_reports`` did not exist: sharded ``CheckReport``\\ s could
@@ -15,47 +15,49 @@ import time
 
 import pytest
 
+from repro.campaign import exit_code, fuzz_cells, merge_campaign, run_campaign
 from repro.core import bugs
 from repro.spec.platform import VISIONFIVE2
-from repro.verif import run_fuzz_campaign
-from repro.verif.fuzz import FuzzCampaignResult, fuzz_campaign
 from repro.verif.report import CheckReport, Divergence, merge_reports
 
 
 class TestFuzzCampaignDeadline:
     """S1: the campaign-level deadline aborts cleanly and reports
-    un-run seeds as skipped instead of silently dropping them."""
+    un-run seeds as skipped instead of silently dropping them.  A fuzz
+    sweep of one seed per cell puts the deadline between seeds."""
+
+    @staticmethod
+    def _sweep(count, budget_seconds=None):
+        cells = fuzz_cells(start=50, count=count, length=20, chunk=1)
+        return merge_campaign(run_campaign(cells,
+                                           budget_seconds=budget_seconds))
 
     def test_expired_budget_reports_skipped_seeds(self):
-        result = run_fuzz_campaign(range(50, 58), length=20,
-                                   campaign_seconds=0.0)
-        assert isinstance(result, FuzzCampaignResult)
-        assert result.deadline_hit
-        assert result.seeds_run == []
-        assert result.seeds_skipped == list(range(50, 58))
-        assert not result.complete
+        aggregate = self._sweep(8, budget_seconds=0.0)
+        assert aggregate["fuzz"]["seeds_run"] == []
+        assert aggregate["fuzz"]["seeds_skipped"] == list(range(50, 58))
+        assert aggregate["counts"]["skipped"] == 8
+        assert exit_code(aggregate) == 3
 
     def test_partial_budget_accounts_for_every_seed(self):
         # Enough budget for some seeds but not all: run + skipped must
         # partition the input exactly, in order, with nothing dropped.
         start = time.monotonic()
-        probe = run_fuzz_campaign(range(50, 51), length=20)
-        per_seed = max(time.monotonic() - start, probe.elapsed_seconds)
-        result = run_fuzz_campaign(range(50, 58), length=20,
-                                   campaign_seconds=per_seed * 2.5)
-        assert result.seeds_run + result.seeds_skipped == list(range(50, 58))
-        if result.seeds_skipped:
-            assert result.deadline_hit
+        self._sweep(1)
+        per_seed = time.monotonic() - start
+        aggregate = self._sweep(8, budget_seconds=per_seed * 2.5)
+        fuzz = aggregate["fuzz"]
+        assert fuzz["seeds_run"] + fuzz["seeds_skipped"] == list(range(50, 58))
+        assert aggregate["counts"]["skipped"] == len(fuzz["seeds_skipped"])
+        if fuzz["seeds_skipped"]:
+            assert exit_code(aggregate) == 3
 
     def test_no_budget_runs_everything(self):
-        result = run_fuzz_campaign(range(50, 54), length=20)
-        assert result.complete and result.clean
-        assert result.seeds_run == list(range(50, 54))
-        assert not result.deadline_hit
-
-    def test_compat_shim_returns_findings_list(self):
-        # The historical entry point still returns a bare findings list.
-        assert fuzz_campaign(range(50, 53), length=20) == []
+        aggregate = self._sweep(4)
+        assert aggregate["fuzz"]["seeds_run"] == list(range(50, 54))
+        assert aggregate["fuzz"]["seeds_skipped"] == []
+        assert aggregate["fuzz"]["findings"] == []
+        assert exit_code(aggregate) == 0
 
 
 class TestTrapLogCap:
@@ -171,6 +173,6 @@ class TestVerifyExitsNonzeroOnMergedDivergences:
 
 
 # Module self-check: these imports are the red-first tripwire — on the
-# pre-fix tree, FuzzCampaignResult / merge_reports / TRAP_LOG_LIMIT do
-# not exist and this whole module fails at collection time.
+# pre-fix tree, merge_reports / TRAP_LOG_LIMIT do not exist and this
+# whole module fails at collection time.
 assert VISIONFIVE2 is not None

@@ -185,3 +185,44 @@ class TestCliSigint:
                    if cell["status"] == "skipped"]
         assert skipped, "interrupt arrived before the matrix finished"
         assert b"Traceback" not in stderr
+
+    def test_fuzz_drains_between_seeds_and_exits_3(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = "src"
+        # One seed per cell at tens of ms each: the interrupt lands
+        # mid-sweep and the seed in flight is the last one run.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "fuzz",
+             "--count", "5000", "--length", "20"],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            start_new_session=True,
+        )
+        time.sleep(2.0)
+        os.killpg(proc.pid, signal.SIGINT)
+        stdout, stderr = proc.communicate(timeout=60)
+        assert proc.returncode == 3, (stdout, stderr)
+        out = stdout.decode()
+        assert "campaign interrupted (SIGINT)" in out
+        assert "seed(s) skipped" in out
+        assert "campaign budget hit" not in out
+        assert b"Traceback" not in stderr
+
+
+class TestSerialSecondSigint:
+    def test_second_sigint_stops_the_cell_in_flight(self):
+        # A serial run has no worker to terminate: the first ^C waits
+        # for the cell in flight, the second stops it.
+        register_family("sigint-slow", _slow_family)
+        cells = [CampaignCell.make("sigint-slow", "slow:000", i=0,
+                                   delay=10.0)]
+        timers = [_fire_sigint(0.2), _fire_sigint(0.5)]
+        start = time.monotonic()
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                run_campaign(cells, handle_sigint=True)
+        finally:
+            for timer in timers:
+                timer.cancel()
+        assert time.monotonic() - start < 5.0

@@ -261,3 +261,17 @@ class TestFuzzBudgetOption:
         out = capsys.readouterr().out
         assert "0 scenarios" in out
         assert "4 seed(s) skipped" in out
+
+
+class TestCorpusCommandErrors:
+    @pytest.mark.parametrize("command", [["fuzz", "--cov"],
+                                         ["cov", "report"]])
+    def test_invalid_corpus_is_a_cell_error(self, command, tmp_path,
+                                            capsys):
+        # The corpus loads inside the cell: a bad entry is a reported
+        # ERROR with exit 1, not a traceback or a zero-coverage report.
+        (tmp_path / "cov-0000.json").write_text('{"schema": "nope"}')
+        assert main(command + ["--corpus", str(tmp_path)]) == 1
+        out = capsys.readouterr().out
+        assert "ERROR (ValueError: cov-0000.json" in out
+        assert "coverage:" not in out
