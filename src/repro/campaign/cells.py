@@ -339,16 +339,14 @@ def chaos_cells(firmwares: Iterable[str] = ("opensbi",),
                 platform: str = "visionfive2",
                 harts: Optional[int] = None,
                 trace_dir: Optional[str] = None,
-                phase: Optional[str] = None,
-                warm_start: bool = False) -> list[CampaignCell]:
+                phase: Optional[str] = None) -> list[CampaignCell]:
     """The chaos matrix: firmware x plan x seed (optionally at N harts).
 
     ``phase`` names the boot phase fault injection starts at; it shapes
-    the work, so it is part of the cell key.  ``warm_start`` only decides
-    *how* a cell reaches the phase (restore a per-worker checkpoint vs
-    re-simulate the boot) — results are identical by construction, so it
-    is deliberately NOT in the key: warm and cold campaigns over the same
-    matrix must produce byte-identical canonical aggregates.
+    the work, so it is part of the cell key.  How a cell reaches the
+    phase (boot there itself, or restore the checkpoint an earlier cell
+    in the same worker cached) is not: both give the same result, so the
+    canonical aggregate does not depend on the worker count.
     """
     cells = []
     for firmware in firmwares:
@@ -365,8 +363,6 @@ def chaos_cells(firmwares: Iterable[str] = ("opensbi",),
                     params["trace_dir"] = trace_dir
                 if phase is not None:
                     params["phase"] = phase
-                if warm_start:
-                    params["warm_start"] = True
                 cells.append(CampaignCell.make("chaos", key, **params))
     return cells
 
@@ -389,7 +385,6 @@ def _run_chaos_cell(params: dict) -> tuple[str, dict]:
         harts=params["harts"],
         tracer=tracer,
         phase=params.get("phase"),
-        warm_start=params.get("warm_start", False),
     )
     if tracer is not None:
         import os
@@ -404,8 +399,6 @@ def _run_chaos_cell(params: dict) -> tuple[str, dict]:
         "plan": result.plan,
         "seed": result.seed,
         "harts": params["harts"],
-        # How the phase was reached (warm vs cold) is excluded on
-        # purpose: aggregates must not differ between the two.
         "phase": params.get("phase"),
         "ok": result.ok,
         "halt": result.halt_reason,

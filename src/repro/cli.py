@@ -75,32 +75,20 @@ def _finish_trace(args, tracer) -> None:
         print(f"trace written:    {args.trace}")
 
 
-def _block_cache_ctx(args):
-    """blocks_disabled() when --block-cache=off, else a no-op context."""
-    import contextlib
-
-    if getattr(args, "block_cache", "on") == "off":
-        from repro.hart.blocks import blocks_disabled
-
-        return blocks_disabled()
-    return contextlib.nullcontext()
-
-
 def command_chaos(args: argparse.Namespace) -> int:
     from repro.faults import run_chaos
 
     tracer = _make_tracer(args)
-    with _block_cache_ctx(args):
-        result = run_chaos(
-            args.firmware,
-            plan=args.chaos_plan,
-            seed=args.chaos_seed,
-            platform=PLATFORMS[args.platform],
-            tracer=tracer,
-            harts=args.harts,
-            quantum=args.quantum,
-            smp_jitter=args.smp_jitter,
-        )
+    result = run_chaos(
+        args.firmware,
+        plan=args.chaos_plan,
+        seed=args.chaos_seed,
+        platform=PLATFORMS[args.platform],
+        tracer=tracer,
+        harts=args.harts,
+        quantum=args.quantum,
+        smp_jitter=args.smp_jitter,
+    )
     if result.console:
         print(result.console)
     print(result.report())
@@ -163,21 +151,20 @@ def command_boot(args: argparse.Namespace) -> int:
         firmware_class=firmware_class,
         start_secondaries=smp and platform.num_harts > 1,
     )
-    with _block_cache_ctx(args):
-        if args.native:
-            system = build_native(platform, **build_kwargs)
-        else:
-            policy = (
-                FirmwareSandboxPolicy(
-                    extra_allowed_regions=[(platform.uart_base, 0x100)]
-                )
-                if args.policy == "sandbox"
-                else DefaultPolicy()
+    if args.native:
+        system = build_native(platform, **build_kwargs)
+    else:
+        policy = (
+            FirmwareSandboxPolicy(
+                extra_allowed_regions=[(platform.uart_base, 0x100)]
             )
-            system = build_virtualized(
-                platform, policy=policy, offload=not args.no_offload,
-                **build_kwargs,
-            )
+            if args.policy == "sandbox"
+            else DefaultPolicy()
+        )
+        system = build_virtualized(
+            platform, policy=policy, offload=not args.no_offload,
+            **build_kwargs,
+        )
     tracer = _make_tracer(args)
     system.machine.tracer = tracer
     meter = StepMeter()
@@ -420,9 +407,15 @@ def command_cov_report(args: argparse.Namespace) -> int:
     The replay is a covfuzz cell with no mutations: it runs every corpus
     entry and folds its coverage in under the entry's digest.
     """
+    import os
+
     from repro.campaign import covfuzz_cells, exit_code
     from repro.coverage import CoverageMap
 
+    # Loading a corpus creates its directory; a report must not.
+    if not os.path.isdir(args.corpus):
+        print(f"no corpus directory {args.corpus!r}")
+        return 2
     campaign, aggregate = _run_sweep(covfuzz_cells(
         cells=1, cases=0, platform=args.platform,
         offload=not args.no_offload, corpus_dir=args.corpus,
@@ -499,38 +492,18 @@ def command_campaign(args: argparse.Namespace) -> int:
             corpus_dir=args.corpus,
         )
     if "chaos" in families:
-        from repro.faults.chaos import WARM_FIRMWARES
-
         seeds = [int(s) for s in _parse_list(args.chaos_seeds)]
-        phase = args.chaos_phase
-        if args.warm_start and phase is None:
-            phase = "kernel-entry"
-        if args.warm_start and args.chaos_trace_dir is not None:
-            # A boot-time trace is exactly what a warm start skips.
-            print("--warm-start is incompatible with --chaos-trace-dir")
-            return 2
-        if args.warm_start and args.chaos_harts is not None:
-            print("--warm-start is incompatible with --chaos-harts "
-                  "(SMP runs are not checkpointable)")
-            return 2
         if args.chaos_trace_dir is not None:
             import os
 
             # Created once here: every cell writes its dump into it.
             os.makedirs(args.chaos_trace_dir, exist_ok=True)
-        firmwares = _parse_list(args.chaos_firmwares)
-        if args.warm_start:
-            bad = [f for f in firmwares if f not in WARM_FIRMWARES]
-            if bad:
-                print(f"--warm-start supports {', '.join(WARM_FIRMWARES)}; "
-                      f"not {', '.join(bad)}")
-                return 2
         cells += chaos_cells(
-            firmwares=firmwares,
+            firmwares=_parse_list(args.chaos_firmwares),
             plans=_parse_list(args.chaos_plans),
             seeds=seeds, platform=args.platform,
             harts=args.chaos_harts, trace_dir=args.chaos_trace_dir,
-            phase=phase, warm_start=args.warm_start,
+            phase=args.chaos_phase,
         )
     cells = _filter_shard(cells, _parse_shard(args.shard))
     if not cells:
@@ -657,17 +630,15 @@ def command_snapshot(args: argparse.Namespace) -> int:
     )
 
     if args.snapshot_command == "save":
-        from repro.faults.chaos import _build_sbi_system
+        from repro.faults.chaos import _build_sbi_system, capture_kernel_entry
 
         platform = PLATFORMS[args.platform]
         system, _ = _build_sbi_system(platform, args.firmware)
-        machine = system.machine
-        if not machine.boot_to(system.kernel.entry_point,
-                               entry=system.miralis.region.base):
-            print(f"boot halted before {args.phase}: "
-                  f"{machine.halt_reason or 'halted'}")
+        checkpoint = capture_kernel_entry(system)
+        if checkpoint is None:
+            print("boot halted before kernel-entry: "
+                  f"{system.machine.halt_reason or 'halted'}")
             return 1
-        checkpoint = capture(machine, phase=args.phase)
         path = save_checkpoint(checkpoint, args.dir)
         print(_snapshot_summary(checkpoint))
         print(f"saved:     {path}")
@@ -889,11 +860,6 @@ def build_parser() -> argparse.ArgumentParser:
                       default=None,
                       help="cross-hart workload instead of the demo "
                            "workload (pair with --harts)")
-    boot.add_argument("--block-cache", choices=["on", "off"], default="on",
-                      help="basic-block execution engine for binary "
-                           "images: cache decoded straight-line runs and "
-                           "replay them without refetching (default on; "
-                           "'off' forces the reference single-step path)")
     boot.set_defaults(func=command_boot)
 
     attack = sub.add_parser("attack", help="run an adversarial firmware")
@@ -1012,12 +978,6 @@ def build_parser() -> argparse.ArgumentParser:
                           choices=["kernel-entry"],
                           help="start chaos fault injection at a named boot "
                                "phase (the boot up to it runs fault-free)")
-    campaign.add_argument("--warm-start", action="store_true",
-                          help="reach the chaos phase by restoring a cached "
-                               "checkpoint once per worker instead of "
-                               "re-simulating the boot per cell (implies "
-                               "--chaos-phase=kernel-entry; results are "
-                               "byte-identical to a cold run)")
     campaign.add_argument("--chaos-trace-dir", default=None, metavar="DIR",
                           help="write a Chrome trace dump per chaos cell "
                                "into DIR (created if missing)")
@@ -1070,9 +1030,6 @@ def build_parser() -> argparse.ArgumentParser:
     snap_save.add_argument("--firmware", default="opensbi",
                            choices=["opensbi", "rustsbi"],
                            help="SBI firmware to boot (default: opensbi)")
-    snap_save.add_argument("--phase", default="kernel-entry",
-                           choices=["kernel-entry"],
-                           help="boot phase to capture at")
     _add_platform_argument(snap_save)
     snap_load = snapshot_sub.add_parser(
         "load", help="load a checkpoint file, verify its content address, "

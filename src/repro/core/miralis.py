@@ -136,8 +136,8 @@ class Miralis:
         self._booted[:] = state["booted"]
         self._policy_initialized = state["policy_initialized"]
         if self._policy_initialized:
-            # A warm-started cell's policy has never seen ``init`` (the
-            # checkpoint says the boot already ran it).
+            # A policy restored from a checkpoint has never seen ``init``
+            # (the checkpoint says the boot already ran it).
             self.policy.init(self, self.machine)
             self.policy.restore_state(state["policy"])
         if self.watchdog is not None:

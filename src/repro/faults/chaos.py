@@ -29,19 +29,14 @@ CHAOS_FIRMWARES = ("opensbi", "rustsbi", "zephyr", "malicious")
 #: Named boot phases a chaos run can start injecting faults at.  With a
 #: phase, the boot up to that point runs fault-free and the injector is
 #: armed at the phase boundary — which is also the machine's quiescent
-#: checkpoint boundary, so a warm start (restoring a cached
-#: :mod:`repro.snapshot` checkpoint instead of re-simulating the boot)
-#: is observationally identical.
+#: checkpoint boundary, so restoring a :mod:`repro.snapshot` checkpoint
+#: taken there is observationally identical to re-simulating the boot.
 CHAOS_PHASES = ("kernel-entry",)
 
-#: Firmwares eligible for warm starts: deterministic SBI boots whose
-#: kernel handoff is independent of the fault plan.
-WARM_FIRMWARES = ("opensbi", "rustsbi")
-
 #: Per-process cache of phase checkpoints, keyed by
-#: ``(platform, firmware)`` — each campaign worker boots each
-#: (platform, firmware) pair once and forks every later cell from the
-#: captured checkpoint.
+#: ``(platform, firmware)``.  The first phased cell for a pair in a
+#: process boots its own system to the phase and fills the entry; every
+#: later cell for the pair restores it instead of re-simulating the boot.
 _WARM_BOOTS: dict = {}
 
 #: Budget for one chaos run.  Generous against the worst healthy plan
@@ -204,46 +199,37 @@ def _build_sbi_system(platform: PlatformConfig, firmware: str,
         miralis_config=_chaos_miralis_config(platform.vendor_csrs),
         start_secondaries=smp,
     )
+    system.machine.max_dispatches = MAX_DISPATCHES
     return system, checkpoint
 
 
-def _warm_boot_checkpoint(platform: PlatformConfig, firmware: str):
-    """The cached kernel-entry checkpoint for (platform, firmware).
+def capture_kernel_entry(system):
+    """Boot a fresh ``system`` fault-free to the firmware→kernel handoff
+    and capture the ``kernel-entry`` checkpoint there.
 
-    On a cache miss, boots a pristine system (no injector, no tracer) to
-    the firmware→kernel handoff and captures it; every later warm cell in
-    this process restores the same checkpoint instead of re-simulating
-    the boot.
+    Returns None when the machine halted first (the caller reads
+    ``machine.halt_reason``).  The machine stays at the boundary, so the
+    caller may arm an injector and run on.
     """
-    from repro.snapshot import SnapshotError, capture
+    from repro.snapshot import capture
 
-    key = (platform, firmware)
-    cached = _WARM_BOOTS.get(key)
-    if cached is not None:
-        return cached
-    system, _checkpoint = _build_sbi_system(platform, firmware)
     machine = system.machine
-    machine.max_dispatches = MAX_DISPATCHES
     if not machine.boot_to(system.kernel.entry_point,
                            entry=system.miralis.region.base):
-        raise SnapshotError(
-            f"{firmware} halted before kernel entry: "
-            f"{machine.halt_reason or 'halted'}"
-        )
-    cached = capture(machine, phase="kernel-entry")
-    _WARM_BOOTS[key] = cached
-    return cached
+        return None
+    return capture(machine, phase="kernel-entry")
 
 
 def _arm_injector(system, injector: FaultInjector, tracer,
                   coverage=None) -> None:
-    """Attach tracer and injector to an already-booted system.
+    """Attach tracer and injector to a system standing at a phase.
 
-    Mirrors what a cold boot does implicitly: ``install_fault_injector``
-    hooks the devices, and ``_boot_hart`` would have wired each virtual
-    context's CSR write hook had the injector been present at boot.  Cold
-    and warm phase starts both go through here, so the two paths arm
-    identically.
+    Mirrors what an unphased boot does implicitly:
+    ``install_fault_injector`` hooks the devices, and ``_boot_hart``
+    would have wired each virtual context's CSR write hook had the
+    injector been present at boot.  A phased cell arms here whether it
+    booted to the phase itself or restored the cached checkpoint, so
+    the two paths arm identically.
     """
     machine = system.machine
     machine.tracer = tracer
@@ -266,18 +252,17 @@ def _run_sbi_chaos(
     smp_seed: int = 0,
     smp_jitter: int = 0,
     phase: Optional[str] = None,
-    warm: bool = False,
 ) -> tuple:
     """Boot an SBI firmware (OpenSBI/RustSBI/malicious) under the sandbox
     with the watchdog armed; returns (machine, miralis, halt_reason).
 
     With a ``phase``, the boot up to that point runs fault-free and the
-    injector is armed at the boundary; ``warm`` reaches the boundary by
-    restoring the cached checkpoint instead of simulating the boot.
+    injector is armed at the boundary.  The boundary is restored from
+    :data:`_WARM_BOOTS` when the process already holds it; otherwise the
+    cell boots there itself and captures it for the cells after it.
     """
     system, checkpoint = _build_sbi_system(platform, firmware, smp=smp)
     machine = system.machine
-    machine.max_dispatches = MAX_DISPATCHES
     if phase is None:
         machine.tracer = tracer
         machine.coverage = coverage
@@ -289,17 +274,18 @@ def _run_sbi_chaos(
         else:
             reason = system.run()
     else:
-        if warm:
+        key = (platform, firmware)
+        boot = _WARM_BOOTS.get(key)
+        if boot is None:
+            boot = capture_kernel_entry(system)
+            if boot is not None:
+                _WARM_BOOTS[key] = boot
+        else:
             from repro.snapshot import restore
 
-            restore(machine, _warm_boot_checkpoint(platform, firmware))
-            machine.max_dispatches = MAX_DISPATCHES
-            reached = True
-        else:
-            reached = machine.boot_to(system.kernel.entry_point,
-                                      entry=system.miralis.region.base)
+            restore(machine, boot)
         _arm_injector(system, injector, tracer, coverage=coverage)
-        reason = machine.boot() if reached else (
+        reason = machine.boot() if boot is not None else (
             machine.halt_reason or "halted"
         )
     result.checkpoint = bool(checkpoint)
@@ -353,7 +339,6 @@ def run_chaos(
     quantum: int = 50,
     smp_jitter: int = 0,
     phase: Optional[str] = None,
-    warm_start: bool = False,
 ) -> ChaosResult:
     """Boot ``firmware`` under fault ``plan`` with ``seed``; never raises.
 
@@ -370,10 +355,10 @@ def run_chaos(
 
     ``phase`` starts fault injection at a named boot phase (see
     :data:`CHAOS_PHASES`) instead of at reset; the boot up to the phase
-    runs fault-free.  ``warm_start`` reaches the phase by restoring a
-    per-process cached checkpoint instead of re-simulating the boot —
-    results are identical to a cold phase start by construction, only
-    wall-clock changes.  Phases apply to single-hart SBI runs.
+    runs fault-free.  The first phased run per (platform, firmware) in a
+    process simulates that boot and caches its checkpoint; later runs
+    restore it.  Results are identical either way, only wall-clock
+    changes.  Phases apply to single-hart SBI runs.
     """
     if firmware not in CHAOS_FIRMWARES:
         raise ValueError(
@@ -383,14 +368,8 @@ def run_chaos(
         raise ValueError(
             f"unknown phase {phase!r}; choose from {CHAOS_PHASES}"
         )
-    if warm_start and phase is None:
-        raise ValueError("warm_start requires a phase (e.g. 'kernel-entry')")
     if phase is not None and firmware == "zephyr":
         raise ValueError("zephyr has no kernel-entry phase")
-    if warm_start and firmware not in WARM_FIRMWARES:
-        raise ValueError(
-            f"warm start supports {WARM_FIRMWARES}, not {firmware!r}"
-        )
     if phase is not None and harts is not None:
         raise ValueError("phase starts require a single-hart run")
     plan_label = plan if isinstance(plan, str) else getattr(plan, "name", "?")
@@ -418,7 +397,7 @@ def run_chaos(
             machine, miralis, reason = _run_sbi_chaos(
                 result, injector, platform, firmware, tracer=tracer,
                 coverage=coverage, smp=smp, quantum=quantum, smp_seed=seed,
-                smp_jitter=smp_jitter, phase=phase, warm=warm_start,
+                smp_jitter=smp_jitter, phase=phase,
             )
         result.halt_reason = reason
     except Exception as exc:  # noqa: BLE001 — the whole point: no leaks

@@ -2,7 +2,7 @@
 
 The single-step engine pays fetch → decode → dispatch for every
 instruction, which makes the interpreter the throughput ceiling of every
-subsystem stacked on it (chaos campaigns, fuzzing, warm-start sweeps).
+subsystem stacked on it (chaos campaigns, fuzzing, checkpoint sweeps).
 This module recovers the paper's "stay off the guest's hot path" shape
 for the one place this repo executes real machine code from simulated
 RAM: at a block-entry pc it decodes forward to the next branch, jump,
@@ -69,8 +69,8 @@ MAX_ENTRIES = 1 << 14
 
 #: Process-wide default consulted by ``Machine.__init__``: when False,
 #: new machines are built without a block engine (``machine.blocks is
-#: None``), which is what ``--block-cache=off`` and the differential
-#: identity tests use to get a pure single-step machine.
+#: None``), which is what the differential identity tests use to get a
+#: pure single-step machine.
 default_enabled = True
 
 

@@ -93,8 +93,8 @@ class Machine:
         self.harts = [Hart(self, hartid) for hartid in range(config.num_harts)]
         #: Basic-block decoded-run engine for binary images (see
         #: :mod:`repro.hart.blocks`).  None when built inside
-        #: ``blocks.blocks_disabled()`` (``--block-cache=off``): pure
-        #: single-step execution, the engine's one off switch.
+        #: ``blocks.blocks_disabled()``: pure single-step execution, the
+        #: engine's one off switch.
         self.blocks = _blocks.BlockEngine(self) if _blocks.default_enabled else None
         self._regions: list[tuple[Region, Owner]] = []
         # Sorted-by-base view of ``_regions`` for bisect lookup.  Regions

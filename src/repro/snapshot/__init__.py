@@ -2,9 +2,9 @@
 
 See :mod:`repro.snapshot.checkpoint` for the model.  The package serves
 three consumers: the watchdog's activation retries
-(:mod:`repro.snapshot.activation`), campaign warm-start (boot once to a
-named phase, fork every cell from the checkpoint), and triage's
-checkpoint-bisect (binary-search the first diverging step).
+(:mod:`repro.snapshot.activation`), phased chaos cells (boot once per
+worker to a named phase, fork every later cell from the checkpoint), and
+triage's checkpoint-bisect (binary-search the first diverging step).
 """
 
 from repro.snapshot.activation import capture_activation, restore_activation

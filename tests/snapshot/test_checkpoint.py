@@ -1,14 +1,14 @@
 """Checkpoint digest determinism (S4), alias safety, the on-disk store,
-and warm-start equivalence.
+and the phased-chaos checkpoint cache.
 
 The determinism pins: ``Checkpoint.digest()`` is a pure function of the
 architectural state.  Two independent boots of the same configuration
 hash byte-identically — at 1, 2, and 4 harts — and a
 capture→restore→capture round-trip through a *fresh* machine reproduces
-the digest exactly.  Warm-started chaos runs (restored from a cached
-kernel-entry checkpoint) produce results byte-identical to cold runs of
-the same cell, which is what lets ``--warm-start`` stay out of campaign
-cell keys.
+the digest exactly.  A phased chaos run that restores the cached
+kernel-entry checkpoint produces the same result as the run that booted
+to the phase and filled the cache, so how a cell reaches the phase
+stays out of campaign cell keys and aggregates.
 """
 
 import dataclasses
@@ -16,6 +16,7 @@ import json
 
 import pytest
 
+from repro.faults import chaos
 from repro.faults.chaos import MAX_DISPATCHES, _build_sbi_system, run_chaos
 from repro.snapshot import (
     Checkpoint,
@@ -145,40 +146,75 @@ class TestStore:
         assert "state.devices.uart.output" in paths
 
 
-class TestWarmColdEquivalence:
-    """A warm-started run is byte-identical to the cold phased run."""
+class TestPhaseCheckpointCache:
+    """A phased run boots to the phase on a cache miss and restores the
+    cached checkpoint on a hit; both give the same result."""
 
-    COMPARED = ("halt_reason", "checkpoint", "quarantined", "recoveries",
-                "hart_recoveries", "injections", "injection_log",
-                "quarantine_log", "trap_log", "trap_log_total", "console",
-                "error")
+    @pytest.fixture(autouse=True)
+    def _empty_cache(self):
+        chaos._WARM_BOOTS.clear()
+        yield
+        chaos._WARM_BOOTS.clear()
 
-    def _compare(self, firmware, plan, seed):
-        cold = run_chaos(firmware, plan=plan, seed=seed,
-                         phase="kernel-entry", warm_start=False)
-        warm = run_chaos(firmware, plan=plan, seed=seed,
-                         phase="kernel-entry", warm_start=True)
-        for field in self.COMPARED:
-            assert getattr(warm, field) == getattr(cold, field), field
+    def _miss_then_hit(self, monkeypatch, firmware, plan, seed,
+                       tracers=(None, None)):
+        miss = run_chaos(firmware, plan=plan, seed=seed,
+                         phase="kernel-entry", tracer=tracers[0])
+        assert (VISIONFIVE2, firmware) in chaos._WARM_BOOTS
+
+        def no_boot(system):
+            raise AssertionError("a cache hit must not boot to the phase")
+
+        monkeypatch.setattr(chaos, "capture_kernel_entry", no_boot)
+        hit = run_chaos(firmware, plan=plan, seed=seed,
+                        phase="kernel-entry", tracer=tracers[1])
+        assert dataclasses.asdict(hit) == dataclasses.asdict(miss)
+        return miss
 
     @pytest.mark.parametrize("plan", ["none", "csr-chaos", "transient-mmio"])
-    def test_opensbi_plans(self, plan):
-        self._compare("opensbi", plan, seed=3)
+    def test_opensbi_plans(self, monkeypatch, plan):
+        self._miss_then_hit(monkeypatch, "opensbi", plan, seed=3)
 
-    def test_rustsbi(self):
-        self._compare("rustsbi", "csr-chaos", seed=5)
+    def test_rustsbi(self, monkeypatch):
+        self._miss_then_hit(monkeypatch, "rustsbi", "csr-chaos", seed=5)
+
+    def test_malicious(self, monkeypatch):
+        result = self._miss_then_hit(monkeypatch, "malicious", "csr-chaos",
+                                     seed=1)
+        assert result.ok
+
+    def test_traced_dumps_are_byte_identical(self, monkeypatch, tmp_path):
+        from repro.trace import Tracer, dump_trace
+
+        tracers = (Tracer(), Tracer())
+        self._miss_then_hit(monkeypatch, "opensbi", "transient-mmio",
+                            seed=2, tracers=tracers)
+        miss, hit = tmp_path / "miss.json", tmp_path / "hit.json"
+        dump_trace(tracers[0], str(miss))
+        dump_trace(tracers[1], str(hit))
+        assert miss.read_bytes() == hit.read_bytes()
+
+    def test_cached_checkpoint_is_the_pristine_boot(self):
+        # Captured mid-cell on the cell's own system, and left unchanged
+        # by the faulted run that continued from it.
+        run_chaos("opensbi", plan="csr-chaos", seed=0, phase="kernel-entry")
+        cached = chaos._WARM_BOOTS[(VISIONFIVE2, "opensbi")]
+        assert cached.digest() == _boot_checkpoint().digest()
 
     def test_phase_validation(self):
         with pytest.raises(ValueError, match="phase"):
             run_chaos("opensbi", plan="none", seed=0, phase="mid-boot")
         with pytest.raises(ValueError):
-            run_chaos("opensbi", plan="none", seed=0, warm_start=True)
-        with pytest.raises(ValueError):
             run_chaos("zephyr", plan="none", seed=0, phase="kernel-entry")
+        with pytest.raises(ValueError, match="single-hart"):
+            run_chaos("opensbi", plan="none", seed=0, phase="kernel-entry",
+                      harts=2)
 
 
-class TestCampaignWarmStart:
-    def test_warm_and_cold_aggregates_are_byte_identical(self):
+class TestPhasedCampaign:
+    def test_aggregate_is_byte_identical_across_worker_counts(self):
+        # One worker misses once per firmware and hits after; two
+        # workers miss in each process.  The aggregate must not tell.
         from repro.campaign import (
             canonical_json,
             chaos_cells,
@@ -186,18 +222,13 @@ class TestCampaignWarmStart:
             run_campaign,
         )
 
-        kwargs = dict(firmwares=("opensbi",), plans=("none", "csr-chaos"),
-                      seeds=(0, 1), phase="kernel-entry")
-        cold = chaos_cells(warm_start=False, **kwargs)
-        warm = chaos_cells(warm_start=True, **kwargs)
-        # warm_start is an execution strategy, not an identity: keys match.
-        assert [cell.key for cell in cold] == [cell.key for cell in warm]
-
-        cold_doc = canonical_json(merge_campaign(
-            run_campaign(cold, workers=1, timeout=120.0)))
-        warm_doc = canonical_json(merge_campaign(
-            run_campaign(warm, workers=1, timeout=120.0)))
-        assert warm_doc == cold_doc
+        cells = chaos_cells(firmwares=("opensbi", "rustsbi", "malicious"),
+                            plans=("none", "csr-chaos"), seeds=(0, 1),
+                            phase="kernel-entry")
+        docs = [canonical_json(merge_campaign(
+            run_campaign(cells, workers=workers, timeout=120.0)))
+            for workers in (1, 2)]
+        assert docs[0] == docs[1]
 
 
 class TestShapeChecks:

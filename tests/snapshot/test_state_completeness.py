@@ -3,8 +3,9 @@ captured by its ``snapshot_state()`` or named here as wiring/derived.
 
 A checkpoint, a watchdog retry and the verification harness all compose
 the components' ``snapshot_state``/``restore_state`` pairs, so a field
-a pair forgets is silently dropped by all three — a warm-started
-campaign cell then diverges from its cold twin, far from the cause.
+a pair forgets is silently dropped by all three — a phased chaos cell
+restored from the cache then diverges from the one that booted there,
+far from the cause.
 Here each field is perturbed in turn: the snapshot must change, and
 restoring the pre-perturbation state must bring the field back.  A new
 field added without a decision fails this test.

@@ -20,12 +20,6 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["boot", "--platform", "pdp11"])
 
-    def test_block_cache_defaults_on(self):
-        args = build_parser().parse_args(["boot"])
-        assert args.block_cache == "on"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["boot", "--block-cache", "maybe"])
-
 
 class TestBootCommand:
     def test_native_boot(self, capsys):
@@ -57,18 +51,6 @@ class TestBootCommand:
     def test_profile_native_boot(self, capsys):
         assert main(["boot", "--native", "--profile"]) == 0
         assert "hot-path profile" in capsys.readouterr().out
-
-    def test_block_cache_off_boot(self, capsys):
-        assert main(["boot", "--block-cache", "off", "--profile"]) == 0
-        out = capsys.readouterr().out
-        assert "halt:" in out
-        # The machine is built without an engine, so no engine reports.
-        assert "hart.blocks" not in out
-
-    def test_block_cache_off_chaos(self, capsys):
-        assert main(["boot", "--chaos", "--chaos-plan", "none",
-                     "--block-cache", "off"]) == 0
-        assert "verdict:      OK" in capsys.readouterr().out
 
 
 class TestAttackCommand:
@@ -275,3 +257,10 @@ class TestCorpusCommandErrors:
         out = capsys.readouterr().out
         assert "ERROR (ValueError: cov-0000.json" in out
         assert "coverage:" not in out
+
+    def test_cov_report_refuses_a_missing_corpus(self, tmp_path, capsys):
+        # A mistyped path is refused, not reported as an empty corpus.
+        missing = tmp_path / "nosuch"
+        assert main(["cov", "report", "--corpus", str(missing)]) == 2
+        assert "no corpus directory" in capsys.readouterr().out
+        assert not missing.exists()
