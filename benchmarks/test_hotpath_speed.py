@@ -1,11 +1,10 @@
 """Hot-path throughput benchmark: interpreter steps/sec with the perf layer.
 
 Boots the virtualized deployment on a trap-heavy mix three ways — plain,
-with the trace subsystem recording, and with a coverage map attached —
-and runs a binary ALU loop with the block engine on and off.  Emits
-``BENCH_hotpath.json`` at the repo root so CI and CHANGES.md can track
-interpreter throughput (and the tracing/coverage overhead budgets and
-the block-engine floor) over time.
+with the trace subsystem recording, and with a coverage map attached.
+Emits ``BENCH_hotpath.json`` at the repo root so CI and CHANGES.md can
+track interpreter throughput (and the tracing/coverage overhead budgets)
+over time.
 
 Run directly (not part of tier-1):
 
@@ -32,9 +31,6 @@ HOTPATH_MIX = TrapMix(
     misaligned_per_s=100,
 )
 OPERATIONS = 400
-#: Iterations of the 130-instruction ALU loop in the binary-image
-#: measurement (~195k retired instructions, under BinaryProgram.MAX_STEPS).
-ALU_ITERATIONS = 1_500
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_hotpath.json"
 
 
@@ -67,48 +63,6 @@ def _boot_and_measure(traced: bool = False, covered: bool = False) -> dict:
     }
 
 
-def _binary_alu_measure(blocks: bool) -> dict:
-    """Steps/sec for a real machine-code ALU loop, block engine on or off.
-
-    This is the workload the basic-block engine exists for: long
-    straight-line decoded runs replayed from cache instead of being
-    refetched and re-dispatched one instruction at a time.
-    """
-    import contextlib
-
-    from repro.hart.binary import BinaryProgram
-    from repro.hart.blocks import blocks_disabled
-    from repro.hart.machine import Machine
-    from repro.hart.program import Region
-    from repro.isa.asm import Assembler
-
-    region = Region("firmware", 0x8000_0000, 0x10_0000)
-    asm = Assembler(base=region.base)
-    asm.li("a0", ALU_ITERATIONS)
-    asm.label("loop")
-    for i in range(64):
-        asm.addi("a1", "a1", (i % 31) + 1)
-        asm.xori("a2", "a1", 0x55)
-    asm.addi("a0", "a0", -1)
-    asm.bne("a0", "zero", "loop")
-    asm.ebreak()
-    ctx = contextlib.nullcontext() if blocks else blocks_disabled()
-    with ctx:
-        machine = Machine(VISIONFIVE2)
-    program = BinaryProgram("alu-loop", region, machine, asm.binary())
-    machine.register(program)
-    meter = perf.StepMeter()
-    with meter:
-        halt = machine.boot(entry=region.base)
-    meter.add_steps(program.steps)
-    return {
-        "halt": halt,
-        "steps": meter.steps,
-        "xregs": tuple(machine.harts[0].state.xregs),
-        "steps_per_second": meter.steps_per_second,
-    }
-
-
 def test_hotpath_steps_per_second(benchmark, show):
     def run_all():
         perf.clear_caches()
@@ -126,19 +80,9 @@ def test_hotpath_steps_per_second(benchmark, show):
             name: max(samples, key=lambda run: run["steps_per_second"])
             for name, samples in runs.items()
         }
-        blocks = max((_binary_alu_measure(blocks=True) for _ in range(3)),
-                     key=lambda run: run["steps_per_second"])
-        blocks_off = _binary_alu_measure(blocks=False)
-        return (best["plain"], best["traced"], best["covered"],
-                blocks, blocks_off)
+        return best["plain"], best["traced"], best["covered"]
 
-    plain, traced, covered, blocks, blocks_off = once(benchmark, run_all)
-
-    # The block engine is pure replay: the binary ALU loop retires the
-    # same instructions into the same registers with or without it.
-    assert blocks["halt"] == blocks_off["halt"]
-    assert blocks["steps"] == blocks_off["steps"]
-    assert blocks["xregs"] == blocks_off["xregs"]
+    plain, traced, covered = once(benchmark, run_all)
 
     # Same simulation either way — the tracer and coverage map are
     # passive observers.
@@ -172,22 +116,10 @@ def test_hotpath_steps_per_second(benchmark, show):
         "trace_overhead": round(max(overhead, 0.0), 3),
         "steps_per_second_covered": round(covered["steps_per_second"]),
         "coverage_overhead": round(max(cov_overhead, 0.0), 3),
-        "steps_per_second_blocks": round(blocks["steps_per_second"]),
-        "steps_per_second_blocks_off": round(blocks_off["steps_per_second"]),
-        "speedup_blocks_vs_blocks_off": round(
-            blocks["steps_per_second"] / blocks_off["steps_per_second"], 3
-        ),
         "wall_seconds": round(plain["wall_seconds"], 4),
         "traps": plain["traps"],
         "fastpath_hits": plain["fastpath_hits"],
     }
-    # The floor: basic-block execution of a binary image must be at
-    # least 2x the single-step interpreter on the same image.
-    assert report["speedup_blocks_vs_blocks_off"] >= 2, (
-        f"block engine at {report['steps_per_second_blocks']:,} "
-        f"steps/sec misses the 2x floor over "
-        f"{report['steps_per_second_blocks_off']:,} with blocks off"
-    )
     assert report["trace_overhead"] < 0.10, (
         f"tracing costs {report['trace_overhead']:.1%} of steps/sec "
         f"(budget: <10%)"
@@ -201,9 +133,7 @@ def test_hotpath_steps_per_second(benchmark, show):
         "hotpath: {steps_per_second:,} steps/sec, "
         "{steps_per_second_traced:,} traced "
         "({trace_overhead:.1%} overhead), {steps_per_second_covered:,} "
-        "covered ({coverage_overhead:.1%} overhead), "
-        "{steps_per_second_blocks:,} binary-blocks "
-        "({speedup_blocks_vs_blocks_off}x vs blocks off) -> {path}".format(
+        "covered ({coverage_overhead:.1%} overhead) -> {path}".format(
             path=RESULT_PATH.name, **report
         )
     )

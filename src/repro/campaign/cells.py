@@ -346,10 +346,15 @@ def chaos_cells(firmwares: Iterable[str] = ("opensbi",),
     the work, so it is part of the cell key.  How a cell reaches the
     phase (boot there itself, or restore the checkpoint an earlier cell
     in the same worker cached) is not: both give the same result, so the
-    canonical aggregate does not depend on the worker count.
+    canonical aggregate does not depend on the worker count.  A firmware
+    ``run_chaos`` would refuse with ``harts`` or ``phase`` raises
+    ValueError here, before any cell exists.
     """
+    from repro.faults.chaos import check_chaos_args
+
     cells = []
     for firmware in firmwares:
+        check_chaos_args(firmware, harts=harts, phase=phase)
         for plan in plans:
             for seed in seeds:
                 key = f"chaos:{platform}:{firmware}:{plan}:s{seed}"

@@ -114,6 +114,9 @@ def command_boot(args: argparse.Namespace) -> int:
     from repro.system import build_native, build_virtualized
     from repro.policy import DefaultPolicy, FirmwareSandboxPolicy
 
+    if args.harts is not None and args.harts < 1:
+        print("--harts must be at least 1")
+        return 2
     if args.chaos:
         if args.profile:
             print("--profile does not apply to --chaos (its recoveries: "
@@ -453,6 +456,14 @@ def _parse_list(text: str) -> list[str]:
             if item]
 
 
+def _chaos_seed(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(
+            f"--chaos-seeds: {text!r} is not an integer") from None
+
+
 def command_campaign(args: argparse.Namespace) -> int:
     import json
 
@@ -492,19 +503,23 @@ def command_campaign(args: argparse.Namespace) -> int:
             corpus_dir=args.corpus,
         )
     if "chaos" in families:
-        seeds = [int(s) for s in _parse_list(args.chaos_seeds)]
+        try:
+            cells += chaos_cells(
+                firmwares=_parse_list(args.chaos_firmwares),
+                plans=_parse_list(args.chaos_plans),
+                seeds=[_chaos_seed(s) for s in _parse_list(args.chaos_seeds)],
+                platform=args.platform,
+                harts=args.chaos_harts, trace_dir=args.chaos_trace_dir,
+                phase=args.chaos_phase,
+            )
+        except ValueError as exc:
+            print(f"campaign: {exc}")
+            return 2
         if args.chaos_trace_dir is not None:
             import os
 
             # Created once here: every cell writes its dump into it.
             os.makedirs(args.chaos_trace_dir, exist_ok=True)
-        cells += chaos_cells(
-            firmwares=_parse_list(args.chaos_firmwares),
-            plans=_parse_list(args.chaos_plans),
-            seeds=seeds, platform=args.platform,
-            harts=args.chaos_harts, trace_dir=args.chaos_trace_dir,
-            phase=args.chaos_phase,
-        )
     cells = _filter_shard(cells, _parse_shard(args.shard))
     if not cells:
         print("campaign: no cells selected")

@@ -328,6 +328,30 @@ def _run_zephyr_chaos(
     return machine, miralis, reason
 
 
+def check_chaos_args(firmware: str, harts: Optional[int] = None,
+                     phase: Optional[str] = None) -> None:
+    """Raise ValueError for a chaos run that cannot start.
+
+    :func:`run_chaos` checks its own arguments with this, and
+    ``campaign.chaos_cells`` checks every firmware of a matrix before any
+    cell runs.
+    """
+    if firmware not in CHAOS_FIRMWARES:
+        raise ValueError(
+            f"unknown firmware {firmware!r}; choose from {CHAOS_FIRMWARES}"
+        )
+    if harts is not None and harts < 1:
+        raise ValueError("harts must be at least 1")
+    if phase is not None and phase not in CHAOS_PHASES:
+        raise ValueError(
+            f"unknown phase {phase!r}; choose from {CHAOS_PHASES}"
+        )
+    if phase is not None and firmware == "zephyr":
+        raise ValueError("zephyr has no kernel-entry phase")
+    if phase is not None and harts is not None:
+        raise ValueError("phase starts require a single-hart run")
+
+
 def run_chaos(
     firmware: str = "opensbi",
     plan="random",
@@ -360,18 +384,7 @@ def run_chaos(
     restore it.  Results are identical either way, only wall-clock
     changes.  Phases apply to single-hart SBI runs.
     """
-    if firmware not in CHAOS_FIRMWARES:
-        raise ValueError(
-            f"unknown firmware {firmware!r}; choose from {CHAOS_FIRMWARES}"
-        )
-    if phase is not None and phase not in CHAOS_PHASES:
-        raise ValueError(
-            f"unknown phase {phase!r}; choose from {CHAOS_PHASES}"
-        )
-    if phase is not None and firmware == "zephyr":
-        raise ValueError("zephyr has no kernel-entry phase")
-    if phase is not None and harts is not None:
-        raise ValueError("phase starts require a single-hart run")
+    check_chaos_args(firmware, harts=harts, phase=phase)
     plan_label = plan if isinstance(plan, str) else getattr(plan, "name", "?")
     result = ChaosResult(firmware=str(firmware), plan=str(plan_label),
                          seed=seed)

@@ -1,7 +1,6 @@
 """Machine simulator: harts, memory, devices, and the dispatch engine."""
 
 from repro.hart.binary import BinaryProgram
-from repro.hart.blocks import BlockEngine, blocks_disabled
 from repro.hart.clint import Clint
 from repro.hart.cycles import (
     CycleModel,
@@ -29,7 +28,6 @@ from repro.hart.uart import Uart
 
 __all__ = [
     "BinaryProgram",
-    "BlockEngine",
     "Clint",
     "CycleModel",
     "GENERIC_CYCLES",
@@ -50,7 +48,6 @@ __all__ = [
     "TrapStats",
     "Uart",
     "VISIONFIVE2_CYCLES",
-    "blocks_disabled",
     "cause_name",
     "cycle_model_for",
     "cycles_to_mtime",

@@ -86,22 +86,12 @@ class BinaryProgram(GuestProgram):
     def run_image(self, ctx: GuestContext) -> None:
         """Fetch/decode/execute until control leaves the region or ebreak."""
         hart = ctx.hart
-        engine = self.machine.blocks
         budget = self.MAX_STEPS
         while budget > 0:
             if self.machine.halted:
                 return
             if not self.region.contains(hart.state.pc):
                 return  # an xRET or jump transferred control elsewhere
-            if engine is not None:
-                # A cached straight-line run, if one starts here; 0 means
-                # single-step at least the next instruction.
-                # The engine advances self.steps itself (it must count an
-                # op before its preemption point, like the loop below).
-                executed = engine.run(self, hart)
-                if executed:
-                    budget -= executed
-                    continue
             instr = self._fetch(ctx)
             if instr is None:
                 # Trap delivered; if the vector is ours, keep running.

@@ -14,7 +14,6 @@ from bisect import bisect_right, insort
 from collections.abc import Container
 from typing import Optional, Protocol, Union
 
-from repro.hart import blocks as _blocks
 from repro.hart.clint import Clint
 from repro.hart.cycles import TIMEBASE_FREQUENCY, cycle_model_for, mtime_to_cycles
 from repro.hart.hart import Hart
@@ -91,11 +90,6 @@ class Machine:
         self.spec_bus.attach(self.uart)
 
         self.harts = [Hart(self, hartid) for hartid in range(config.num_harts)]
-        #: Basic-block decoded-run engine for binary images (see
-        #: :mod:`repro.hart.blocks`).  None when built inside
-        #: ``blocks.blocks_disabled()``: pure single-step execution, the
-        #: engine's one off switch.
-        self.blocks = _blocks.BlockEngine(self) if _blocks.default_enabled else None
         self._regions: list[tuple[Region, Owner]] = []
         # Sorted-by-base view of ``_regions`` for bisect lookup.  Regions
         # never overlap (enforced in ``register``), so sorting by base gives

@@ -52,13 +52,6 @@ class Ram:
         #: Page numbers shared with at least one live snapshot; writes
         #: clone these before mutating (copy-on-write).
         self._frozen: set[int] = set()
-        #: Pages holding code cached by the block engine; a write that
-        #: touches one notifies ``code_watcher`` *before* mutating, and
-        #: bulk mutations (image loads, snapshot restores) invalidate
-        #: the watcher wholesale.  Empty set + None on a bare Ram: the
-        #: hot write path stays one truthiness check.
-        self.code_pages: set[int] = set()
-        self.code_watcher = None
 
     def _page(self, address: int) -> tuple[bytearray, int]:
         """Read path: allocate on first touch, never clone."""
@@ -108,9 +101,6 @@ class Ram:
 
     def write(self, address: int, size: int, value: int) -> None:
         end = address + size
-        if self.code_pages and not self.code_pages.isdisjoint(
-                (address >> _PAGE_SHIFT, (end - 1) >> _PAGE_SHIFT)):
-            self.code_watcher.note_write(address, size, value)
         data = value.to_bytes(size, "little")
         if (address >> _PAGE_SHIFT) == ((end - 1) >> _PAGE_SHIFT):
             page, offset = self._writable_page(address)
@@ -122,8 +112,6 @@ class Ram:
 
     def load_image(self, address: int, image: bytes) -> None:
         """Copy a binary image into RAM."""
-        if self.code_watcher is not None:
-            self.code_watcher.invalidate_all()
         for i, byte in enumerate(image):
             page, offset = self._writable_page(address + i)
             page[offset] = byte
@@ -167,8 +155,6 @@ class Ram:
         Pages created after the snapshot vanish; restored pages are
         re-frozen so the same snapshot can be restored again later.
         """
-        if self.code_watcher is not None:
-            self.code_watcher.invalidate_all()
         first, last = self._page_span(start, stop)
         stale = [number for number in self._pages if first <= number <= last]
         for number in stale:

@@ -19,8 +19,8 @@ def register_cache(clear: Callable[[], None]) -> Callable[[], None]:
 def clear_caches() -> None:
     """Empty every module-lifetime cache (the isa decode and intern LRUs).
 
-    Per-machine caches (the bus device memo, the block engine) need no
-    hook: a new machine starts with them empty.
+    Per-machine caches (the bus device memo) need no hook: a new machine
+    starts with them empty.
     """
     for clear in _clear_hooks:
         clear()

@@ -2,9 +2,8 @@
 
 Owned stats providers are keyed by a weak reference to their machine and
 dropped when it dies.  A provider closure holding a strong path back to the
-machine (the block engine, or the bus whose CLINT calls back into the
-machine) kept that weak reference alive forever, so every machine a process
-built stayed in memory.
+machine (the bus whose CLINT calls back into the machine) kept that weak
+reference alive forever, so every machine a process built stayed in memory.
 """
 
 from __future__ import annotations

@@ -30,7 +30,7 @@ from repro.spec.platform import RVA23_MACHINE, VISIONFIVE2
 #: per run), configuration, or state derived from other fields.
 NOT_STATE = {
     "Machine": {
-        "config", "cycle_model", "ram", "spec_bus", "blocks", "_regions",
+        "config", "cycle_model", "ram", "spec_bus", "_regions",
         "_region_bases", "_region_index", "_service_depth",
         "_resume_stacks", "max_dispatches", "hart_start_hook",
         "firmware_panic_hook", "fault_injector", "tracer", "scheduler",

@@ -52,6 +52,11 @@ class TestBootCommand:
         assert main(["boot", "--native", "--profile"]) == 0
         assert "hot-path profile" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("extra", [[], ["--chaos"]])
+    def test_zero_harts_refused(self, extra, capsys):
+        assert main(["boot", "--harts", "0"] + extra) == 2
+        assert capsys.readouterr().out == "--harts must be at least 1\n"
+
 
 class TestAttackCommand:
     def test_list(self, capsys):
@@ -211,6 +216,31 @@ class TestCampaignCommand:
     def test_unknown_family_rejected(self, capsys):
         assert main(["campaign", "--families", "verif,nonsense"]) == 2
         assert "unknown families" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("matrix,message", [
+        (["--chaos-firmwares", "opensbi,nosuch"],
+         "unknown firmware 'nosuch'"),
+        (["--chaos-seeds", "0,x"], "--chaos-seeds: 'x' is not an integer"),
+        (["--chaos-harts", "0"], "harts must be at least 1"),
+        (["--chaos-firmwares", "opensbi", "--chaos-phase", "kernel-entry",
+          "--chaos-harts", "2"], "phase starts require a single-hart run"),
+        (["--chaos-firmwares", "opensbi,zephyr",
+          "--chaos-phase", "kernel-entry"],
+         "zephyr has no kernel-entry phase"),
+    ], ids=["unknown-firmware", "non-integer-seed", "zero-harts",
+            "phase-with-harts", "phase-with-zephyr"])
+    def test_bad_chaos_matrix_refused_before_any_cell(self, matrix, message,
+                                                      capsys, tmp_path):
+        # One line and exit 2 before any cell (verif's included) runs or
+        # the trace directory is created.
+        trace_dir = tmp_path / "traces"
+        assert main(["campaign", "--families", "verif,chaos",
+                     "--chaos-plans", "none",
+                     "--chaos-trace-dir", str(trace_dir)] + matrix) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"campaign: {message}")
+        assert not trace_dir.exists()
 
     def test_budget_exhaustion_exits_3(self, capsys):
         code = main(["campaign", "--families", "chaos",
