@@ -94,7 +94,8 @@ def _chunks(total: int, size: int) -> Iterable[tuple[int, int]]:
 
 #: Table 2 task names in the order ``repro verify`` reports them.
 VERIF_TASK_ORDER = (
-    "faithful-emulation", "virtual-interrupt", "faithful-execution",
+    "faithful-emulation", "virtual-interrupt", "interrupt-routing",
+    "faithful-execution",
 )
 
 _MIP_SELECTOR_COUNT = 64  # |pending patterns| in interrupt_space
@@ -119,7 +120,7 @@ def _execution_config_count() -> int:
 
 def verif_cells(platform: str = "visionfive2", states: int = 16,
                 subspaces: Iterable[str] = ("emulation", "interrupts",
-                                            "execution"),
+                                            "routing", "execution"),
                 state_chunk: int = 4, selector_chunk: int = 16,
                 config_chunk: int = 40) -> list[CampaignCell]:
     """Shard the Table 2 verification sweep into cells.
@@ -143,6 +144,11 @@ def verif_cells(platform: str = "visionfive2", states: int = 16,
                 subspace="interrupts", platform=platform,
                 start=start, stop=stop,
             ))
+    if "routing" in subspaces:
+        cells.append(CampaignCell.make(
+            "verif", f"verif:routing:{platform}", subspace="routing",
+            platform=platform,
+        ))
     if "execution" in subspaces:
         for start, stop in _chunks(_execution_config_count(), config_chunk):
             cells.append(CampaignCell.make(
@@ -161,13 +167,14 @@ def _run_verif_cell(params: dict) -> tuple[str, dict]:
         run_emulation_check,
         run_execution_check,
         run_interrupt_check,
+        run_routing_check,
         system_instruction_space,
         virtual_platform,
     )
 
     platform = PLATFORMS[params["platform"]]
     subspace = params["subspace"]
-    start, stop = params["start"], params["stop"]
+    start, stop = params.get("start"), params.get("stop")
     if subspace == "emulation" and params.get("states") is None:
         raise ValueError("emulation cells require a 'states' param")
     if subspace == "emulation":
@@ -183,6 +190,8 @@ def _run_verif_cell(params: dict) -> tuple[str, dict]:
         vplatform = virtual_platform(platform, virtual_pmp_count=4)
         report = run_interrupt_check(vplatform,
                                      mip_selectors=range(start, stop))
+    elif subspace == "routing":
+        report = run_routing_check()
     elif subspace == "execution":
         from repro.system import build_virtualized
 

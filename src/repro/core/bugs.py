@@ -24,6 +24,8 @@ KNOWN_BUGS = {
     "mpp_invalid_accepted": "MPP legalization accepts the reserved value 2",
     "os_ipi_write_dropped": "direct OS msip stores silently dropped by the "
                             "monitor's CLINT emulation",
+    "unowned_msi_storm": "an OS-world MSI no world owns returns to the OS "
+                         "with its line raised",
 }
 
 #: The enabled seeded bugs.  The monitor tests ``name in bugs.active``

@@ -19,7 +19,14 @@ from repro.core.emulator import (
     emulate_privileged,
     inject_virtual_trap,
 )
-from repro.core.interrupts import pending_virtual_interrupt, refresh_virtual_mip
+from repro.core.interrupts import (
+    ACKING,
+    WORLD_SWITCH,
+    pending_virtual_interrupt,
+    physical_m_enables,
+    refresh_virtual_mip,
+    route_interrupt,
+)
 from repro.core.offload import FastPath
 from repro.core.vclint import VirtualClint
 from repro.core.vcpu import VirtContext, World
@@ -64,7 +71,7 @@ _CSR_MTVAL = c.CSR_MTVAL
 _INTERRUPT_BIT = c.INTERRUPT_BIT
 _SIP_MASK = c.SIP_MASK
 _MSTATUS_MIE = c.MSTATUS_MIE
-_M_INTERRUPTS = c.MIP_MTIP | c.MIP_MSIP | c.MIP_MEIP
+_MIP_MEIP = c.MIP_MEIP
 
 
 class Miralis:
@@ -181,19 +188,10 @@ class Miralis:
         injector = self.machine.fault_injector
         if injector is not None:
             vctx.csr_write_hook = injector.csr_hook(hart.hartid)
-        csr_file = hart.state.csr
-        csr_file.mtvec = self.region.base
-        csr_file.medeleg = 0
-        csr_file.mideleg = 0
-        csr_file.mie = c.MIP_MTIP | c.MIP_MSIP | c.MIP_MEIP
-        self.vpmp.install(hart, vctx, World.FIRMWARE, self.policy)
-        self.world[hart.hartid] = World.FIRMWARE
         self._booted[hart.hartid] = True
-        self._charge_host(hart, 2_000)  # monitor bring-up
+        self.reenter_firmware_boot(hart, vctx)
         if self.watchdog is not None:
             self.watchdog.arm_boot(hart, vctx)
-        hart.state.mode = c.U_MODE
-        hart.state.pc = self.firmware.entry_point
         hart.charge(hart.cycle_model.xret)
 
     def _start_hart_in_os(self, hartid: int, start_addr: int, opaque: int) -> None:
@@ -205,9 +203,7 @@ class Miralis:
         vctx.mtvec = boot_vctx.mtvec
         vctx.mie = boot_vctx.mie
         vctx.virtual_mode = c.S_MODE
-        csr_file = hart.state.csr
-        csr_file.mtvec = self.region.base
-        csr_file.mie = c.MIP_MTIP | c.MIP_MSIP | c.MIP_MEIP
+        hart.state.csr.mtvec = self.region.base
         self._booted[hartid] = True
         if self.watchdog is not None:
             self.watchdog.os_entered[hartid] = True
@@ -566,10 +562,6 @@ class Miralis:
             return False
         if kind is None:
             return False
-        if kind == "mtimecmp" and instr.is_store:
-            # The store clobbered the hart's deadline state (native
-            # single-comparator semantics); retire the fast path's latch.
-            self.offload.timer_armed[hart.hartid] = False
         self.machine.stats.annotate_last(
             "miralis-emulate", detail=trap_detail("os-clint", kind), hart=hart.hartid
         )
@@ -609,50 +601,36 @@ class Miralis:
     # ------------------------------------------------------------------
 
     def _handle_physical_interrupt(self, hart, vctx, irq, mepc) -> None:
-        action = self.policy.on_interrupt(hart, vctx, irq)
-        if action == _HANDLED:
+        action, target, _ = self._route_physical_interrupt(hart, vctx, irq)
+        # Keystone and ACE pull a running enclave or TVM off the core.
+        if self.policy.on_interrupt(hart, vctx, irq) == _HANDLED:
             return
-        in_os = self.world[hart.hartid] == _OS
-        quarantined = (
-            self.watchdog is not None
-            and self.watchdog.quarantined[hart.hartid]
-        )
-        if in_os and (self.config.offload_enabled or quarantined) and (
-            self.offload.try_handle_interrupt(hart, vctx, irq)
-        ):
-            hart.state.pc = mepc
-            self._return_to_os(hart)
-            return
-        if (
-            irq == c.IRQ_MSI
-            and not in_os
-            and (self.config.offload_enabled or quarantined)
-            and not self.vclint.virtual_msip(hart.hartid)
-        ):
-            # Monitor-destined IPI (OS traffic) arriving while the hart
-            # runs virtual firmware: the firmware never set its virtual
-            # msip, so this MSI is not its business.  Ack and forward as
-            # SSIP now — leaving it pending would re-trap forever, since
-            # no virtual injection will ever clear the physical line.
-            # The SSIP reaches the OS at the next world switch.
-            self.offload.try_handle_interrupt(hart, vctx, irq)
-            hart.state.pc = mepc
-            return
+        hart.state.pc = mepc
+        if action in ACKING:
+            return  # _handle_trap drops back to the OS from M-mode
         # Interrupt for the virtual firmware: refresh the virtual mip and
-        # let the post-trap check inject it (possibly via a world switch).
+        # let the post-trap check inject it, or switch worlds for it.
         self._refresh_vmip(hart, vctx)
         self.machine.stats.annotate_last("miralis", detail=trap_detail("virq", irq), hart=hart.hartid)
-        if not in_os:
-            hart.state.pc = mepc  # resume vM; injection handled below
-            return
-        virtual = pending_virtual_interrupt(vctx, _OS)
-        if virtual is None:
-            # Spurious for the firmware (e.g. masked virtually): drop back
-            # to the OS; _sync_physical_mie prevents an interrupt storm.
-            hart.state.pc = mepc
-            self._return_to_os(hart)
-            return
-        self._enter_firmware_with_trap(hart, vctx, virtual, True, 0, mepc)
+        if action == WORLD_SWITCH:
+            self._enter_firmware_with_trap(hart, vctx, target, True, 0, mepc)
+
+    def _route_physical_interrupt(self, hart, vctx, irq):
+        """Route ``irq`` and clear its source if the route acks it."""
+        hartid = hart.hartid
+        vclint = self.vclint
+        mtime = self.machine.read_mtime()
+        armed = self.offload.timer_armed[hartid]
+        route = route_interrupt(
+            self.world[hartid], irq, vctx.mstatus & _MSTATUS_MIE, vctx.mie,
+            vctx.mip, vctx.mideleg, vclint.msip[hartid],
+            hart.state.csr.mip_hw & _MIP_MEIP, mtime >= vclint.mtimecmp[hartid],
+            armed, armed and mtime >= vclint.monitor_mtimecmp[hartid],
+            self.config.offload_enabled,
+            self.watchdog is not None and self.watchdog.quarantined[hartid])
+        if route[0] in ACKING:
+            self.offload.try_handle_interrupt(hart, vctx, irq, route[0])
+        return route
 
     # ------------------------------------------------------------------
     # Virtual interrupts
@@ -666,6 +644,7 @@ class Miralis:
             self.machine.read_mtime(),
             vclint.mtimecmp[hartid],
             bool(vclint.msip[hartid]),  # vclint.virtual_msip, inlined
+            bool(hart.state.csr.mip_hw & _MIP_MEIP),
         )
 
     def _check_virtual_interrupts(self, hart, vctx) -> None:
@@ -683,35 +662,14 @@ class Miralis:
         self._charge_host(hart, self.config.costs.inject)
 
     def _sync_physical_mie(self, hart, vctx) -> None:
-        """Keep physical M-level interrupt enables consistent.
-
-        A physical M interrupt whose virtual counterpart is masked must not
-        re-trap immediately (interrupt storm); enable each M-level source
-        only when the firmware enabled it virtually or the monitor itself
-        needs it (offloaded timer/IPIs).
-        """
+        """Install the physical M-level enables for the world now running."""
+        hartid = hart.hartid
         csr_file = hart.state.csr
-        m_bits = 0
-        if self.world[hart.hartid] == _FIRMWARE:
-            # While vM-mode runs, a physical M interrupt is only useful if
-            # its virtual injection is currently possible; otherwise it
-            # stays pending and is injected when the firmware unmasks it
-            # (the post-emulation check) or the world switches.
-            if vctx.mstatus & _MSTATUS_MIE:
-                m_bits = vctx.mie & _M_INTERRUPTS
-        else:
-            quarantined = (
-                self.watchdog is not None
-                and self.watchdog.quarantined[hart.hartid]
-            )
-            if vctx.mie & c.MIP_MTIP or self.offload.timer_armed[hart.hartid]:
-                m_bits |= c.MIP_MTIP
-            if (vctx.mie & c.MIP_MSIP or self.config.offload_enabled
-                    or quarantined):
-                m_bits |= c.MIP_MSIP
-            if vctx.mie & c.MIP_MEIP:
-                m_bits |= c.MIP_MEIP
-        csr_file.mie = (csr_file.mie & _SIP_MASK) | m_bits
+        csr_file.mie = (csr_file.mie & _SIP_MASK) | physical_m_enables(
+            self.world[hartid], vctx.mstatus & _MSTATUS_MIE, vctx.mie,
+            self.offload.timer_armed[hartid], self.config.offload_enabled,
+            self.watchdog is not None and self.watchdog.quarantined[hartid],
+        )
 
     # ------------------------------------------------------------------
     # Violations
@@ -755,7 +713,8 @@ class Miralis:
     # ------------------------------------------------------------------
 
     def reenter_firmware_boot(self, hart, vctx) -> None:
-        """Retry a failed boot activation from the firmware entry point."""
+        """Start the firmware at its entry point in vM-mode: at boot, and
+        to retry a failed boot activation."""
         csr_file = hart.state.csr
         csr_file.mtvec = self.region.base
         csr_file.medeleg = 0
@@ -763,7 +722,7 @@ class Miralis:
         csr_file.mie = c.MIP_MTIP | c.MIP_MSIP | c.MIP_MEIP
         self.vpmp.install(hart, vctx, World.FIRMWARE, self.policy)
         self.world[hart.hartid] = World.FIRMWARE
-        self._charge_host(hart, 2_000)  # monitor re-init
+        self._charge_host(hart, 2_000)  # monitor bring-up
         hart.state.mode = c.U_MODE
         hart.state.pc = self.firmware.entry_point
 
@@ -796,9 +755,7 @@ class Miralis:
         if self.watchdog is not None:
             self.watchdog.count(hart.hartid, "quarantined-served")
         if is_interrupt:
-            # The fast path forwards timer/IPI interrupts; anything else
-            # is dropped (its virtual handler no longer exists).
-            self.offload.try_handle_interrupt(hart, vctx, code)
+            self._route_physical_interrupt(hart, vctx, code)
             hart.state.pc = mepc
             return
         if self.offload.try_handle_exception(hart, vctx, code):

@@ -12,10 +12,12 @@ from __future__ import annotations
 
 from collections import Counter
 
+from repro.core.interrupts import ACK_DROP
 from repro.core.vcpu import VirtContext
+from repro.hart.stats import trap_detail
 from repro.isa import constants as c
 from repro.isa.decoder import decode
-from repro.isa.instructions import IllegalInstructionError, Instruction
+from repro.isa.instructions import IllegalInstructionError
 from repro.sbi import constants as sbi
 from repro.sbi.types import SbiCall, SbiRet
 from repro.spec.step import BusError
@@ -32,6 +34,29 @@ _MISALIGNED = (
 )
 
 
+def emulate_misaligned(machine, hart, address: int) -> int:
+    """Perform the load or store at ``mepc`` byte by byte at ``address``.
+
+    Returns the access size, or 0 when ``mepc`` holds no load or store;
+    decode and device errors propagate to the caller.
+    """
+    instr = decode(machine.ram.read(hart.state.csr.mepc, 4))
+    if not (instr.is_load or instr.is_store):
+        return 0
+    size = instr.memory_size
+    bus = machine.spec_bus
+    if instr.is_load:
+        value = 0
+        for i in range(size):
+            value |= bus.read(address + i, 1) << (8 * i)
+        hart.state.set_xreg(instr.rd, instr.extend_loaded(value))
+    else:
+        value = hart.state.get_xreg(instr.rs2)
+        for i in range(size):
+            bus.write(address + i, 1, (value >> (8 * i)) & 0xFF)
+    return size
+
+
 class FastPath:
     """The offload engine: handles the five hot trap classes in-monitor."""
 
@@ -40,8 +65,9 @@ class FastPath:
         self.machine = miralis.machine
         self.costs = miralis.config.costs
         self.hits: Counter[str] = Counter()
-        #: Whether the monitor armed the timer on behalf of the OS.
-        self.timer_armed = [False] * self.machine.config.num_harts
+        #: Whether the monitor armed the timer on behalf of the OS; the
+        #: vCLINT retires it when a comparator store clobbers the deadline.
+        self.timer_armed = miralis.vclint.timer_armed
 
     def snapshot_state(self) -> dict:
         return {"hits": Counter(self.hits),
@@ -70,10 +96,6 @@ class FastPath:
     def _raise_sip(self, hart, vctx: VirtContext, bit: int) -> None:
         hart.state.csr.mip_sw |= bit
         vctx.mip |= bit
-
-    def _clear_sip(self, hart, vctx: VirtContext, bit: int) -> None:
-        hart.state.csr.mip_sw &= ~bit
-        vctx.mip &= ~bit
 
     # ------------------------------------------------------------------
     # Exceptions from the OS
@@ -162,7 +184,8 @@ class FastPath:
         self.timer_armed[hartid] = True
         # Clear the supervisor timer-pending bit; it is raised again when
         # the physical interrupt arrives (handled by the fast path too).
-        self._clear_sip(hart, vctx, c.MIP_STIP)
+        hart.state.csr.mip_sw &= ~c.MIP_STIP
+        vctx.mip &= ~c.MIP_STIP
         hart.charge(
             self.costs.fastpath_set_timer + hart.cycle_model.mmio_access
         )
@@ -227,32 +250,12 @@ class FastPath:
     # -- misaligned accesses -------------------------------------------------
 
     def _handle_misaligned(self, hart) -> bool:
-        address = hart.state.csr.read(c.CSR_MTVAL)
-        mepc = hart.state.csr.mepc
         try:
-            instr = decode(self.machine.ram.read(mepc, 4))
+            size = emulate_misaligned(self.machine, hart,
+                                      hart.state.csr.read(c.CSR_MTVAL))
         except Exception:
             return False
-        if not (instr.is_load or instr.is_store):
-            return False
-        size = instr.memory_size
-        try:
-            if instr.is_load:
-                value = 0
-                for i in range(size):
-                    value |= self.machine.spec_bus.read(address + i, 1) << (8 * i)
-                if instr.mnemonic in ("lb", "lh", "lw"):
-                    sign = 1 << (size * 8 - 1)
-                    if value & sign:
-                        value |= U64 & ~((1 << (size * 8)) - 1)
-                hart.state.set_xreg(instr.rd, value)
-            else:
-                value = hart.state.get_xreg(instr.rs2)
-                for i in range(size):
-                    self.machine.spec_bus.write(
-                        address + i, 1, (value >> (8 * i)) & 0xFF
-                    )
-        except Exception:
+        if not size:
             return False
         hart.charge(self.costs.fastpath_misaligned + size)
         self._note(hart, "misaligned")
@@ -263,35 +266,40 @@ class FastPath:
     # M-level interrupts while the OS runs
     # ------------------------------------------------------------------
 
-    def try_handle_interrupt(self, hart, vctx: VirtContext, irq: int) -> bool:
-        """Fast-path a physical M interrupt without waking the firmware."""
+    def try_handle_interrupt(self, hart, vctx: VirtContext, irq: int,
+                             action: str) -> bool:
+        """Clear the source of a physical M interrupt the monitor routed
+        here (:func:`repro.core.interrupts.route_interrupt`): serve the
+        OS's due timer deadline, forward an IPI as SSIP, or ack and drop
+        an interrupt no world owns."""
         hartid = hart.hartid
-        if irq == c.IRQ_MTI and self.timer_armed[hartid]:
-            mtime = self.machine.read_mtime()
-            if mtime >= self.miralis.vclint.monitor_mtimecmp[hartid]:
-                # The OS's deadline: raise STIP, park the monitor deadline.
-                self._raise_sip(hart, vctx, c.MIP_STIP)
-                self.timer_armed[hartid] = False
-                try:
-                    self.miralis.vclint.clear_monitor_deadline(hartid)
-                except BusError:
-                    pass  # transient CLINT fault: deadline stays parked
-
-                hart.charge(self.costs.fastpath_set_timer)
-                self._note(hart, "timer-interrupt")
-                return True
-        if irq == c.IRQ_MSI:
-            # IPI forwarding: ack the CLINT, raise SSIP for the OS.  The
-            # firmware's msip view tracks the physical bit (a direct OS
-            # msip write mirrors into it), so the ack clears both — a
-            # stale shadow would later inject a phantom virtual MSI.
-            self.miralis.vclint.msip[hartid] = 0
-            try:
+        vclint = self.miralis.vclint
+        try:
+            if irq == c.IRQ_MSI:
+                # The firmware's msip view tracks the physical bit (a
+                # direct OS msip write mirrors into it), so the ack clears
+                # both — a stale shadow would inject a phantom virtual MSI.
+                vclint.msip[hartid] = 0
                 self.machine.clint.write(0x0 + 4 * hartid, 4, 0)
-            except BusError:
-                pass  # ack lost to a transient fault; SSIP still delivered
+            elif action != ACK_DROP or not self.timer_armed[hartid]:
+                # The OS's deadline is served, or the comparator is stale:
+                # park the monitor deadline, reinstalling the virtual one.
+                self.timer_armed[hartid] = False
+                vclint.clear_monitor_deadline(hartid)
+            else:
+                vclint.program_physical_timer(hartid)
+        except BusError:
+            pass  # ack lost to a transient fault; it re-traps
+        if action == ACK_DROP:
+            self.machine.stats.annotate_last(
+                "miralis", detail=trap_detail("drop", irq), hart=hartid)
+            hart.charge(hart.cycle_model.mmio_access)
+        elif irq == c.IRQ_MSI:
             self._raise_sip(hart, vctx, c.MIP_SSIP)
             hart.charge(self.costs.fastpath_ipi + hart.cycle_model.mmio_access)
             self._note(hart, "ipi-interrupt")
-            return True
-        return False
+        else:
+            self._raise_sip(hart, vctx, c.MIP_STIP)
+            hart.charge(self.costs.fastpath_set_timer)
+            self._note(hart, "timer-interrupt")
+        return True

@@ -20,7 +20,6 @@ from typing import Optional
 
 from repro.core import bugs
 from repro.hart import clint as clint_regs
-from repro.isa import constants as c
 from repro.isa.instructions import Instruction
 
 U64 = (1 << 64) - 1
@@ -35,8 +34,10 @@ class VirtualClint:
         num_harts = machine.config.num_harts
         #: The deadlines the *virtual firmware* programmed.
         self.mtimecmp = [U64] * num_harts
-        #: Deadlines armed by the monitor itself (fast-path set_timer).
+        #: Deadlines armed by the monitor itself (fast-path set_timer),
+        #: and whether one is armed (the fast path's ``timer_armed``).
         self.monitor_mtimecmp = [U64] * num_harts
+        self.timer_armed = [False] * num_harts
         #: The *virtual firmware's* msip view.  Firmware writes land here
         #: and pass through physically; monitor fast-path IPI traffic
         #: touches only the physical CLINT, so the firmware never sees
@@ -89,16 +90,21 @@ class VirtualClint:
         self.accesses = state["accesses"]
 
     def snapshot_hart(self, hartid: int) -> dict:
-        """This hart's shadows (a watchdog activation rolls back one hart)."""
-        return {
+        """This hart's shadows (a watchdog activation rolls back one hart);
+        the fast path's latch only while set, as documents had it before."""
+        snap = {
             "mtimecmp": self.mtimecmp[hartid],
             "monitor_mtimecmp": self.monitor_mtimecmp[hartid],
             "msip": self.msip[hartid],
         }
+        if self.timer_armed[hartid]:
+            snap["timer_armed"] = True
+        return snap
 
     def restore_hart(self, hartid: int, snap: dict) -> None:
         self.mtimecmp[hartid] = snap["mtimecmp"]
         self.monitor_mtimecmp[hartid] = snap["monitor_mtimecmp"]
+        self.timer_armed[hartid] = snap.get("timer_armed", False)
         self.msip[hartid] = snap["msip"]
         self.program_physical_timer(hartid)
 
@@ -128,11 +134,7 @@ class VirtualClint:
                         op="load" if instr.is_load else "store",
                         offset=offset, size=size)
         if instr.is_load:
-            value = self._read(offset, size)
-            if instr.mnemonic in ("lb", "lh", "lw") and size < 8:
-                sign = 1 << (size * 8 - 1)
-                if value & sign:
-                    value |= U64 & ~((1 << (size * 8)) - 1)
+            value = instr.extend_loaded(self._read(offset, size))
             hart.state.set_xreg(instr.rd, value)
             return value
         value = hart.state.get_xreg(instr.rs2) & ((1 << (size * 8)) - 1)
@@ -163,11 +165,10 @@ class VirtualClint:
           (virtual and monitor), as a native store clobbers the single
           physical comparator.
 
-        Returns the register kind accessed ("mtime"/"msip"/"mtimecmp") so
-        the caller can retire dependent monitor state (the fast path's
-        ``timer_armed`` latch on comparator writes), or ``None`` if the
-        instruction is not a plain load/store.  Raises ``ValueError`` or
-        ``BusError`` for accesses outside the register map.
+        Returns the register kind accessed ("mtime"/"msip"/"mtimecmp"),
+        or ``None`` if the instruction is not a plain load/store.  Raises
+        ``ValueError`` or ``BusError`` for accesses outside the register
+        map.
         """
         if not (instr.is_load or instr.is_store):
             return None
@@ -181,12 +182,8 @@ class VirtualClint:
                         op="os-load" if instr.is_load else "os-store",
                         offset=offset, size=size)
         if instr.is_load:
-            value = self.clint.read(offset, size)
-            if instr.mnemonic in ("lb", "lh", "lw") and size < 8:
-                sign = 1 << (size * 8 - 1)
-                if value & sign:
-                    value |= U64 & ~((1 << (size * 8)) - 1)
-            hart.state.set_xreg(instr.rd, value)
+            hart.state.set_xreg(
+                instr.rd, instr.extend_loaded(self.clint.read(offset, size)))
             return kind
         value = hart.state.get_xreg(instr.rs2) & ((1 << (size * 8)) - 1)
         if kind == "mtime":
@@ -209,6 +206,7 @@ class VirtualClint:
         merged = (current & ~mask) | ((value << (8 * byte)) & mask)
         self.mtimecmp[hartid] = merged & U64
         self.monitor_mtimecmp[hartid] = U64
+        self.timer_armed[hartid] = False
         self.program_physical_timer(hartid)
         return kind
 
@@ -265,4 +263,8 @@ class VirtualClint:
         mask = ((1 << (8 * size)) - 1) << (8 * byte)
         merged = (self.mtimecmp[hartid] & ~mask) | ((value << (8 * byte)) & mask)
         self.mtimecmp[hartid] = merged & U64
+        # One comparator natively: the store retires any deadline the
+        # monitor armed for the OS, as an OS store does.
+        self.monitor_mtimecmp[hartid] = U64
+        self.timer_armed[hartid] = False
         self.program_physical_timer(hartid)

@@ -240,7 +240,7 @@ def _arm_injector(system, injector: FaultInjector, tracer,
             vctx.csr_write_hook = injector.csr_hook(hartid)
 
 
-def _run_sbi_chaos(
+def _sbi_chaos(
     result: ChaosResult,
     injector: FaultInjector,
     platform: PlatformConfig,
@@ -253,8 +253,9 @@ def _run_sbi_chaos(
     smp_jitter: int = 0,
     phase: Optional[str] = None,
 ) -> tuple:
-    """Boot an SBI firmware (OpenSBI/RustSBI/malicious) under the sandbox
-    with the watchdog armed; returns (machine, miralis, halt_reason).
+    """Build an SBI firmware (OpenSBI/RustSBI/malicious) platform under the
+    sandbox with the watchdog armed; returns (machine, miralis, run),
+    where ``run()`` boots it and returns the halt reason.
 
     With a ``phase``, the boot up to that point runs fault-free and the
     injector is armed at the boundary.  The boundary is restored from
@@ -263,44 +264,49 @@ def _run_sbi_chaos(
     """
     system, checkpoint = _build_sbi_system(platform, firmware, smp=smp)
     machine = system.machine
-    if phase is None:
-        machine.tracer = tracer
-        machine.coverage = coverage
-        machine.install_fault_injector(injector)
-        if smp:
-            reason = system.run_smp(
-                quantum=quantum, seed=smp_seed, jitter=smp_jitter
+
+    def run() -> str:
+        if phase is None:
+            machine.tracer = tracer
+            machine.coverage = coverage
+            machine.install_fault_injector(injector)
+            if smp:
+                reason = system.run_smp(
+                    quantum=quantum, seed=smp_seed, jitter=smp_jitter
+                )
+            else:
+                reason = system.run()
+        else:
+            key = (platform, firmware)
+            boot = _WARM_BOOTS.get(key)
+            if boot is None:
+                boot = capture_kernel_entry(system)
+                if boot is not None:
+                    _WARM_BOOTS[key] = boot
+            else:
+                from repro.snapshot import restore
+
+                restore(machine, boot)
+            _arm_injector(system, injector, tracer, coverage=coverage)
+            reason = machine.boot() if boot is not None else (
+                machine.halt_reason or "halted"
             )
-        else:
-            reason = system.run()
-    else:
-        key = (platform, firmware)
-        boot = _WARM_BOOTS.get(key)
-        if boot is None:
-            boot = capture_kernel_entry(system)
-            if boot is not None:
-                _WARM_BOOTS[key] = boot
-        else:
-            from repro.snapshot import restore
+        result.checkpoint = bool(checkpoint)
+        return reason
 
-            restore(machine, boot)
-        _arm_injector(system, injector, tracer, coverage=coverage)
-        reason = machine.boot() if boot is not None else (
-            machine.halt_reason or "halted"
-        )
-    result.checkpoint = bool(checkpoint)
-    return machine, system.miralis, reason
+    return machine, system.miralis, run
 
 
-def _run_zephyr_chaos(
+def _zephyr_chaos(
     result: ChaosResult,
     injector: FaultInjector,
     platform: PlatformConfig,
     tracer=None,
     coverage=None,
 ) -> tuple:
-    """Boot the Zephyr RTOS in vM-mode under the watchdog.  There is no
-    S-mode OS; the checkpoint is the RTOS test suite completing."""
+    """Build the Zephyr RTOS in vM-mode under the watchdog, as
+    :func:`_sbi_chaos` does.  There is no S-mode OS; the checkpoint is
+    the RTOS test suite completing."""
     from repro.core.miralis import Miralis
     from repro.firmware.zephyr import ZephyrFirmware
     from repro.hart.machine import Machine
@@ -323,9 +329,14 @@ def _run_zephyr_chaos(
     machine.tracer = tracer
     machine.coverage = coverage
     machine.install_fault_injector(injector)
-    reason = machine.boot(entry=miralis.region.base)
-    result.checkpoint = zephyr.suite_passed() or "workload complete" in reason
-    return machine, miralis, reason
+
+    def run() -> str:
+        reason = machine.boot(entry=miralis.region.base)
+        result.checkpoint = (zephyr.suite_passed()
+                             or "workload complete" in reason)
+        return reason
+
+    return machine, miralis, run
 
 
 def check_chaos_args(firmware: str, harts: Optional[int] = None,
@@ -402,17 +413,19 @@ def run_chaos(
         result.plan = resolved.name
         result.plan_spec = resolved.to_dict()
         injector = FaultInjector(resolved, seed=seed)
+        # Bind the machine before it runs: a run that raises keeps its
+        # flight record (trap log, console, watchdog decisions).
         if firmware == "zephyr":
-            machine, miralis, reason = _run_zephyr_chaos(
+            machine, miralis, run = _zephyr_chaos(
                 result, injector, platform, tracer=tracer, coverage=coverage
             )
         else:
-            machine, miralis, reason = _run_sbi_chaos(
+            machine, miralis, run = _sbi_chaos(
                 result, injector, platform, firmware, tracer=tracer,
                 coverage=coverage, smp=smp, quantum=quantum, smp_seed=seed,
                 smp_jitter=smp_jitter, phase=phase,
             )
-        result.halt_reason = reason
+        result.halt_reason = run()
     except Exception as exc:  # noqa: BLE001 — the whole point: no leaks
         result.error = f"{type(exc).__name__}: {exc}"
     if injector is not None:

@@ -12,6 +12,8 @@ from __future__ import annotations
 import dataclasses
 from functools import cached_property, lru_cache
 
+from repro.isa.bits import sign_extend
+
 # Register ABI names, indexed by register number.
 ABI_NAMES = (
     "zero", "ra", "sp", "gp", "tp", "t0", "t1", "t2",
@@ -80,6 +82,13 @@ class Instruction:
         if self.is_store:
             return STORE_SIZES[self.mnemonic]
         raise ValueError(f"{self.mnemonic} is not a memory access")
+
+    def extend_loaded(self, value: int) -> int:
+        """A value this load read, as it lands in ``rd`` (lb/lh/lw
+        sign-extend it to 64 bits)."""
+        if self.mnemonic in ("lb", "lh", "lw"):
+            return sign_extend(value, 8 * self.memory_size)
+        return value
 
     @cached_property
     def csr_uses_immediate(self) -> bool:

@@ -26,11 +26,10 @@ import dataclasses
 import enum
 from typing import Callable, Optional
 
-from repro.core.vcpu import VirtContext, World
+from repro.core.vcpu import VirtContext
 from repro.hart.program import GuestContext, GuestProgram, Region
 from repro.isa import constants as c
-from repro.isa.bits import napot_encode
-from repro.policy.interface import PolicyAction, PolicyModule
+from repro.policy.interface import PartitionPolicy, PolicyAction
 from repro.sbi.types import SbiCall
 
 U64 = (1 << 64) - 1
@@ -55,11 +54,6 @@ EXIT_DONE = 3
 
 ERR_INVALID_TVM = -2
 ERR_NOT_RUNNABLE = -3
-
-_NAPOT = int(c.PmpAddressMode.NAPOT) << c.PMP_A_SHIFT
-_ALLOW_RWX = _NAPOT | c.PMP_R | c.PMP_W | c.PMP_X
-_DENY = _NAPOT
-_ALL_ADDRESSES = (1 << 54) - 1
 
 
 class TvmState(enum.Enum):
@@ -119,7 +113,7 @@ class Tvm:
     exits: int = 0
 
 
-class AcePolicy(PolicyModule):
+class AcePolicy(PartitionPolicy):
     """The ACE confidential-computing monitor as a policy module."""
 
     name = "ace"
@@ -149,24 +143,16 @@ class AcePolicy(PolicyModule):
         if vm.machine.owner_of(vm.region.base) is None:
             vm.machine.register(vm)
 
-    def num_pmp_entries(self) -> int:
-        return 2
+    def _running_region(self):
+        if self.active_tvm is None:
+            return None
+        return self.tvms[self.active_tvm].vm.region
 
-    def pmp_entries(self, world: World, hartid: int) -> list[tuple[int, int]]:
-        entries: list[tuple[int, int]] = []
-        if self.active_tvm is not None:
-            region = self.tvms[self.active_tvm].vm.region
-            entries.append((napot_encode(region.base, region.size), _ALLOW_RWX))
-            entries.append((_ALL_ADDRESSES, _DENY))
-            return entries
+    def _live_regions(self) -> list:
         # CVM memory is inaccessible to the hypervisor AND the firmware
         # (the paper's strengthened threat model).
-        for tvm in self.tvms.values():
-            if tvm.state == TvmState.DESTROYED:
-                continue
-            region = tvm.vm.region
-            entries.append((napot_encode(region.base, region.size), _DENY))
-        return entries[:2]
+        return [tvm.vm.region for tvm in self.tvms.values()
+                if tvm.state != TvmState.DESTROYED]
 
     # ------------------------------------------------------------------
     # Host-side COVH interface
@@ -252,22 +238,15 @@ class AcePolicy(PolicyModule):
         tvm.saved_host_hcsrs = {
             addr: state.csr.read(addr) for addr in self._h_csr_addresses(hart)
         }
-        self._saved_medeleg = state.csr.medeleg
-        self._saved_mideleg = state.csr.mideleg
-        state.csr.medeleg = 0
-        state.csr.mideleg = 0
         self.active_tvm = tvm.tvm_id
-        self._reinstall_pmp(hart)
-        if tvm.fresh:
-            state.load_xregs([0] * 32)
-            state.pc = tvm.vm.region.base
-            tvm.fresh = False
-        else:
-            state.load_xregs(tvm.saved_vm_regs)
-            state.pc = tvm.saved_vm_pc
         # The CVM executes as a VS-mode guest; in this model its privileged
         # surface is S-level, so it runs in S with its own CSR context.
-        state.mode = c.S_MODE
+        if tvm.fresh:
+            self._enter_guest(hart, [0] * 32, tvm.vm.region.base, c.S_MODE)
+            tvm.fresh = False
+        else:
+            self._enter_guest(hart, tvm.saved_vm_regs, tvm.saved_vm_pc,
+                              c.S_MODE)
         tvm.state = TvmState.RUNNING
         hart.charge(
             hart.cycle_model.tlb_flush
@@ -275,29 +254,16 @@ class AcePolicy(PolicyModule):
         )
 
     def _exit_tvm(self, hart, tvm: Tvm, return_values: tuple) -> None:
-        state = hart.state
         self.active_tvm = None
-        state.csr.medeleg = self._saved_medeleg
-        state.csr.mideleg = self._saved_mideleg
         for addr, value in (tvm.saved_host_hcsrs or {}).items():
-            state.csr.write(addr, value)
-        self._reinstall_pmp(hart)
-        state.load_xregs(tvm.saved_host_regs)
-        for index, value in enumerate(return_values):
-            state.set_xreg(10 + index, value & U64)
-        state.pc = tvm.saved_host_pc
-        state.mode = c.S_MODE
+            hart.state.csr.write(addr, value)
+        self._exit_guest(hart, tvm.saved_host_regs, tvm.saved_host_pc,
+                         return_values)
         tvm.exits += 1
         hart.charge(
             hart.cycle_model.tlb_flush
             + (32 + len(tvm.saved_host_hcsrs or {})) * hart.cycle_model.csr_access
         )
-
-    def _reinstall_pmp(self, hart) -> None:
-        vctx = self.miralis.vctx[hart.hartid]
-        world = self.miralis.world[hart.hartid]
-        writes = self.miralis.vpmp.install(hart, vctx, world, self)
-        hart.charge(writes * hart.cycle_model.csr_access)
 
     # ------------------------------------------------------------------
     # Guest exits and interrupts
@@ -334,8 +300,6 @@ class AcePolicy(PolicyModule):
         if self.active_tvm is None:
             return PolicyAction.CONTINUE
         tvm = self.tvms[self.active_tvm]
-        if self.miralis.config.offload_enabled:
-            self.miralis.offload.try_handle_interrupt(hart, vctx, irq)
         tvm.saved_vm_regs = hart.state.xregs
         tvm.saved_vm_pc = hart.state.csr.mepc
         tvm.state = TvmState.RUNNABLE

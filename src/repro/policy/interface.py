@@ -15,8 +15,10 @@ with an error, the paper's §5.2 debug behaviour).
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
+from repro.isa import constants as c
+from repro.isa.bits import napot_encode
 from repro.statecopy import copy_state
 
 if TYPE_CHECKING:
@@ -24,6 +26,14 @@ if TYPE_CHECKING:
     from repro.hart.hart import Hart
     from repro.sbi.types import SbiCall
     from repro.spec.traps import Trap
+
+
+#: PMP config bytes the policies install: a NAPOT entry granting full
+#: access, one granting none, and the NAPOT pmpaddr covering all memory.
+PMP_ALLOW_RWX = (int(c.PmpAddressMode.NAPOT) << c.PMP_A_SHIFT
+                 | c.PMP_R | c.PMP_W | c.PMP_X)
+PMP_DENY = int(c.PmpAddressMode.NAPOT) << c.PMP_A_SHIFT
+ALL_ADDRESSES = (1 << 54) - 1
 
 
 class PolicyAction(enum.Enum):
@@ -123,3 +133,54 @@ class PolicyModule:
 
     def describe(self) -> str:
         return self.name
+
+
+class PartitionPolicy(PolicyModule):
+    """A policy that runs isolated guests (Keystone enclaves, ACE TVMs)
+    on the OS's harts.  Two PMP entries fence the running guest in, and
+    every live guest off while anything else runs (their priority above
+    the virtual PMPs blocks the firmware too).  Subclasses define
+    ``_running_region()`` (the running guest's region, or None) and
+    ``_live_regions()`` (those of the guests not destroyed)."""
+
+    def num_pmp_entries(self) -> int:
+        return 2
+
+    def pmp_entries(self, world: "World", hartid: int) -> list[tuple[int, int]]:
+        region = self._running_region()
+        if region is not None:
+            return [(napot_encode(region.base, region.size), PMP_ALLOW_RWX),
+                    (ALL_ADDRESSES, PMP_DENY)]
+        return [(napot_encode(region.base, region.size), PMP_DENY)
+                for region in self._live_regions()][:2]
+
+    def _reinstall_pmp(self, hart) -> None:
+        hartid = hart.hartid
+        writes = self.miralis.vpmp.install(
+            hart, self.miralis.vctx[hartid], self.miralis.world[hartid], self)
+        hart.charge(writes * hart.cycle_model.csr_access)
+
+    def _enter_guest(self, hart, regs: list, pc: int, mode) -> None:
+        """Switch to the guest just made the running one; nothing is
+        delegated while it runs, so every trap reaches the monitor."""
+        state = hart.state
+        self._saved_medeleg, self._saved_mideleg = (state.csr.medeleg,
+                                                    state.csr.mideleg)
+        state.csr.medeleg = state.csr.mideleg = 0
+        self._reinstall_pmp(hart)
+        state.load_xregs(regs)
+        state.pc = pc
+        state.mode = mode
+
+    def _exit_guest(self, hart, host_regs: list, host_pc: int,
+                    return_values: tuple) -> None:
+        """Switch the hart back to the host, once no guest is running."""
+        state = hart.state
+        state.csr.medeleg = self._saved_medeleg
+        state.csr.mideleg = self._saved_mideleg
+        self._reinstall_pmp(hart)
+        state.load_xregs(host_regs)
+        for index, value in enumerate(return_values):
+            state.set_xreg(10 + index, value & ((1 << 64) - 1))
+        state.pc = host_pc
+        state.mode = c.S_MODE

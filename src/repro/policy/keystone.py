@@ -20,11 +20,10 @@ import enum
 import hashlib
 from typing import Callable, Optional
 
-from repro.core.vcpu import VirtContext, World
+from repro.core.vcpu import VirtContext
 from repro.hart.program import GuestContext, GuestProgram, Region
 from repro.isa import constants as c
-from repro.isa.bits import napot_encode
-from repro.policy.interface import PolicyAction, PolicyModule
+from repro.policy.interface import PartitionPolicy, PolicyAction
 from repro.sbi.types import SbiCall
 
 U64 = (1 << 64) - 1
@@ -50,11 +49,6 @@ ERR_INVALID_ID = 100_004
 #: run/resume returns this when the enclave was interrupted and must be
 #: resumed (Keystone's ENCLAVE_INTERRUPTED).
 ENCLAVE_INTERRUPTED = 100_002
-
-_NAPOT = int(c.PmpAddressMode.NAPOT) << c.PMP_A_SHIFT
-_ALLOW_RWX = _NAPOT | c.PMP_R | c.PMP_W | c.PMP_X
-_DENY = _NAPOT
-_ALL_ADDRESSES = (1 << 54) - 1
 
 
 class EnclaveState(enum.Enum):
@@ -112,7 +106,7 @@ class Enclave:
     interrupts_taken: int = 0
 
 
-class KeystonePolicy(PolicyModule):
+class KeystonePolicy(PartitionPolicy):
     """The Keystone security monitor as a Miralis policy module."""
 
     name = "keystone"
@@ -144,27 +138,14 @@ class KeystonePolicy(PolicyModule):
         if app.machine.owner_of(app.region.base) is None:
             app.machine.register(app)
 
-    def num_pmp_entries(self) -> int:
-        return 2
+    def _running_region(self):
+        if self.active_eid is None:
+            return None
+        return self.enclaves[self.active_eid].app.region
 
-    def pmp_entries(self, world: World, hartid: int) -> list[tuple[int, int]]:
-        entries: list[tuple[int, int]] = []
-        if self.active_eid is not None:
-            # Enclave executing: expose only the enclave region; everything
-            # else traps to the monitor (stronger than needed, but simple
-            # and matches Keystone's PMP-per-enclave model).
-            region = self.enclaves[self.active_eid].app.region
-            entries.append((napot_encode(region.base, region.size), _ALLOW_RWX))
-            entries.append((_ALL_ADDRESSES, _DENY))
-            return entries
-        # OS or firmware executing: every live enclave's memory is blocked
-        # (priority above the virtual PMPs blocks the firmware too).
-        for enclave in self.enclaves.values():
-            if enclave.state in (EnclaveState.DESTROYED,):
-                continue
-            region = enclave.app.region
-            entries.append((napot_encode(region.base, region.size), _DENY))
-        return entries[:2]
+    def _live_regions(self) -> list:
+        return [enclave.app.region for enclave in self.enclaves.values()
+                if enclave.state != EnclaveState.DESTROYED]
 
     # ------------------------------------------------------------------
     # Host-side SBI interface
@@ -240,43 +221,20 @@ class KeystonePolicy(PolicyModule):
         state = hart.state
         enclave.saved_host_regs = state.xregs
         enclave.saved_host_pc = (state.csr.mepc + 4) & U64
-        # While the enclave runs, nothing may be delegated: every trap and
-        # interrupt must reach the monitor first (Keystone semantics).
-        self._saved_medeleg = state.csr.medeleg
-        self._saved_mideleg = state.csr.mideleg
-        state.csr.medeleg = 0
-        state.csr.mideleg = 0
         self.active_eid = enclave.eid
-        self._reinstall_pmp(hart)
-        if entry is not None:
-            # Fresh run: scrubbed register file.
-            state.load_xregs([0] * 32)
-            state.pc = entry
+        if entry is not None:  # fresh run: scrubbed register file
+            self._enter_guest(hart, [0] * 32, entry, c.U_MODE)
         else:
-            state.load_xregs(enclave.saved_enclave_regs)
-            state.pc = enclave.saved_enclave_pc
-        state.mode = c.U_MODE
+            self._enter_guest(hart, enclave.saved_enclave_regs,
+                              enclave.saved_enclave_pc, c.U_MODE)
         enclave.state = EnclaveState.RUNNING
         hart.charge(hart.cycle_model.tlb_flush + 32 * hart.cycle_model.csr_access)
 
     def _exit_enclave(self, hart, enclave: Enclave, return_values: tuple) -> None:
-        state = hart.state
         self.active_eid = None
-        state.csr.medeleg = self._saved_medeleg
-        state.csr.mideleg = self._saved_mideleg
-        self._reinstall_pmp(hart)
-        state.load_xregs(enclave.saved_host_regs)
-        for index, value in enumerate(return_values):
-            state.set_xreg(10 + index, value & U64)
-        state.pc = enclave.saved_host_pc
-        state.mode = c.S_MODE
+        self._exit_guest(hart, enclave.saved_host_regs, enclave.saved_host_pc,
+                         return_values)
         hart.charge(hart.cycle_model.tlb_flush + 32 * hart.cycle_model.csr_access)
-
-    def _reinstall_pmp(self, hart) -> None:
-        vctx = self.miralis.vctx[hart.hartid]
-        world = self.miralis.world[hart.hartid]
-        writes = self.miralis.vpmp.install(hart, vctx, world, self)
-        hart.charge(writes * hart.cycle_model.csr_access)
 
     # ------------------------------------------------------------------
     # Enclave-side events
@@ -286,20 +244,18 @@ class KeystonePolicy(PolicyModule):
         if self.active_eid is None:
             return PolicyAction.CONTINUE
         enclave = self.enclaves[self.active_eid]
-        if trap.cause == c.TrapCause.ECALL_FROM_U:
-            return self._handle_enclave_ecall(hart, enclave)
-        # Any other enclave exception is fatal for the enclave.
+        call = SbiCall.from_regs(hart.state.xregs)
+        if (trap.cause == c.TrapCause.ECALL_FROM_U
+                and call.eid == EXT_KEYSTONE):
+            return self._handle_enclave_ecall(hart, enclave, call)
+        # Any other enclave exception is fatal for the enclave, and host
+        # syscall forwarding is out of scope: report and stop.
         self._exit_enclave(hart, enclave, (ERR_NOT_RUNNABLE,))
         enclave.state = EnclaveState.STOPPED
         return PolicyAction.HANDLED
 
-    def _handle_enclave_ecall(self, hart, enclave: Enclave) -> PolicyAction:
-        call = SbiCall.from_regs(hart.state.xregs)
-        if call.eid != EXT_KEYSTONE:
-            # Host syscall forwarding is out of scope: report and stop.
-            self._exit_enclave(hart, enclave, (ERR_NOT_RUNNABLE,))
-            enclave.state = EnclaveState.STOPPED
-            return PolicyAction.HANDLED
+    def _handle_enclave_ecall(self, hart, enclave: Enclave,
+                              call: SbiCall) -> PolicyAction:
         if call.fid == FN_EXIT_ENCLAVE:
             self._exit_enclave(hart, enclave, (0, call.arg(0)))
             enclave.state = EnclaveState.STOPPED
@@ -310,21 +266,14 @@ class KeystonePolicy(PolicyModule):
             return PolicyAction.HANDLED
         if call.fid == FN_RANDOM:
             # Deterministic "randomness" (no real entropy source modelled).
-            value = int(
-                hashlib.sha256(
-                    f"{enclave.eid}:{self.machine.read_mtime()}".encode()
-                ).hexdigest()[:16],
-                16,
-            )
-            hart.state.set_xreg(10, value)
-            hart.state.pc = (hart.state.csr.mepc + 4) & U64
-            return PolicyAction.HANDLED
-        if call.fid == FN_ATTEST_ENCLAVE:
+            seed = f"{enclave.eid}:{self.machine.read_mtime()}".encode()
+            hart.state.set_xreg(
+                10, int(hashlib.sha256(seed).hexdigest()[:16], 16))
+        elif call.fid == FN_ATTEST_ENCLAVE:
             hart.state.set_xreg(10, 0)
             hart.state.set_xreg(11, int(enclave.measurement[:16], 16))
-            hart.state.pc = (hart.state.csr.mepc + 4) & U64
-            return PolicyAction.HANDLED
-        hart.state.set_xreg(10, ERR_INVALID_ID)
+        else:
+            hart.state.set_xreg(10, ERR_INVALID_ID)
         hart.state.pc = (hart.state.csr.mepc + 4) & U64
         return PolicyAction.HANDLED
 
@@ -335,8 +284,6 @@ class KeystonePolicy(PolicyModule):
         enclave.state = EnclaveState.INTERRUPTED
         enclave.interrupts_taken += 1
         self._exit_enclave(hart, enclave, (ENCLAVE_INTERRUPTED,))
-        # _exit_enclave marked nothing; keep INTERRUPTED.
-        enclave.state = EnclaveState.INTERRUPTED
 
     # ------------------------------------------------------------------
     # Interrupts during enclave execution
@@ -345,16 +292,9 @@ class KeystonePolicy(PolicyModule):
     def on_interrupt(self, hart, vctx: VirtContext, irq: int) -> PolicyAction:
         if self.active_eid is None:
             return PolicyAction.CONTINUE
-        enclave = self.enclaves[self.active_eid]
-        # Let the monitor's fast path service the physical source first
-        # (e.g. raise STIP for the host), then pull the enclave off the
-        # core so the host can handle it — Keystone's interrupt model.
-        if self.miralis.config.offload_enabled:
-            self.miralis.offload.try_handle_interrupt(hart, vctx, irq)
-        enclave.saved_enclave_regs = hart.state.xregs
-        enclave.saved_enclave_pc = hart.state.csr.mepc
-        enclave.interrupts_taken += 1
-        self._exit_enclave(hart, enclave, (ENCLAVE_INTERRUPTED,))
-        enclave.state = EnclaveState.INTERRUPTED
+        # The monitor already routed the physical source (e.g. raised
+        # STIP for the host); pull the enclave off the core so the host
+        # can handle it — Keystone's interrupt model.
+        self._suspend_enclave(hart, self.enclaves[self.active_eid])
         self.machine.stats.annotate_last("policy-keystone", detail="interrupted", hart=hart.hartid)
         return PolicyAction.HANDLED

@@ -24,6 +24,7 @@ from __future__ import annotations
 import hashlib
 from typing import Optional
 
+from repro.core.offload import emulate_misaligned
 from repro.core.vcpu import VirtContext, World
 from repro.core.vpmp import napot_power_of_two_cover
 from repro.core.world_switch import S_CSR_FIELDS
@@ -31,16 +32,16 @@ from repro.isa import constants as c
 from repro.isa.bits import napot_encode
 from repro.isa.decoder import decode
 from repro.isa.instructions import IllegalInstructionError
-from repro.policy.interface import PolicyAction, PolicyModule
+from repro.policy.interface import (
+    ALL_ADDRESSES,
+    PMP_ALLOW_RWX,
+    PMP_DENY,
+    PolicyAction,
+    PolicyModule,
+)
 from repro.sbi.spec_registry import allowed_read_registers, allowed_write_registers
-from repro.spec.step import BusError
 
 U64 = (1 << 64) - 1
-
-_NAPOT = int(c.PmpAddressMode.NAPOT) << c.PMP_A_SHIFT
-_ALLOW_RWX = _NAPOT | c.PMP_R | c.PMP_W | c.PMP_X
-_DENY = _NAPOT
-_ALL_ADDRESSES = (1 << 54) - 1
 
 
 class FirmwareSandboxPolicy(PolicyModule):
@@ -75,13 +76,13 @@ class FirmwareSandboxPolicy(PolicyModule):
             return []
         firmware_region = self.miralis.firmware.region
         entries = [
-            (napot_encode(firmware_region.base, firmware_region.size), _ALLOW_RWX)
+            (napot_encode(firmware_region.base, firmware_region.size), PMP_ALLOW_RWX)
         ]
         for base, size in self.extra_allowed_regions:
-            entries.append((napot_power_of_two_cover(base, size), _ALLOW_RWX))
+            entries.append((napot_power_of_two_cover(base, size), PMP_ALLOW_RWX))
         # Everything else is denied; accesses trap to the monitor and are
         # reported as violations.
-        entries.append((_ALL_ADDRESSES, _DENY))
+        entries.append((ALL_ADDRESSES, PMP_DENY))
         return entries
 
     def allow_firmware_default_access(self) -> bool:
@@ -215,37 +216,17 @@ class FirmwareSandboxPolicy(PolicyModule):
         return PolicyAction.CONTINUE
 
     def _emulate_misaligned(self, hart, address: int) -> bool:
-        machine = self.machine
-        mepc = hart.state.csr.mepc
         try:
-            instr = decode(machine.ram.read(mepc, 4))
-        except (IllegalInstructionError, Exception):
+            size = emulate_misaligned(self.machine, hart, address)
+        except Exception:
+            # An undecodable instruction, or a transient device fault
+            # mid-emulation: decline, letting the trap take its normal
+            # (re-injection) path.
             return False
-        if not (instr.is_load or instr.is_store):
-            return False
-        size = instr.memory_size
-        try:
-            if instr.is_load:
-                value = 0
-                for i in range(size):
-                    value |= machine.spec_bus.read(address + i, 1) << (8 * i)
-                if instr.mnemonic in ("lb", "lh", "lw"):
-                    sign = 1 << (size * 8 - 1)
-                    if value & sign:
-                        value |= U64 & ~((1 << (size * 8)) - 1)
-                hart.state.set_xreg(instr.rd, value)
-            else:
-                value = hart.state.get_xreg(instr.rs2)
-                for i in range(size):
-                    machine.spec_bus.write(
-                        address + i, 1, (value >> (8 * i)) & 0xFF
-                    )
-        except BusError:
-            # Transient device fault mid-emulation: decline, letting the
-            # trap take its normal (re-injection) path.
+        if not size:
             return False
         hart.charge(self.miralis.config.costs.fastpath_misaligned + size)
-        hart.state.pc = (mepc + 4) & U64
+        hart.state.pc = (hart.state.csr.mepc + 4) & U64
         self.emulated_misaligned += 1
-        machine.stats.annotate_last("policy-sandbox", detail="emulate:misaligned", hart=hart.hartid)
+        self.machine.stats.annotate_last("policy-sandbox", detail="emulate:misaligned", hart=hart.hartid)
         return True

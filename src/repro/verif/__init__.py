@@ -1,8 +1,9 @@
 """Lightweight formal methods for VFMs (§6).
 
-Faithful emulation (Definition 1), faithful execution (Definition 2), and
-virtual-interrupt delivery, checked by exhaustive structured enumeration
-plus property-based sampling against the executable specification.
+Faithful emulation (Definition 1), faithful execution (Definition 2),
+virtual-interrupt delivery and interrupt-routing progress, checked by
+exhaustive structured enumeration plus property-based sampling against
+the executable specification.
 """
 
 from repro.verif.emulation import (
@@ -25,6 +26,7 @@ from repro.verif.fuzz import (
 )
 from repro.verif.interrupts import run_interrupt_check
 from repro.verif.report import CheckReport, Divergence, merge_reports
+from repro.verif.routing import run_routing_check
 from repro.verif.spaces import (
     BOUNDARY_VALUES,
     address_probe_points,
@@ -60,6 +62,7 @@ __all__ = [
     "run_emulation_check",
     "run_execution_check",
     "run_interrupt_check",
+    "run_routing_check",
     "system_instruction_space",
     "vfm_step",
     "virtual_platform",

@@ -52,6 +52,7 @@ class TestCellBuilders:
         assert first == second
         assert any(k.startswith("verif:emulation:") for k in first)
         assert any(k.startswith("verif:interrupts:") for k in first)
+        assert "verif:routing:visionfive2" in first
         assert any(k.startswith("verif:execution:") for k in first)
 
     def test_fuzz_cells_cover_range_exactly(self):

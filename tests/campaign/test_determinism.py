@@ -21,6 +21,7 @@ from repro.campaign import (
     run_campaign,
     verif_cells,
 )
+from repro.verif.routing import routing_space
 
 
 def _mini_matrix():
@@ -66,9 +67,12 @@ class TestByteIdenticalAggregates:
     def test_merged_verif_totals_match_whole_space(self, aggregates):
         # Sharded chunks must add up to the un-sharded sweep sizes:
         # 64 mip selectors x 40 interrupt cases for virtual-interrupt,
-        # and the full pmp_config_space for faithful-execution.
+        # the whole routing space for interrupt-routing, and the full
+        # pmp_config_space for faithful-execution.
         reports = {r["task"]: r for r in aggregates[1]["verif"]["reports"]}
         assert reports["virtual-interrupt"]["inputs_checked"] == 64 * 40
+        assert reports["interrupt-routing"]["inputs_checked"] == sum(
+            1 for _ in routing_space())
         assert reports["faithful-execution"]["inputs_checked"] > 0
         assert reports["faithful-emulation"]["inputs_checked"] > 0
 
@@ -86,7 +90,7 @@ class TestMergedCheckReports:
     def test_order_matches_verify_output(self, aggregates):
         tasks = [r["task"] for r in aggregates[1]["verif"]["reports"]]
         assert tasks == ["faithful-emulation", "virtual-interrupt",
-                         "faithful-execution"]
+                         "interrupt-routing", "faithful-execution"]
 
     def test_merged_reports_from_results(self):
         cells = verif_cells(states=2, subspaces=("interrupts",))

@@ -14,6 +14,7 @@ import pytest
 from repro.core.miralis import Miralis
 from repro.faults import chaos
 from repro.hart.machine import Machine
+from repro.hart import stats as stats_module
 from repro.hart.stats import TRAP_LOG_CAPACITY, TrapStats
 from repro.statecopy import copy_state
 
@@ -238,14 +239,16 @@ def test_chaos_handler_counts_match_the_log(firmware, plan, monkeypatch):
 
 
 def test_runaway_chaos_cell_keeps_a_bounded_log(monkeypatch):
-    """A trap storm cut only by the dispatch budget: the ring stays at its
-    capacity while ``logged`` stays equal to the exact trap count."""
+    """A cell that logs more traps than the ring holds (here, through a
+    ring shrunk below its trap count): the ring stays at its capacity
+    while ``logged`` stays equal to the exact trap count."""
     built = _machines(monkeypatch)
-    monkeypatch.setattr(chaos, "MAX_DISPATCHES", 60_000)
-    chaos.run_chaos("opensbi", "csr-chaos", 119)
+    capacity = 64
+    monkeypatch.setattr(stats_module, "TRAP_LOG_CAPACITY", capacity)
+    assert chaos.run_chaos("opensbi", "csr-chaos", 119).ok
     stats = built[-1].stats
     assert stats.dropped > 0
-    assert len(stats.events) == TRAP_LOG_CAPACITY
+    assert len(stats.events) == capacity
     assert stats.logged == stats.total_traps
     assert sum(stats.trap_counts.values()) == stats.total_traps
     assert stats.tail(chaos.TRAP_LOG_LIMIT)[-1] is stats.last_event

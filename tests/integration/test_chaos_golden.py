@@ -16,12 +16,17 @@ three SBI ``decode-flip`` digests were re-recorded twice: when a watchdog
 rewind began restoring the annotations it used to leave behind, and when
 a retried activation began pinning its own trap for the firmware's
 annotation.  ``UNANNOTATED`` shows that only handler annotations moved.
+The four ``transient-mmio`` digests were re-recorded when a cell that
+raises began keeping its flight record; ``FLIGHT_BLANKED`` shows that
+only the flight-record fields moved.
 
-Only cells that run to an end are pinned; at this seed all 32 do.
+Every cell is pinned, including the four that end in an escaped
+exception (``error`` set): the ``transient-mmio`` cells at this seed.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 
@@ -42,7 +47,7 @@ GOLDEN = {
     "opensbi/none": "9cba293dba9f2433276c4523ca623f7dff0ec775593e9e2f61346e4b2ef94384",
     "opensbi/padded-mtvec": "6f4cadea92af20f55d8c50e6260fa20cacd9e4792fa09d394b9b2867ee352398",
     "opensbi/stall-loop": "f6e0bdee9c82348971fc4e20e97a7152bf147b6384aa982f0c22407deb6ff107",
-    "opensbi/transient-mmio": "5637df41b2c3d1467a366a9460e457aa7463099af60cb924a3c9cfc3ddcfeba4",
+    "opensbi/transient-mmio": "e352a6f45f3fed71d7dca07607d626cb5c133b537bf705a562c1dc544144df17",
     "rustsbi/csr-chaos": "9de50d7434bd53d55fda287681df9641db3de548ba36d0e1231639eb3261c153",
     "rustsbi/decode-flip": "7691aaf40446673e4e4989dc88353f3092179bffe4ccddbd40a894399a284aad",
     "rustsbi/flaky-uart": "41f777965c1f557fdb4f4d7409885c12620684b8f4617125698b1d427cf69791",
@@ -50,7 +55,7 @@ GOLDEN = {
     "rustsbi/none": "3f847ef32684c49635854bdc0bca1c480061ccc150e2b8d141d59c45f1425b35",
     "rustsbi/padded-mtvec": "878d7c1c89c4e80a339409ebd5c58ad26ed433f97f987ae3e4473633ee8c4826",
     "rustsbi/stall-loop": "ab61368855982b41c0a6f33c724f171e192f3a455f8444a87067274bd8f60744",
-    "rustsbi/transient-mmio": "817c4e33c0c251ce27a5a8018da04853c068da8e2855db61d9713db3227163ed",
+    "rustsbi/transient-mmio": "ee96fe2aea7e670263759d57508ffacea6a434a4ab58fce409aac5e0b3947021",
     "zephyr/csr-chaos": "db32ebdc3112e46a24708d5ca70c0f4f2d6c41cdedf894575ccca927d1ad1de1",
     "zephyr/decode-flip": "2c05c87546443c2086ee8ab4e39c5299892677da23c9829196add078b9cad5a8",
     "zephyr/flaky-uart": "db32ebdc3112e46a24708d5ca70c0f4f2d6c41cdedf894575ccca927d1ad1de1",
@@ -58,7 +63,7 @@ GOLDEN = {
     "zephyr/none": "db32ebdc3112e46a24708d5ca70c0f4f2d6c41cdedf894575ccca927d1ad1de1",
     "zephyr/padded-mtvec": "617b747cd46d8e6dad2044078968858d106cbb7c98bdd323e01062ad3110fbbe",
     "zephyr/stall-loop": "2e658c10ae3555afb57f855c89baf4889ea111bebcd1df340948e1c349450399",
-    "zephyr/transient-mmio": "c8ad53de3ef8187e59d1f434829ba45af526c5aba3fd068387a8bef6b0dac6d4",
+    "zephyr/transient-mmio": "a61a11a228a04920f12cd08fc1f7502f3619112beb6aba1279841eb2564b104e",
     "malicious/csr-chaos": "e0b59c3e44bf1c8042736a08dce6b09601577a359ede8ac30ce5aa4895985bcd",
     "malicious/decode-flip": "a48d6e53fffdff25cb045e6f8a0dfea87c211ed2e09a30832fc9912d33941ce8",
     "malicious/flaky-uart": "5dfde586014dbfe2b1f7f40814bea61e9eb9450203e761981beff94683db5730",
@@ -66,7 +71,7 @@ GOLDEN = {
     "malicious/none": "e86756f71eef3153e37d54a796e3fc8fb15ba7baa3bd0f991521c98ff1087902",
     "malicious/padded-mtvec": "6f69579173d9d6a1b1f28a86e6408ca317aff54633adb4877b564c176a02615a",
     "malicious/stall-loop": "9908b69fd03a6825772dce875739252cafed818bd8beba1f86be3e2c3fc69061",
-    "malicious/transient-mmio": "5637df41b2c3d1467a366a9460e457aa7463099af60cb924a3c9cfc3ddcfeba4",
+    "malicious/transient-mmio": "e352a6f45f3fed71d7dca07607d626cb5c133b537bf705a562c1dc544144df17",
 }
 
 
@@ -80,6 +85,25 @@ UNANNOTATED = {
     "opensbi/decode-flip": "a3056d6e88d7a2550e7fdb07b1c918a1c605b21aae8b3d10aa12a1f6db4aed1e",
     "rustsbi/decode-flip": "b03627934181c7340bc97ec90a49f51d5c8baf761f45ed897f7697e352c59bfb",
     "malicious/decode-flip": "6dae9eaaed02a49cf5043dfa862ab36178fb598e962b02a6b257bc8d6ac822ee",
+}
+
+
+#: The ``transient-mmio`` cells, whose ``error`` is set, mapped to their
+#: digest with the flight-record fields blanked, recorded before a cell
+#: that raises kept its flight record.  These still match, so the fix
+#: filled in the trap log, console and watchdog decisions and moved
+#: nothing else.
+FLIGHT_BLANKED = {
+    "opensbi/transient-mmio": "5637df41b2c3d1467a366a9460e457aa7463099af60cb924a3c9cfc3ddcfeba4",
+    "rustsbi/transient-mmio": "817c4e33c0c251ce27a5a8018da04853c068da8e2855db61d9713db3227163ed",
+    "zephyr/transient-mmio": "c8ad53de3ef8187e59d1f434829ba45af526c5aba3fd068387a8bef6b0dac6d4",
+    "malicious/transient-mmio": "5637df41b2c3d1467a366a9460e457aa7463099af60cb924a3c9cfc3ddcfeba4",
+}
+
+#: What a cell that raised reported before it kept its flight record.
+_NO_FLIGHT_RECORD = {
+    "trap_log": (), "trap_log_total": 0, "console": "", "recoveries": {},
+    "hart_recoveries": [], "quarantine_log": (),
 }
 
 
@@ -119,7 +143,7 @@ def chaos_digest(result, coverage: CoverageMap, machine,
 
 
 def run_cell(firmware: str, plan: str, monkeypatch,
-             annotated: bool = True) -> str:
+             annotated: bool = True, flight_record: bool = True) -> str:
     """Run one cell and digest it; the machine is caught as it is built
     (``run_chaos`` returns only its result)."""
     built: list = []
@@ -134,6 +158,8 @@ def run_cell(firmware: str, plan: str, monkeypatch,
     result = run_chaos(firmware, plan, seed=CHAOS_SEED, coverage=coverage)
     monkeypatch.setattr(Machine, "__init__", original)
     assert built, "run_chaos built no machine"
+    if not flight_record:
+        result = dataclasses.replace(result, **_NO_FLIGHT_RECORD)
     return chaos_digest(result, coverage, built[-1], annotated)
 
 
@@ -148,3 +174,10 @@ def test_rerecorded_cell_moved_only_annotations(cell, monkeypatch):
     firmware, plan = cell.split("/")
     assert run_cell(firmware, plan, monkeypatch,
                     annotated=False) == UNANNOTATED[cell]
+
+
+@pytest.mark.parametrize("cell", sorted(FLIGHT_BLANKED))
+def test_raising_cell_gained_only_its_flight_record(cell, monkeypatch):
+    firmware, plan = cell.split("/")
+    assert run_cell(firmware, plan, monkeypatch,
+                    flight_record=False) == FLIGHT_BLANKED[cell]

@@ -51,7 +51,9 @@ NOT_STATE = {
     "TrapStats": {"keep_events", "machine", "_last", "_last_by_hart", "_seq_by_hart",
                   "_injected_by_hart", "_injected_seq_by_hart"},
     "VirtContext": set(vcpu.WIRING),
-    "VirtualClint": {"machine", "clint"},
+    "VirtualClint": {"machine", "clint",
+                     # The list FastPath.timer_armed shares and captures.
+                     "timer_armed"},
     "FastPath": {"miralis", "machine", "costs"},
     "FirmwareWatchdog": {"miralis", "machine", "config",
                          "_capture_activation"},

@@ -135,6 +135,24 @@ class TestBugsAreCaught:
         assert zephyr.suite_passed() and "complete" in reason
 
 
+    def test_unowned_msi_storm(self):
+        """The runaway of chaos seed 119: an MSI no world owns (virtual
+        msip clear, fast path off) arrives while the OS runs.  Routed
+        back to the OS with the line raised and MSIE on, it re-traps
+        forever; the routing check must name that state."""
+        from repro.verif.routing import run_routing_check
+
+        with bugs.seeded("unowned_msi_storm"):
+            report = run_routing_check(task="routing")
+        assert not report.passed
+        seed_119 = [d for d in report.divergences if d.context.startswith(
+            "world=os irq=3 msip=0 MIE=0 mie=0x8 ")]
+        assert seed_119
+        for divergence in seed_119:
+            assert "offload=0 quarantined=0" in divergence.context
+            assert divergence.actual.startswith("return-os")
+
+
 class TestCleanImplementationPasses:
     """The same sweeps pass with no bug seeded (non-vacuity control)."""
 
