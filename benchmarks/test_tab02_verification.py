@@ -27,6 +27,7 @@ from repro.verif import (
     run_emulation_check,
     run_execution_check,
     run_interrupt_check,
+    run_routing_check,
     virtual_platform,
 )
 
@@ -38,6 +39,8 @@ PAPER_TIMES = {
     "CSR read": "99 s",
     "CSR write": "9 min",
     "virtual interrupt": "94 s",
+    # Not in the paper: progress of the monitor's interrupt routing.
+    "interrupt routing": "(extension)",
     "memory protection": "(§6.4)",
     "end-to-end emulation": "118 min",
 }
@@ -105,6 +108,10 @@ def _task_virtual_interrupt():
     return run_interrupt_check(PLATFORM, task="virtual interrupt")
 
 
+def _task_interrupt_routing():
+    return run_routing_check(task="interrupt routing")
+
+
 def _task_memory_protection():
     system = build_virtualized(VISIONFIVE2)
     return run_execution_check(
@@ -128,8 +135,8 @@ def _task_end_to_end():
 
 TASKS = (
     _task_mret, _task_sret, _task_wfi, _task_decoder, _task_csr_read,
-    _task_csr_write, _task_virtual_interrupt, _task_memory_protection,
-    _task_end_to_end,
+    _task_csr_write, _task_virtual_interrupt, _task_interrupt_routing,
+    _task_memory_protection, _task_end_to_end,
 )
 
 
