@@ -45,7 +45,7 @@ def test_guided_beats_blind_to_seeded_divergence(benchmark, show):
         with seeded(CANARY):
             guided = run_guided_fuzz(
                 Corpus(), seed=GUIDED_SEED, cases=CASES, length=LENGTH,
-                platform=VISIONFIVE2, wall_seconds=5.0,
+                platform=VISIONFIVE2,
             )
             blind = [
                 fuzz_scenario(seed, length=LENGTH, platform=VISIONFIVE2,

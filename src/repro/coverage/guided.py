@@ -25,8 +25,6 @@ from repro.coverage.map import CoverageMap
 from repro.spec.platform import PlatformConfig, VISIONFIVE2
 from repro.verif.fuzz import (
     ALL_ACTIONS,
-    MAX_DISPATCHES_PER_CASE,
-    WALL_SECONDS_PER_CASE,
     FuzzFinding,
     Scenario,
     canonical_steps,
@@ -104,8 +102,6 @@ def run_guided_fuzz(corpus: Corpus, *, seed: int = 0, cases: int = 50,
                     length: int = 8,
                     platform: PlatformConfig = VISIONFIVE2,
                     offload: bool = True,
-                    max_dispatches: int = MAX_DISPATCHES_PER_CASE,
-                    wall_seconds: float = WALL_SECONDS_PER_CASE,
                     ) -> GuidedFuzzResult:
     """Run ``cases`` guided mutations over (and into) ``corpus``.
 
@@ -122,7 +118,6 @@ def run_guided_fuzz(corpus: Corpus, *, seed: int = 0, cases: int = 50,
         case_cov = CoverageMap()
         finding = fuzz_scenario(
             0, length=length, platform=platform, offload=offload,
-            max_dispatches=max_dispatches, wall_seconds=wall_seconds,
             steps=steps, coverage=case_cov,
         )
         return case_cov, finding

@@ -2,11 +2,13 @@
 
 One :func:`run_chaos` call assembles a full platform, installs a seeded
 :class:`~repro.faults.injector.FaultInjector`, arms the firmware watchdog,
-and runs to completion.  The contract checked by the chaos suite is the
-robustness goal of the fault model: for every firmware × plan × seed the
-run either reaches the OS workload checkpoint or terminates through a
-*recorded* recovery decision (retry or quarantine) — never by leaking a
-Python exception out of the simulator.
+and runs to completion, bounded by
+:data:`~repro.hart.machine.CASE_DISPATCH_LIMIT` dispatches alone.  The
+contract checked by the chaos suite is the robustness goal of the fault
+model: for every firmware × plan × seed the run either reaches the OS
+workload checkpoint or terminates through a *recorded* recovery decision
+(retry or quarantine) — never by leaking a Python exception out of the
+simulator.
 
 Everything is deterministic: the injector draws from ``random.Random(seed)``
 in simulator execution order and the simulator itself has no wall-clock
@@ -21,6 +23,7 @@ from typing import Optional
 
 from repro.faults.injector import FaultInjector
 from repro.faults.plans import resolve_plan
+from repro.hart.machine import CASE_DISPATCH_LIMIT
 from repro.spec.platform import PlatformConfig, VISIONFIVE2
 
 #: Firmware payloads the chaos suite exercises.
@@ -38,12 +41,6 @@ CHAOS_PHASES = ("kernel-entry",)
 #: process boots its own system to the phase and fills the entry; every
 #: later cell for the pair restores it instead of re-simulating the boot.
 _WARM_BOOTS: dict = {}
-
-#: Budget for one chaos run.  Generous against the worst healthy plan
-#: (stall-loop burns ~140 traps across its four activations before the
-#: storm detector quarantines the firmware) yet low enough that a wedged
-#: run fails fast instead of hanging CI.
-MAX_DISPATCHES = 3_000_000
 
 #: Halt reasons that count as a clean end even without an explicit
 #: checkpoint or quarantine (normal shutdown paths).
@@ -199,7 +196,6 @@ def _build_sbi_system(platform: PlatformConfig, firmware: str,
         miralis_config=_chaos_miralis_config(platform.vendor_csrs),
         start_secondaries=smp,
     )
-    system.machine.max_dispatches = MAX_DISPATCHES
     return system, checkpoint
 
 
@@ -325,7 +321,6 @@ def _zephyr_chaos(
     )
     machine.register(zephyr)
     machine.register(miralis)
-    machine.max_dispatches = MAX_DISPATCHES
     machine.tracer = tracer
     machine.coverage = coverage
     machine.install_fault_injector(injector)
@@ -425,6 +420,7 @@ def run_chaos(
                 coverage=coverage, smp=smp, quantum=quantum, smp_seed=seed,
                 smp_jitter=smp_jitter, phase=phase,
             )
+        machine.max_dispatches = CASE_DISPATCH_LIMIT
         result.halt_reason = run()
     except Exception as exc:  # noqa: BLE001 — the whole point: no leaks
         result.error = f"{type(exc).__name__}: {exc}"

@@ -308,7 +308,6 @@ def restore(machine, checkpoint: Checkpoint) -> None:
     # injector/tracer/coverage (and each context's CSR write hook) after
     # the restore.
     machine.install_fault_injector(None)
-    machine.wall_deadline = None
     if monitor is not None:
         for vctx in monitor.vctx:
             vctx.csr_write_hook = None

@@ -19,19 +19,13 @@ import random
 from typing import Optional
 
 from repro.firmware.opensbi import OpenSbiFirmware
-from repro.hart.program import MachineHalted, ProtocolError
+from repro.hart.machine import CASE_DISPATCH_LIMIT
+from repro.hart.program import MachineHalted
 from repro.isa import constants as c
 from repro.spec.platform import PlatformConfig, VISIONFIVE2
 from repro.system import build_native, build_virtualized
 
 U64 = (1 << 64) - 1
-
-#: Per-case execution budgets: a diverging case must report its failing
-#: seed rather than hang the campaign.  The dispatch budget bounds
-#: simulated progress; the wall-clock budget bounds host time (e.g. a
-#: pathological Python-level loop that makes no dispatches).
-MAX_DISPATCHES_PER_CASE = 5_000_000
-WALL_SECONDS_PER_CASE = 20.0
 
 #: OS-level actions the fuzzer composes into scenarios.  Each entry is
 #: (name, weight); the weights roughly follow the Figure 3 mix so fuzzing
@@ -155,12 +149,10 @@ class Observation:
 
 
 def _run_scenario(scenario: Scenario, virtualized: bool,
-                  offload: bool = True,
-                  max_dispatches: int = MAX_DISPATCHES_PER_CASE,
-                  wall_seconds: float = WALL_SECONDS_PER_CASE,
-                  coverage=None) -> Observation:
-    import time
-
+                  offload: bool = True, coverage=None) -> Observation:
+    """Run one deployment of ``scenario`` under
+    :data:`~repro.hart.machine.CASE_DISPATCH_LIMIT` dispatches, so a
+    diverging case reports its seed instead of hanging the campaign."""
     observation = Observation()
     actions = scenario.actions()
 
@@ -305,24 +297,23 @@ def _run_scenario(scenario: Scenario, virtualized: bool,
     kwargs = {"offload": offload} if virtualized else {}
     system = builder(scenario.platform, firmware_class=OpenSbiFirmware,
                      workload=workload, keep_trap_events=False, **kwargs)
-    system.machine.max_dispatches = max_dispatches
-    system.machine.wall_deadline = time.monotonic() + wall_seconds
+    machine = system.machine
+    machine.max_dispatches = CASE_DISPATCH_LIMIT
     if coverage is not None:
         # One map may span both halves of a differential case; reset the
         # edge chain so no phantom cross-run edge appears.
         coverage.begin_run()
-        system.machine.coverage = coverage
+        machine.coverage = coverage
     try:
         observation.halt_reason = system.run()
     except MachineHalted as halted:
         observation.crashed = str(halted)
-    except ProtocolError as error:
-        # Step or wall-clock budget blown: the case diverged into a hang.
-        observation.crashed = f"budget: {error}"
     except Exception as error:  # a crash is itself a finding
-        observation.crashed = f"{type(error).__name__}: {error}"
-    finally:
-        system.machine.wall_deadline = None
+        if machine.dispatches > machine.max_dispatches:
+            # The case diverged into a hang.
+            observation.crashed = f"budget: {error}"
+        else:
+            observation.crashed = f"{type(error).__name__}: {error}"
     observation.console = system.console_output.split("\n", 1)[-1]
     return observation
 
@@ -387,10 +378,7 @@ def describe_finding(seed: int, offload: bool, diff: dict, steps) -> str:
 
 def fuzz_scenario(seed: int, length: int = 40,
                   platform: PlatformConfig = VISIONFIVE2,
-                  offload: bool = True,
-                  max_dispatches: int = MAX_DISPATCHES_PER_CASE,
-                  wall_seconds: float = WALL_SECONDS_PER_CASE,
-                  steps=None, coverage=None,
+                  offload: bool = True, steps=None, coverage=None,
                   ) -> Optional[FuzzFinding]:
     """Run one differential case; returns a finding or None.
 
@@ -405,12 +393,8 @@ def fuzz_scenario(seed: int, length: int = 40,
         steps=None if steps is None else canonical_steps(steps),
     )
     native = _run_scenario(scenario, virtualized=False,
-                           max_dispatches=max_dispatches,
-                           wall_seconds=wall_seconds,
                            coverage=coverage).normalized()
     virtual = _run_scenario(scenario, virtualized=True, offload=offload,
-                            max_dispatches=max_dispatches,
-                            wall_seconds=wall_seconds,
                             coverage=coverage).normalized()
     blown = any(
         obs["crashed"] is not None and obs["crashed"].startswith("budget")

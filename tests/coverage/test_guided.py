@@ -70,8 +70,7 @@ class TestMutateSteps:
 
 class TestGuidedRunDeterminism:
     def _run(self):
-        return run_guided_fuzz(Corpus(), seed=11, cases=8, length=4,
-                               wall_seconds=5.0)
+        return run_guided_fuzz(Corpus(), seed=11, cases=8, length=4)
 
     def test_same_seed_same_everything(self):
         a, b = self._run(), self._run()
@@ -81,8 +80,7 @@ class TestGuidedRunDeterminism:
 
     def test_kept_inputs_land_in_the_corpus(self):
         corpus = Corpus()
-        result = run_guided_fuzz(corpus, seed=11, cases=8, length=4,
-                                 wall_seconds=5.0)
+        result = run_guided_fuzz(corpus, seed=11, cases=8, length=4)
         assert result.kept  # something always lights up an empty map
         for digest in result.kept:
             assert digest in corpus.entries
@@ -93,8 +91,7 @@ class TestGuidedRunDeterminism:
         corpus = Corpus()
         corpus.add((("read_time", 1),))
         corpus.add((("compute", 400), ("send_ipi", 1)))
-        result = run_guided_fuzz(corpus, seed=2, cases=1, length=4,
-                                 wall_seconds=5.0)
+        result = run_guided_fuzz(corpus, seed=2, cases=1, length=4)
         assert result.replayed == 2
         # The replay pass seeds the global map, so coverage the corpus
         # already has cannot be "new" for a mutant.
@@ -108,8 +105,7 @@ class TestGuidedReachesTheCanary:
         # guided mutation does, at a deterministic case number.  The
         # pinned (seed, cases) pair is the same one BENCH_cov.json uses.
         with seeded("os_ipi_write_dropped"):
-            result = run_guided_fuzz(Corpus(), seed=3, cases=16, length=4,
-                                     wall_seconds=5.0)
+            result = run_guided_fuzz(Corpus(), seed=3, cases=16, length=4)
         assert result.first_finding_case is not None
         assert result.first_finding_case <= 16
         finding = result.findings[0]

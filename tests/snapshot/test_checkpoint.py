@@ -17,7 +17,8 @@ import json
 import pytest
 
 from repro.faults import chaos
-from repro.faults.chaos import MAX_DISPATCHES, _build_sbi_system, run_chaos
+from repro.faults.chaos import _build_sbi_system, run_chaos
+from repro.hart.machine import CASE_DISPATCH_LIMIT
 from repro.snapshot import (
     Checkpoint,
     SnapshotError,
@@ -33,7 +34,7 @@ from repro.spec.platform import VISIONFIVE2
 def _boot_system(platform=VISIONFIVE2, firmware="opensbi"):
     system, _ = _build_sbi_system(platform, firmware)
     machine = system.machine
-    machine.max_dispatches = MAX_DISPATCHES
+    machine.max_dispatches = CASE_DISPATCH_LIMIT
     reached = machine.boot_to(system.kernel.entry_point,
                               entry=system.miralis.region.base)
     assert reached, f"halted before kernel entry: {machine.halt_reason!r}"
@@ -108,7 +109,7 @@ class TestAliasSafety:
             assert capture(machine, phase="kernel-entry").digest() == digest
             # Run this consumer to the end; the next restore must not
             # observe the first consumer's execution through shared pages.
-            machine.max_dispatches = MAX_DISPATCHES
+            machine.max_dispatches = CASE_DISPATCH_LIMIT
             machine.boot()
 
     def test_restore_rejects_wrong_hart_count(self):

@@ -38,9 +38,10 @@ import json
 
 import pytest
 
-from repro.faults.chaos import MAX_DISPATCHES, _build_sbi_system
+from repro.faults.chaos import _build_sbi_system
 from repro.faults.injector import FaultInjector
 from repro.faults.plans import resolve_plan
+from repro.hart.machine import CASE_DISPATCH_LIMIT
 from repro.snapshot import Checkpoint, capture, restore
 from repro.spec.platform import VISIONFIVE2
 from repro.system import build_native, build_virtualized
@@ -117,7 +118,7 @@ def _kernel_entry_checkpoint(firmware, harts):
     platform = dataclasses.replace(VISIONFIVE2, num_harts=harts)
     system, _ = _build_sbi_system(platform, firmware)
     machine = system.machine
-    machine.max_dispatches = MAX_DISPATCHES
+    machine.max_dispatches = CASE_DISPATCH_LIMIT
     assert machine.boot_to(system.kernel.entry_point,
                            entry=system.miralis.region.base)
     return capture(machine, phase="kernel-entry")
@@ -126,7 +127,7 @@ def _kernel_entry_checkpoint(firmware, harts):
 def _faulted_boot(plan, seed, tracer=None):
     system, _ = _build_sbi_system(VISIONFIVE2, "opensbi")
     machine = system.machine
-    machine.max_dispatches = MAX_DISPATCHES
+    machine.max_dispatches = CASE_DISPATCH_LIMIT
     machine.tracer = tracer
     machine.install_fault_injector(
         FaultInjector(resolve_plan(plan, seed=seed), seed=seed))

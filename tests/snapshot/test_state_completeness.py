@@ -18,7 +18,8 @@ from collections import Counter, defaultdict, deque
 import pytest
 
 from repro.core import vcpu
-from repro.faults.chaos import MAX_DISPATCHES, _build_sbi_system
+from repro.faults.chaos import _build_sbi_system
+from repro.hart.machine import CASE_DISPATCH_LIMIT
 from repro.hart.stats import TrapEvent
 from repro.policy.ace import AcePolicy
 from repro.policy.default import DefaultPolicy
@@ -34,7 +35,7 @@ NOT_STATE = {
         "_region_bases", "_region_index", "_service_depth",
         "_resume_stacks", "max_dispatches", "hart_start_hook",
         "firmware_panic_hook", "fault_injector", "tracer", "scheduler",
-        "coverage", "world_view", "monitor", "wall_deadline",
+        "coverage", "world_view", "monitor",
         "_frequency_hz",
         # Components a checkpoint composes next to the machine's own.
         "stats", "clint", "plic", "uart", "harts",
@@ -81,7 +82,7 @@ def _booted_system():
     system, _ = _build_sbi_system(
         dataclasses.replace(VISIONFIVE2, num_harts=2), "opensbi")
     machine = system.machine
-    machine.max_dispatches = MAX_DISPATCHES
+    machine.max_dispatches = CASE_DISPATCH_LIMIT
     assert machine.boot_to(system.kernel.entry_point,
                            entry=system.miralis.region.base)
     return system

@@ -116,28 +116,58 @@ class TestFuzzerSensitivity:
 class TestExecutionBudgets:
     """A diverging case must report its seed, not hang the campaign."""
 
-    def test_dispatch_budget_reports_budget_crash(self):
-        from repro.verif.fuzz import Scenario, _run_scenario
+    def test_dispatch_budget_reports_budget_crash(self, monkeypatch):
+        from repro.verif import fuzz
 
-        scenario = Scenario(seed=0, length=10)
-        observation = _run_scenario(scenario, virtualized=True,
-                                    max_dispatches=5)
+        monkeypatch.setattr(fuzz, "CASE_DISPATCH_LIMIT", 5)
+        observation = fuzz._run_scenario(Scenario(seed=0, length=10),
+                                         virtualized=True)
         assert observation.crashed is not None
         assert observation.crashed.startswith("budget")
 
-    def test_wall_clock_budget_reports_budget_crash(self):
-        from repro.verif.fuzz import Scenario, _run_scenario
+    def test_identical_hangs_still_produce_a_finding(self, monkeypatch):
+        from repro.verif import fuzz
 
-        scenario = Scenario(seed=0, length=30)
-        observation = _run_scenario(scenario, virtualized=True,
-                                    wall_seconds=0.0)
-        assert observation.crashed is not None
-        assert observation.crashed.startswith("budget")
-
-    def test_identical_hangs_still_produce_a_finding(self):
-        finding = fuzz_scenario(0, length=10, max_dispatches=5)
+        monkeypatch.setattr(fuzz, "CASE_DISPATCH_LIMIT", 5)
+        finding = fuzz_scenario(0, length=10)
         assert finding is not None
         assert "budget" in str(finding)
 
     def test_generous_budgets_leave_clean_seeds_clean(self):
         assert fuzz_scenario(50, length=20) is None
+
+    def test_protocol_error_under_the_bound_is_not_a_budget(
+            self, monkeypatch):
+        """Only a run past its dispatch bound is a blown budget; any other
+        ProtocolError is a crash like every other exception, and the
+        same crash on both deployments is no divergence."""
+        from repro.hart.program import ProtocolError
+        from repro.os_model.kernel import KernelProgram
+        from repro.verif.fuzz import _run_scenario
+
+        def lost(self, ctx, char):
+            raise ProtocolError("program kernel re-entered at "
+                                "unexpected pc 0x0")
+
+        monkeypatch.setattr(KernelProgram, "sbi_putchar", lost)
+        observation = _run_scenario(Scenario(seed=0, length=10),
+                                    virtualized=True)
+        assert observation.crashed == (
+            "ProtocolError: program kernel re-entered at unexpected pc 0x0")
+        assert fuzz_scenario(0, length=10) is None
+
+    def test_outcomes_do_not_read_the_host_clock(self, monkeypatch):
+        """A host clock that jumps 1,000 s per read (a loaded or
+        suspended host) changes neither a fuzz verdict nor a chaos
+        cell."""
+        import itertools
+        import time
+
+        from repro.faults.chaos import run_chaos
+
+        expected = run_chaos("opensbi", "random", seed=3)
+        ticks = itertools.count()
+        monkeypatch.setattr(time, "monotonic",
+                            lambda: 1_000.0 * next(ticks))
+        assert fuzz_scenario(0, length=30) is None
+        assert run_chaos("opensbi", "random", seed=3) == expected
