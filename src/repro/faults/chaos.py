@@ -3,12 +3,12 @@
 One :func:`run_chaos` call assembles a full platform, installs a seeded
 :class:`~repro.faults.injector.FaultInjector`, arms the firmware watchdog,
 and runs to completion, bounded by
-:data:`~repro.hart.machine.CASE_DISPATCH_LIMIT` dispatches alone.  The
-contract checked by the chaos suite is the robustness goal of the fault
-model: for every firmware × plan × seed the run either reaches the OS
-workload checkpoint or terminates through a *recorded* recovery decision
-(retry or quarantine) — never by leaking a Python exception out of the
-simulator.
+:data:`~repro.hart.machine.CASE_DISPATCH_LIMIT` dispatches per hart
+alone.  The contract checked by the chaos suite is the robustness goal of
+the fault model: for every firmware × plan × seed the run either reaches
+the OS workload checkpoint or terminates through a *recorded* recovery
+decision (retry or quarantine) — never by leaking a Python exception out
+of the simulator.
 
 Everything is deterministic: the injector draws from ``random.Random(seed)``
 in simulator execution order and the simulator itself has no wall-clock
@@ -420,7 +420,7 @@ def run_chaos(
                 coverage=coverage, smp=smp, quantum=quantum, smp_seed=seed,
                 smp_jitter=smp_jitter, phase=phase,
             )
-        machine.max_dispatches = CASE_DISPATCH_LIMIT
+        machine.max_dispatches = CASE_DISPATCH_LIMIT * (harts or 1)
         result.halt_reason = run()
     except Exception as exc:  # noqa: BLE001 — the whole point: no leaks
         result.error = f"{type(exc).__name__}: {exc}"

@@ -51,12 +51,16 @@ Owner = Union[GuestProgram, "HostHandler"]
 _MAX_DISPATCHES = 200_000_000
 
 #: The only bound on one chaos cell or one run of a fuzz case, set as its
-#: ``max_dispatches``.  Measured maxima: 359 dispatches over 39,600 chaos
-#: cells (every firmware × canned plan and ``random`` at seeds 0–99 and
-#: 1, 2 and 4 harts; the canned plans at seeds 100–999 and one hart);
-#: 658 over 8,000 blind fuzz runs (seeds 0–999, lengths 40 and 64,
-#: offload on and off; about 10 per step) and 614 over 6,000 guided
-#: ones.  The limit is 30× the largest.
+#: ``max_dispatches``: a chaos cell gets it once per hart it runs, a fuzz
+#: run once plus once per 64 steps, since a run's dispatches grow with
+#: both.  Measured maxima: 359 dispatches over 39,600 chaos cells (every
+#: firmware × canned plan and ``random`` at seeds 0–99 and 1, 2 and 4
+#: harts; the canned plans at seeds 100–999 and one hart), 369 and 427
+#: at 8 and 16 harts (seeds 0–99); 658 over 8,000 blind fuzz runs (seeds
+#: 0–999, lengths 40 and 64, offload on and off; about 10 per step), 614
+#: over 6,000 guided ones, and 32,145 at length 5,000 (seeds 0–19,
+#: lengths 1,000 to 5,000, at most 6.6 per step).  20,000 is 30× the
+#: 658 of the largest 64-step run and 46× the 427 of the largest chaos cell.
 CASE_DISPATCH_LIMIT = 20_000
 
 

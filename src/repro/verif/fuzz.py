@@ -151,8 +151,9 @@ class Observation:
 def _run_scenario(scenario: Scenario, virtualized: bool,
                   offload: bool = True, coverage=None) -> Observation:
     """Run one deployment of ``scenario`` under
-    :data:`~repro.hart.machine.CASE_DISPATCH_LIMIT` dispatches, so a
-    diverging case reports its seed instead of hanging the campaign."""
+    :data:`~repro.hart.machine.CASE_DISPATCH_LIMIT` dispatches per 64
+    steps, so a diverging case reports its seed instead of hanging the
+    campaign."""
     observation = Observation()
     actions = scenario.actions()
 
@@ -298,7 +299,7 @@ def _run_scenario(scenario: Scenario, virtualized: bool,
     system = builder(scenario.platform, firmware_class=OpenSbiFirmware,
                      workload=workload, keep_trap_events=False, **kwargs)
     machine = system.machine
-    machine.max_dispatches = CASE_DISPATCH_LIMIT
+    machine.max_dispatches = CASE_DISPATCH_LIMIT * (1 + len(actions) // 64)
     if coverage is not None:
         # One map may span both halves of a differential case; reset the
         # edge chain so no phantom cross-run edge appears.

@@ -136,6 +136,12 @@ class TestExecutionBudgets:
     def test_generous_budgets_leave_clean_seeds_clean(self):
         assert fuzz_scenario(50, length=20) is None
 
+    def test_long_scenario_stays_under_the_bound(self):
+        """The bound grows with the step count: a 5,000-step case makes
+        about 32,000 dispatches on its virtualized side, past one
+        ``CASE_DISPATCH_LIMIT``, and still ends clean."""
+        assert fuzz_scenario(0, length=5000, offload=False) is None
+
     def test_protocol_error_under_the_bound_is_not_a_budget(
             self, monkeypatch):
         """Only a run past its dispatch bound is a blown budget; any other
