@@ -41,7 +41,7 @@ class TestPmpEntryBudget:
         ))
         assert results[8] == 4
         assert results[16] == 12
-        # The exposure is capped by MiralisConfig.max_virtual_pmp.
+        # The exposure is capped by repro.core.vpmp.MAX_VIRTUAL_PMP.
         assert results[64] == 16
 
     def test_too_few_entries_rejected(self, benchmark):

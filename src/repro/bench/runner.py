@@ -8,13 +8,13 @@ Every performance figure compares the same workload under:
 
 The runner assembles a fresh machine per configuration, runs the workload
 to completion, and returns comparable measurements (simulated cycles,
-trap and world-switch counts, optional per-operation latencies).
+trap and world-switch counts).
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.hart.program import GuestContext
 from repro.os_model.kernel import KernelProgram
@@ -39,7 +39,6 @@ class RunMeasurement:
     world_switches: int
     firmware_emulations: int
     fastpath_hits: int
-    op_latencies_ns: Optional[list[float]] = None
     halt_reason: str = ""
 
     @property
@@ -85,22 +84,14 @@ def run_workload(
     platform: PlatformConfig = VISIONFIVE2,
     mix: Optional[TrapMix] = None,
     operations: int = 1_000,
-    record_latencies: bool = False,
-    custom_workload: Optional[Callable] = None,
     policy_factory=None,
-    workload_name: Optional[str] = None,
 ) -> RunMeasurement:
     """Run one (configuration, workload) cell and return its measurement."""
     result_box: dict[str, WorkloadResult] = {}
 
     def workload(kernel: KernelProgram, ctx: GuestContext) -> None:
-        if custom_workload is not None:
-            result_box["result"] = custom_workload(kernel, ctx)
-        else:
-            result_box["result"] = run_trap_mix(
-                kernel, ctx, mix, operations=operations,
-                record_latencies=record_latencies,
-            )
+        result_box["result"] = run_trap_mix(kernel, ctx, mix,
+                                            operations=operations)
 
     system = build_system(
         configuration, platform, workload, policy_factory=policy_factory,
@@ -109,12 +100,10 @@ def run_workload(
     halt_reason = system.run()
     result = result_box.get("result")
     stats = system.machine.stats
-    if isinstance(result, WorkloadResult):
+    if result is not None:
         cycles = result.total_cycles
         seconds = result.simulated_seconds
         useful = result.useful_instructions
-        latencies = result.op_latencies_ns
-        name = workload_name or result.name
         # Measurement-window counts: boot-time traps excluded.
         traps = result.traps
         world_switches = result.world_switches
@@ -122,14 +111,12 @@ def run_workload(
         cycles = system.machine.cycles
         seconds = system.machine.elapsed_seconds
         useful = 0
-        latencies = None
-        name = workload_name or "custom"
         traps = stats.total_traps
         world_switches = stats.world_switches
     return RunMeasurement(
         configuration=configuration,
         platform=platform.name,
-        workload=name,
+        workload=mix.name,
         cycles=cycles,
         simulated_seconds=seconds,
         useful_instructions=useful,
@@ -137,7 +124,6 @@ def run_workload(
         world_switches=world_switches,
         firmware_emulations=stats.firmware_emulations,
         fastpath_hits=stats.fastpath_hits,
-        op_latencies_ns=latencies,
         halt_reason=halt_reason,
     )
 
@@ -146,19 +132,11 @@ def compare_configurations(
     platform: PlatformConfig,
     mix: TrapMix,
     operations: int = 1_000,
-    configurations=CONFIGURATIONS,
-    record_latencies: bool = False,
-    policy_factory=None,
 ) -> dict[str, RunMeasurement]:
     """The standard three-way comparison used by most figures."""
     return {
         configuration: run_workload(
-            configuration,
-            platform=platform,
-            mix=mix,
-            operations=operations,
-            record_latencies=record_latencies,
-            policy_factory=policy_factory,
+            configuration, platform=platform, mix=mix, operations=operations,
         )
-        for configuration in configurations
+        for configuration in CONFIGURATIONS
     }

@@ -22,8 +22,7 @@ def render_table(title: str, headers: Sequence[str],
     return "\n".join(parts)
 
 
-def render_series(title: str, series: dict[str, dict[str, float]],
-                  value_format: str = "{:.3f}") -> str:
+def render_series(title: str, series: dict[str, dict[str, float]]) -> str:
     """Grouped series (figure-style data): {group: {label: value}}."""
     labels = sorted({label for values in series.values() for label in values})
     headers = ["group"] + labels
@@ -32,7 +31,7 @@ def render_series(title: str, series: dict[str, dict[str, float]],
         rows.append(
             [group]
             + [
-                value_format.format(values[label]) if label in values else "-"
+                f"{values[label]:.3f}" if label in values else "-"
                 for label in labels
             ]
         )

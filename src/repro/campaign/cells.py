@@ -100,6 +100,12 @@ VERIF_TASK_ORDER = (
 
 _MIP_SELECTOR_COUNT = 64  # |pending patterns| in interrupt_space
 
+# Per-cell chunk sizes: emulation states, interrupt mip selectors, and
+# PMP configurations.
+_STATE_CHUNK = 4
+_SELECTOR_CHUNK = 16
+_CONFIG_CHUNK = 40
+
 
 def _verif_descriptions(states: int):
     from repro.verif import StateDescription, csr_value_space
@@ -118,11 +124,8 @@ def _execution_config_count() -> int:
     return sum(1 for _ in pmp_config_space(4))
 
 
-def verif_cells(platform: str = "visionfive2", states: int = 16,
-                subspaces: Iterable[str] = ("emulation", "interrupts",
-                                            "routing", "execution"),
-                state_chunk: int = 4, selector_chunk: int = 16,
-                config_chunk: int = 40) -> list[CampaignCell]:
+def verif_cells(platform: str = "visionfive2",
+                states: int = 16) -> list[CampaignCell]:
     """Shard the Table 2 verification sweep into cells.
 
     Chunk sizes are part of the matrix definition (they shape cell keys),
@@ -130,32 +133,28 @@ def verif_cells(platform: str = "visionfive2", states: int = 16,
     only decides who runs them.
     """
     cells = []
-    if "emulation" in subspaces:
-        for start, stop in _chunks(states, state_chunk):
-            cells.append(CampaignCell.make(
-                "verif", f"verif:emulation:{platform}:d{start:03d}-{stop:03d}",
-                subspace="emulation", platform=platform, states=states,
-                start=start, stop=stop,
-            ))
-    if "interrupts" in subspaces:
-        for start, stop in _chunks(_MIP_SELECTOR_COUNT, selector_chunk):
-            cells.append(CampaignCell.make(
-                "verif", f"verif:interrupts:{platform}:m{start:03d}-{stop:03d}",
-                subspace="interrupts", platform=platform,
-                start=start, stop=stop,
-            ))
-    if "routing" in subspaces:
+    for start, stop in _chunks(states, _STATE_CHUNK):
         cells.append(CampaignCell.make(
-            "verif", f"verif:routing:{platform}", subspace="routing",
-            platform=platform,
+            "verif", f"verif:emulation:{platform}:d{start:03d}-{stop:03d}",
+            subspace="emulation", platform=platform, states=states,
+            start=start, stop=stop,
         ))
-    if "execution" in subspaces:
-        for start, stop in _chunks(_execution_config_count(), config_chunk):
-            cells.append(CampaignCell.make(
-                "verif", f"verif:execution:{platform}:p{start:03d}-{stop:03d}",
-                subspace="execution", platform=platform,
-                start=start, stop=stop,
-            ))
+    for start, stop in _chunks(_MIP_SELECTOR_COUNT, _SELECTOR_CHUNK):
+        cells.append(CampaignCell.make(
+            "verif", f"verif:interrupts:{platform}:m{start:03d}-{stop:03d}",
+            subspace="interrupts", platform=platform,
+            start=start, stop=stop,
+        ))
+    cells.append(CampaignCell.make(
+        "verif", f"verif:routing:{platform}", subspace="routing",
+        platform=platform,
+    ))
+    for start, stop in _chunks(_execution_config_count(), _CONFIG_CHUNK):
+        cells.append(CampaignCell.make(
+            "verif", f"verif:execution:{platform}:p{start:03d}-{stop:03d}",
+            subspace="execution", platform=platform,
+            start=start, stop=stop,
+        ))
     return cells
 
 

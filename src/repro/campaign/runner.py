@@ -61,6 +61,10 @@ DEFAULT_TIMEOUT_SECONDS = 120.0
 #: when a cell has stalled.
 SIGINT_GRACE_SECONDS = 5.0
 
+#: Fresh-process retries a timed-out or crashed cell gets before it is
+#: reported as ``timeout`` (or ``error``).
+CELL_RETRIES = 1
+
 _TERMINAL = ("ok", "fail", "error", "timeout", "skipped")
 
 
@@ -178,7 +182,6 @@ def _campaign_context():
 
 def run_campaign(cells: Iterable[CampaignCell], workers: int = 1,
                  timeout: float = DEFAULT_TIMEOUT_SECONDS,
-                 retries: int = 1,
                  budget_seconds: Optional[float] = None,
                  progress: Optional[Callable[[CellResult], None]] = None,
                  handle_sigint: bool = False,
@@ -210,7 +213,7 @@ def run_campaign(cells: Iterable[CampaignCell], workers: int = 1,
         if workers <= 1:
             results = _run_serial(ordered, deadline, progress, interrupted)
         else:
-            results = _run_pool(ordered, workers, timeout, retries, deadline,
+            results = _run_pool(ordered, workers, timeout, deadline,
                                 progress, interrupted, handle_sigint)
     finally:
         if previous_handler is not None:
@@ -263,7 +266,7 @@ def _run_serial(ordered, deadline, progress, interrupted) -> list[CellResult]:
     return results
 
 
-def _run_pool(ordered, workers, timeout, retries, deadline,
+def _run_pool(ordered, workers, timeout, deadline,
               progress, interrupted, handle_sigint=False) -> list[CellResult]:
     ctx = _campaign_context()
     results_queue = ctx.Queue()
@@ -292,7 +295,7 @@ def _run_pool(ordered, workers, timeout, retries, deadline,
         cell = worker.pending[0] if worker.pending else None
         if cell is not None and cell.key == worker.current:
             attempts[cell.key] += 1
-            if attempts[cell.key] > retries:
+            if attempts[cell.key] > CELL_RETRIES:
                 worker.pending.popleft()
                 record(CellResult(
                     key=cell.key, family=cell.family, status=status,

@@ -1,10 +1,11 @@
 """Miralis configuration.
 
 Mirrors the compile-time configuration of the Rust implementation:
-fast-path offload on/off, platform CSR allow-lists, and the host-work cost
-parameters the simulator charges for Miralis's own execution (Miralis is
-host code, like the Rust binary, so its work is modelled in cycles rather
-than executed instruction-by-instruction).
+fast-path offload on/off, and the host-work cost parameters the simulator
+charges for Miralis's own execution (Miralis is host code, like the Rust
+binary, so its work is modelled in cycles rather than executed
+instruction-by-instruction).  The platform's vendor CSRs come from
+``PlatformConfig.vendor_csrs``.
 """
 
 from __future__ import annotations
@@ -44,43 +45,20 @@ class MiralisCosts:
 
 @dataclasses.dataclass(frozen=True)
 class MiralisConfig:
-    """Runtime configuration of the virtual firmware monitor."""
+    """Runtime configuration of the virtual firmware monitor.
+
+    Holds only the choices production callers make differently; fixed
+    limits are constants of ``core/vpmp.py`` and ``core/watchdog.py``.
+    """
 
     #: Fast-path offloading (§3.4).  When disabled, every OS trap is
     #: re-injected into the virtualized firmware ("Miralis no-offload").
     offload_enabled: bool = True
-    #: Vendor CSRs whose accesses are forwarded to hardware (§8.2, P550).
-    allowed_vendor_csrs: tuple = ()
     #: Cost model for Miralis host work.
     costs: MiralisCosts = dataclasses.field(default_factory=MiralisCosts)
     #: Stop the machine on policy violations (the paper's debug behaviour;
     #: production would log and return arbitrary values, §5.2).
     halt_on_violation: bool = True
-    #: Maximum virtual PMP registers exposed to the firmware; the actual
-    #: number is additionally limited by free physical entries.
-    max_virtual_pmp: int = 16
-
-    # -- firmware watchdog (fault containment & recovery) ---------------
     #: Arm the firmware watchdog: detect wedged/crashing vM-mode firmware
     #: and recover (retry, then quarantine) instead of halting.
     watchdog_enabled: bool = False
-    #: Traps the firmware may take during one activation (boot, or one
-    #: injected trap) before it is declared wedged.
-    vm_trap_budget: int = 20_000
-    #: Identical firmware faults tolerated within one activation before
-    #: declaring a livelock: memory faults on one mtval (a PMP/access-fault
-    #: loop), or exception traps repeating one (mcause, mepc, mtval) with
-    #: only the trapping instruction retired in between (a trap storm).
-    max_fault_repeats: int = 16
-    #: Nested virtual trap injections (trap during trap handling) before
-    #: declaring a double-trap cascade.
-    max_nested_traps: int = 8
-    #: Consecutive failed activations before the firmware is quarantined
-    #: and Miralis serves default SBI responses itself.
-    max_firmware_retries: int = 3
-    #: Cycle cost charged for the first retry; doubles per attempt
-    #: (bounded exponential backoff).
-    retry_backoff_cycles: int = 10_000
-    #: Policy violations tolerated within one activation (watchdog mode
-    #: neutralizes violations instead of halting).
-    max_violations_per_activation: int = 16

@@ -95,9 +95,7 @@ class Miralis:
         machine.world_view = self.world
         machine.monitor = self
         self.vclint = VirtualClint(machine)
-        self.vpmp = PmpVirtualizer(
-            machine, region, config, policy.num_pmp_entries()
-        )
+        self.vpmp = PmpVirtualizer(machine, region, policy.num_pmp_entries())
         for vctx in self.vctx:
             vctx.virtual_pmp_count = self.vpmp.virtual_count
         self.switcher = WorldSwitcher(self)
@@ -107,7 +105,7 @@ class Miralis:
         self._policy_initialized = False
         machine.hart_start_hook = self._start_hart_in_os
         self.watchdog = (
-            FirmwareWatchdog(self, config) if config.watchdog_enabled else None
+            FirmwareWatchdog(self) if config.watchdog_enabled else None
         )
         if self.watchdog is not None:
             machine.firmware_panic_hook = self.watchdog.on_panic

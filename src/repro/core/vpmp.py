@@ -41,6 +41,10 @@ _FIRMWARE = World.FIRMWARE
 _L = c.PMP_L
 _A_MASK = c.PMP_A_MASK
 
+#: Maximum virtual PMP registers exposed to the firmware; the actual
+#: number is additionally limited by free physical entries.
+MAX_VIRTUAL_PMP = 16
+
 
 def napot_power_of_two_cover(base: int, size: int) -> int:
     """NAPOT pmpaddr covering [base, base+size) (rounded up to a power of 2)."""
@@ -54,16 +58,13 @@ def napot_power_of_two_cover(base: int, size: int) -> int:
 class PmpVirtualizer:
     """Computes and installs the multiplexed physical PMP configuration."""
 
-    def __init__(self, machine, miralis_region: Region, miralis_config,
-                 policy_entries: int):
+    def __init__(self, machine, miralis_region: Region, policy_entries: int):
         self.machine = machine
         self.miralis_region = miralis_region
-        self.config = miralis_config
         self.policy_entry_count = policy_entries
         count = machine.config.pmp_count
         reserved = 2 + policy_entries + 2  # guards + policy + zero + all-mem
-        self.virtual_count = max(0, min(count - reserved,
-                                        miralis_config.max_virtual_pmp))
+        self.virtual_count = max(0, min(count - reserved, MAX_VIRTUAL_PMP))
         if count and self.virtual_count == 0 and count < reserved:
             raise ValueError(
                 f"platform has {count} PMP entries; {reserved} reserved — "

@@ -14,7 +14,7 @@ the firmware it hosts is buggy or hostile.  The watchdog supplies the
   at the start of every activation; on failure it is restored and the
   activation retried with bounded exponential backoff (charged as host
   cycles).
-* **Quarantine** — after ``max_firmware_retries`` consecutive failures
+* **Quarantine** — after :data:`MAX_FIRMWARE_RETRIES` consecutive failures
   the firmware is quarantined: Miralis stops entering vM-mode and serves
   default SBI responses itself so the OS can keep running (or shut down
   cleanly).
@@ -41,14 +41,37 @@ _INTERRUPT_BIT = c.INTERRUPT_BIT
 #: taken from M-mode belongs to the S-mode OS; MPP=2 is reserved.
 _OS_MODE_BY_MPP = (c.U_MODE, c.S_MODE, None, c.S_MODE)
 
+# Detection and recovery limits.  Chaos runs, the one production caller
+# that arms the watchdog, use exactly these values.
+
+#: Traps the firmware may take during one activation (boot, or one
+#: injected trap) before it is declared wedged.
+VM_TRAP_BUDGET = 2_000
+#: Identical firmware faults tolerated within one activation before
+#: declaring a livelock: memory faults on one mtval (a PMP/access-fault
+#: loop), or exception traps repeating one (mcause, mepc, mtval) with
+#: only the trapping instruction retired in between (a trap storm).
+MAX_FAULT_REPEATS = 16
+#: Nested virtual trap injections (trap during trap handling) before
+#: declaring a double-trap cascade.
+MAX_NESTED_TRAPS = 8
+#: Consecutive failed activations before the firmware is quarantined
+#: and Miralis serves default SBI responses itself.
+MAX_FIRMWARE_RETRIES = 3
+#: Cycle cost charged for the first retry; doubles per attempt
+#: (bounded exponential backoff).
+RETRY_BACKOFF_CYCLES = 10_000
+#: Policy violations tolerated within one activation (watchdog mode
+#: neutralizes violations instead of halting).
+MAX_VIOLATIONS_PER_ACTIVATION = 16
+
 
 class FirmwareWatchdog:
     """Per-hart failure detection and graceful recovery for vM-mode."""
 
-    def __init__(self, miralis, config):
+    def __init__(self, miralis):
         self.miralis = miralis
         self.machine = miralis.machine
-        self.config = config
         # Imported here, not at module level: ``repro.snapshot`` loads the
         # checkpoint store, which a run without a watchdog (the trap-mix
         # benchmarks) must not pay for at start-up.
@@ -223,11 +246,11 @@ class FirmwareWatchdog:
         repeat: the firmware re-ran the faulting instruction and nothing
         else (this model counts a trapping instruction in ``instret``).
         Any other trap, an interrupt included, resets the count;
-        ``max_fault_repeats`` repeats in one activation are a storm.
+        :data:`MAX_FAULT_REPEATS` repeats in one activation are a storm.
         """
         hartid = hart.hartid
         self._vm_traps[hartid] += 1
-        if self._vm_traps[hartid] > self.config.vm_trap_budget:
+        if self._vm_traps[hartid] > VM_TRAP_BUDGET:
             self.count(hartid, "detect:trap-budget")
             self.recover(hart, vctx, "vM-mode trap budget exhausted")
         if mcause & _INTERRUPT_BIT:
@@ -237,7 +260,7 @@ class FirmwareWatchdog:
         instret = hart.instret
         if self._storm_next[hartid] == (mcause, mepc, mtval, instret):
             self._storm_repeats[hartid] += 1
-            if self._storm_repeats[hartid] >= self.config.max_fault_repeats:
+            if self._storm_repeats[hartid] >= MAX_FAULT_REPEATS:
                 self.count(hartid, "detect:trap-storm")
                 self.recover(
                     hart, vctx,
@@ -251,7 +274,7 @@ class FirmwareWatchdog:
     def note_injection(self, hart, vctx) -> None:
         hartid = hart.hartid
         self._inject_depth[hartid] += 1
-        if self._inject_depth[hartid] > self.config.max_nested_traps:
+        if self._inject_depth[hartid] > MAX_NESTED_TRAPS:
             self.count(hartid, "detect:double-trap")
             self.recover(hart, vctx, "virtual double-trap cascade")
 
@@ -267,7 +290,7 @@ class FirmwareWatchdog:
         else:
             self._last_fault_tval[hartid] = mtval
             self._fault_repeats[hartid] = 1
-        if self._fault_repeats[hartid] >= self.config.max_fault_repeats:
+        if self._fault_repeats[hartid] >= MAX_FAULT_REPEATS:
             self.count(hartid, "detect:fault-loop")
             self.recover(
                 hart, vctx,
@@ -277,7 +300,7 @@ class FirmwareWatchdog:
     def note_violation(self, hart, vctx, message: str) -> None:
         hartid = hart.hartid
         self._violations[hartid] += 1
-        if self._violations[hartid] >= self.config.max_violations_per_activation:
+        if self._violations[hartid] >= MAX_VIOLATIONS_PER_ACTIVATION:
             self.count(hartid, "detect:violation-storm")
             self.recover(hart, vctx, f"policy violation storm ({message})")
 
@@ -328,13 +351,13 @@ class FirmwareWatchdog:
         attempt = self.consecutive_failures[hartid]
         snapshot = self._snapshots[hartid]
         pending = self._pending[hartid]
-        if (attempt > self.config.max_firmware_retries
+        if (attempt > MAX_FIRMWARE_RETRIES
                 or snapshot is None or pending is None):
             self._quarantine(hart, vctx, reason)
         # Bounded exponential backoff, charged as monitor host work.
         self.count(hartid, "retries")
         self._trace(hartid, "retry", reason, attempt=attempt)
-        backoff = self.config.retry_backoff_cycles * (1 << (attempt - 1))
+        backoff = RETRY_BACKOFF_CYCLES * (1 << (attempt - 1))
         self.miralis._charge_host(hart, backoff)
         self._activation_restore(hart, vctx, snapshot)
         # Annotate *after* the restore: the rewind truncated the abandoned

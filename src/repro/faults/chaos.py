@@ -123,15 +123,13 @@ class ChaosResult:
         return "\n".join(lines)
 
 
-def _chaos_miralis_config(vendor_csrs) -> "object":
+def _chaos_miralis_config() -> "object":
     from repro.core.config import MiralisConfig
 
     return MiralisConfig(
         offload_enabled=False,
         watchdog_enabled=True,
         halt_on_violation=False,
-        vm_trap_budget=2_000,
-        allowed_vendor_csrs=tuple(vendor_csrs),
     )
 
 
@@ -193,7 +191,7 @@ def _build_sbi_system(platform: PlatformConfig, firmware: str,
             extra_allowed_regions=[(platform.uart_base, 0x100)]
         ),
         firmware_kwargs=firmware_kwargs,
-        miralis_config=_chaos_miralis_config(platform.vendor_csrs),
+        miralis_config=_chaos_miralis_config(),
         start_secondaries=smp,
     )
     return system, checkpoint
@@ -316,7 +314,7 @@ def _zephyr_chaos(
         machine=machine,
         region=regions["miralis"],
         firmware=zephyr,
-        config=_chaos_miralis_config(platform.vendor_csrs),
+        config=_chaos_miralis_config(),
         policy=DefaultPolicy(),
     )
     machine.register(zephyr)

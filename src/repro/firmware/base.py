@@ -45,6 +45,10 @@ DEFAULT_MEDELEG = (
 # vendor firmware does (and Miralis hard-wires).
 DEFAULT_MIDELEG = c.SIP_MASK
 
+# a1 at the S-mode handoff: the device-tree address.  The modelled kernel
+# reads no device tree, so it is 0.
+DTB_ADDRESS = 0
+
 
 class FirmwarePanic(Exception):
     """The firmware hit a state it cannot handle (bug or attack)."""
@@ -76,12 +80,10 @@ class BaseFirmware(GuestProgram):
         region: Region,
         machine: "Machine",
         kernel_entry: Optional[int] = None,
-        dtb_address: int = 0,
     ):
         super().__init__(name, region)
         self.machine = machine
         self.kernel_entry = kernel_entry
-        self.dtb_address = dtb_address
         self.hsm_states = [sbi.HSM_STOPPED] * machine.config.num_harts
         self.sbi_counts: Counter[str] = Counter()
         self.unexpected_traps: list[int] = []
@@ -132,7 +134,7 @@ class BaseFirmware(GuestProgram):
             return
         self.load_next_stage(ctx)
         self.hsm_states[hartid] = sbi.HSM_STARTED
-        self.enter_supervisor(ctx, self.kernel_entry, hartid, self.dtb_address)
+        self.enter_supervisor(ctx, self.kernel_entry, hartid, DTB_ADDRESS)
 
     def platform_init(self, ctx: GuestContext, hartid: int) -> None:
         """Vendor-specific hardware bring-up (overridden by subclasses)."""

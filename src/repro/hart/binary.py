@@ -33,12 +33,10 @@ class BinaryProgram(GuestProgram):
     #: Upper bound on executed instructions per dispatch (runaway guard).
     MAX_STEPS = 200_000
 
-    def __init__(self, name: str, region: Region, machine,
-                 image: bytes, entry_offset: int = 0):
+    def __init__(self, name: str, region: Region, machine, image: bytes):
         super().__init__(name, region)
         self.machine = machine
         self.image = bytes(image)
-        self.entry_offset = entry_offset
         self.steps = 0
         self.ebreak_hit = False
         machine.ram.load_image(region.base, self.image)

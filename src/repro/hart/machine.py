@@ -63,6 +63,10 @@ _MAX_DISPATCHES = 200_000_000
 #: 658 of the largest 64-step run and 46× the 427 of the largest chaos cell.
 CASE_DISPATCH_LIMIT = 20_000
 
+#: Dispatches a started secondary hart may take to park itself outside
+#: the SMP scheduler before the start counts as a protocol error.
+_PARK_DISPATCH_LIMIT = 100_000
+
 
 class _UnwindToResume(Exception):
     """Control reached a resume point of an outer ``run_until`` level."""
@@ -318,12 +322,12 @@ class Machine:
         finally:
             stack.pop()
 
-    def boot(self, hart_index: int = 0, entry: Optional[int] = None) -> str:
-        """Start execution on a hart and run until the machine halts.
+    def boot(self, entry: Optional[int] = None) -> str:
+        """Start execution on hart 0 and run until the machine halts.
 
         Returns the halt reason.
         """
-        hart = self.harts[hart_index]
+        hart = self.harts[0]
         if entry is not None:
             hart.state.pc = entry
         try:
@@ -336,9 +340,8 @@ class Machine:
             pass
         return self.halt_reason or "halted"
 
-    def boot_to(self, stop_pc: int, hart_index: int = 0,
-                entry: Optional[int] = None) -> bool:
-        """Run like :meth:`boot` until ``hart``'s pc first equals ``stop_pc``
+    def boot_to(self, stop_pc: int, entry: Optional[int] = None) -> bool:
+        """Run like :meth:`boot` until hart 0's pc first equals ``stop_pc``
         *at the top-level dispatch loop*.
 
         This is the machine's named-phase boundary: the moment before a
@@ -348,7 +351,7 @@ class Machine:
         True when the phase was reached, False when the machine halted
         first (the caller reads ``halt_reason``).
         """
-        hart = self.harts[hart_index]
+        hart = self.harts[0]
         if entry is not None:
             hart.state.pc = entry
         try:
@@ -421,7 +424,7 @@ class Machine:
         self.halt(reason)
         raise MachineHalted(reason)
 
-    def run_hart_until_parked(self, hart: Hart, max_dispatches: int = 100_000) -> None:
+    def run_hart_until_parked(self, hart: Hart) -> None:
         """Run a (secondary) hart until it parks itself (HSM hart_start)."""
         if self.scheduler is not None:
             # SMP flow: the started hart becomes schedulable and boots
@@ -429,7 +432,7 @@ class Machine:
             # parking point on the caller's stack.
             self.scheduler.start_hart(hart)
             return
-        for _ in range(max_dispatches):
+        for _ in range(_PARK_DISPATCH_LIMIT):
             if hart.parked_pc is not None or self.halted:
                 return
             try:

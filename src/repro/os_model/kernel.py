@@ -22,6 +22,9 @@ Workload = Callable[["KernelProgram", GuestContext], None]
 
 SECONDARY_ENTRY_OFFSET = 0x40
 
+#: Scheduler tick period: 1 ms at the 4 MHz timebase.
+TICK_INTERVAL_MTIME = 4_000
+
 
 class KernelProgram(GuestProgram):
     """The supervisor OS: boots, starts secondary harts, runs a workload."""
@@ -33,7 +36,6 @@ class KernelProgram(GuestProgram):
         machine,
         workload: Optional[Workload] = None,
         start_secondaries: bool = False,
-        tick_interval_mtime: int = 4_000,  # 1 ms at the 4 MHz timebase
         secondary_workload: Optional[Workload] = None,
     ):
         super().__init__(name, region)
@@ -44,7 +46,6 @@ class KernelProgram(GuestProgram):
         #: parks — only meaningful under the SMP scheduler, where the
         #: secondary executes interleaved with its siblings.
         self.secondary_workload = secondary_workload
-        self.tick_interval_mtime = tick_interval_mtime
         self.timer_ticks = 0
         self.software_interrupts = 0
         self.external_interrupts = 0
@@ -149,7 +150,7 @@ class KernelProgram(GuestProgram):
             self._start_secondary_harts(ctx)
         # Arm the scheduler tick.
         now = self.read_time(ctx)
-        self.sbi_set_timer(ctx, now + self.tick_interval_mtime)
+        self.sbi_set_timer(ctx, now + TICK_INTERVAL_MTIME)
         if self.workload is not None:
             self.workload(self, ctx)
         self.shutdown(ctx)
@@ -219,4 +220,4 @@ class KernelProgram(GuestProgram):
     def arm_timer_tick(self, ctx: GuestContext) -> None:
         now = self.read_time(ctx)
         ctx.csrs(c.CSR_SIE, c.MIP_STIP)
-        self.sbi_set_timer(ctx, now + self.tick_interval_mtime)
+        self.sbi_set_timer(ctx, now + TICK_INTERVAL_MTIME)

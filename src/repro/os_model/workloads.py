@@ -273,8 +273,20 @@ def run_trap_mix(
 #: SBI all-harts mask base (-1 as u64).
 ALL_HARTS = (1 << 64) - 1
 
+#: Delivery points a hart polls for an awaited interrupt before giving
+#: up, so a dropped interrupt fails the workload instead of hanging it.
+SPIN_LIMIT = 2_000
+#: Ping-pong rounds over every secondary hart.
+PINGPONG_ROUNDS = 4
+#: All-harts ``fence.i`` requests per hart in the remote-fence storm.
+RFENCE_ROUNDS = 12
+#: Timer deadlines each hart arms in the contention workload, and the
+#: distance of each in mtime ticks.
+CONTENTION_TICKS = 3
+CONTENTION_INTERVAL_MTIME = 60
 
-def smp_ipi_pingpong(rounds: int = 4, spin_limit: int = 2_000):
+
+def smp_ipi_pingpong():
     """IPI ping-pong: hart 0 pings each secondary in turn; the
     secondary's SSI handler answers with an IPI back to hart 0
     (``kernel.ipi_pong_target``).  Exercises the IPI fast path in both
@@ -286,14 +298,13 @@ def smp_ipi_pingpong(rounds: int = 4, spin_limit: int = 2_000):
     def primary(kernel: KernelProgram, ctx: GuestContext) -> None:
         kernel.ipi_pong_target = 0
         num_harts = kernel.machine.config.num_harts
-        for _ in range(rounds):
+        for _ in range(PINGPONG_ROUNDS):
             for target in range(1, num_harts):
                 before = kernel.ssi_by_hart[0]
                 kernel.sbi_send_ipi(ctx, 1 << target, 0)
                 spins = 0
-                # Delivery points until the pong lands (bounded so a
-                # dropped IPI fails the workload instead of hanging it).
-                while kernel.ssi_by_hart[0] == before and spins < spin_limit:
+                # Delivery points until the pong lands.
+                while kernel.ssi_by_hart[0] == before and spins < SPIN_LIMIT:
                     ctx.compute(50)
                     spins += 1
         kernel.ipi_pong_target = None
@@ -301,34 +312,33 @@ def smp_ipi_pingpong(rounds: int = 4, spin_limit: int = 2_000):
     return primary, None
 
 
-def smp_rfence_storm(rounds: int = 12):
+def smp_rfence_storm():
     """Remote-fence storm: every hart hammers all-harts ``fence.i``
     requests concurrently, so each hart both sends fences and services
     the resulting IPIs from its siblings."""
 
     def body(kernel: KernelProgram, ctx: GuestContext) -> None:
-        for _ in range(rounds):
+        for _ in range(RFENCE_ROUNDS):
             kernel.sbi_remote_fence_i(ctx, 0, ALL_HARTS)
             ctx.compute(200)  # delivery points for incoming fence IPIs
 
     return body, body
 
 
-def smp_timer_contention(ticks: int = 3, interval_mtime: int = 60,
-                         spin_limit: int = 2_000):
+def smp_timer_contention():
     """Timer contention: each hart arms its own short deadlines against
     the shared mtime and busy-waits for its tick, so per-hart comparators
     race on a common clock."""
 
     def body(kernel: KernelProgram, ctx: GuestContext) -> None:
         hartid = ctx.hart.hartid
-        for _ in range(ticks):
+        for _ in range(CONTENTION_TICKS):
             before = kernel.ticks_by_hart[hartid]
             now = kernel.read_time(ctx)
             ctx.csrs(c.CSR_SIE, c.MIP_STIP)
-            kernel.sbi_set_timer(ctx, now + interval_mtime)
+            kernel.sbi_set_timer(ctx, now + CONTENTION_INTERVAL_MTIME)
             spins = 0
-            while kernel.ticks_by_hart[hartid] == before and spins < spin_limit:
+            while kernel.ticks_by_hart[hartid] == before and spins < SPIN_LIMIT:
                 ctx.compute(100)
                 spins += 1
 
@@ -344,18 +354,21 @@ SMP_WORKLOADS = {
 }
 
 
+#: Instructions between scheduler ticks in :func:`run_compute_workload`.
+COMPUTE_CHUNK = 50_000
+
+
 def run_compute_workload(
     kernel: KernelProgram,
     ctx: GuestContext,
     instructions: int,
-    chunk: int = 50_000,
 ) -> WorkloadResult:
     """A pure-compute workload (GCC-style), with only scheduler ticks."""
     machine = kernel.machine
     result = WorkloadResult(name="compute", start_cycles=machine.cycles)
     remaining = instructions
     while remaining > 0:
-        block = min(chunk, remaining)
+        block = min(COMPUTE_CHUNK, remaining)
         ctx.compute(block)
         result.useful_instructions += block
         remaining -= block

@@ -193,8 +193,8 @@ class SmpScheduler:
     # The scheduling loop
     # ------------------------------------------------------------------
 
-    def boot(self, entry: Optional[int] = None, hart_index: int = 0) -> str:
-        """Boot ``hart_index`` at ``entry`` and schedule until halt.
+    def boot(self, entry: Optional[int] = None) -> str:
+        """Boot hart 0 at ``entry`` and schedule until halt.
 
         Returns the halt reason; re-raises the first exception a hart
         thread leaked (matching ``Machine.boot`` semantics).
@@ -202,7 +202,7 @@ class SmpScheduler:
         machine = self.machine
         if machine.scheduler is not self:
             machine.scheduler = self
-        self._launch(hart_index, entry)
+        self._launch(0, entry)
         try:
             self._loop()
         finally:

@@ -170,10 +170,7 @@ def build_virtualized(
         **(firmware_kwargs or {}),
     )
     if miralis_config is None:
-        miralis_config = MiralisConfig(
-            offload_enabled=offload,
-            allowed_vendor_csrs=tuple(config.vendor_csrs),
-        )
+        miralis_config = MiralisConfig(offload_enabled=offload)
     miralis = Miralis(
         machine=machine,
         region=regions["miralis"],

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from typing import Optional
 
 from repro.trace.metrics import ratio_gauges
 
@@ -67,7 +66,7 @@ def _instant(event, name: str, cat: str) -> dict:
     }
 
 
-def to_chrome_trace(tracer, meta: Optional[dict] = None) -> dict:
+def to_chrome_trace(tracer) -> dict:
     """Render a tracer's ring into a Chrome trace document."""
     trace_events: list[dict] = []
     pending: dict[int, object] = {}
@@ -131,8 +130,6 @@ def to_chrome_trace(tracer, meta: Optional[dict] = None) -> dict:
             for reason, events in tracer.quarantine_dumps
         ],
     }
-    if meta:
-        other.update(meta)
     return {
         "traceEvents": trace_events,
         "displayTimeUnit": "ns",
@@ -140,9 +137,9 @@ def to_chrome_trace(tracer, meta: Optional[dict] = None) -> dict:
     }
 
 
-def dump_trace(tracer, path, meta: Optional[dict] = None) -> dict:
+def dump_trace(tracer, path) -> dict:
     """Write the Chrome trace JSON to ``path``; returns the document."""
-    doc = to_chrome_trace(tracer, meta=meta)
+    doc = to_chrome_trace(tracer)
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(doc, handle, indent=1, default=str)
         handle.write("\n")

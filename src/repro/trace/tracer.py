@@ -27,6 +27,7 @@ numbers stay exact even after the buffer wraps on a long run.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter, deque
 from typing import Optional
 
@@ -47,10 +48,10 @@ KINDS = (
     "watchdog",      # watchdog state transition (detect/retry/quarantine)
 )
 
-#: Default ring capacity.  Sized so a full boot (a few thousand events)
-#: never wraps — required for the event-counts == trap-counters check —
-#: while bounding memory on chaos campaigns.
-DEFAULT_CAPACITY = 65536
+#: Ring capacity.  Sized so a full boot (a few thousand events) never
+#: wraps — required for the event-counts == trap-counters check — while
+#: bounding memory on chaos campaigns.
+RING_CAPACITY = 65536
 
 #: Events preserved by a quarantine dump (the "flight recorder" tail).
 QUARANTINE_TAIL = 64
@@ -84,11 +85,10 @@ class TraceEvent:
 class Tracer:
     """Bounded event recorder plus the metrics fed by trap pairing."""
 
-    def __init__(self, capacity: int = DEFAULT_CAPACITY):
-        self.capacity = capacity
+    def __init__(self):
         #: Raw records ``(seq, kind, hart, mtime, instret, args)``; use
         #: :meth:`events` for the materialized :class:`TraceEvent` view.
-        self.ring: deque[tuple] = deque(maxlen=capacity)
+        self.ring: deque[tuple] = deque(maxlen=RING_CAPACITY)
         self._ring_append = self.ring.append
         # Per-kind counters.  The three kinds on the per-trap path get
         # scalar counters (or are derived: trap-entry == sum of causes);
@@ -251,11 +251,9 @@ class Tracer:
         return self._materialize(self.ring)
 
     def tail(self, n: int) -> list[TraceEvent]:
-        if n <= 0:
-            return []
-        ring = self.ring
-        start = len(ring) - n if len(ring) > n else 0
-        return self._materialize(list(ring)[start:])
+        """The last ``n`` events still in the ring, oldest first."""
+        return self._materialize(
+            list(itertools.islice(reversed(self.ring), n))[::-1])
 
     def tail_tuples(self, n: int) -> list[tuple]:
         """The last ``n`` events as plain JSON-stable tuples.
@@ -267,11 +265,10 @@ class Tracer:
         """
         return [event.to_tuple() for event in self.tail(n)]
 
-    def note_quarantine(self, reason: str,
-                        tail: Optional[int] = None) -> None:
+    def note_quarantine(self, reason: str) -> None:
         """Snapshot the last-N events leading up to a quarantine."""
-        count = QUARANTINE_TAIL if tail is None else tail
-        self.quarantine_dumps.append((reason, tuple(self.tail(count))))
+        self.quarantine_dumps.append(
+            (reason, tuple(self.tail(QUARANTINE_TAIL))))
 
     # -- epochs (watchdog restore / checkpoint rewind) --------------------
 

@@ -16,7 +16,7 @@ registers with the monitor's install function, and use the reference
 from __future__ import annotations
 
 import time
-from typing import Iterable, Optional
+from typing import Iterable
 
 from repro.core.vcpu import VirtContext, World
 from repro.isa import constants as c
@@ -120,7 +120,6 @@ def check_pmp_configuration(
 def run_execution_check(
     system,
     pmp_configs: Iterable[tuple[list[int], list[int]]],
-    addresses: Optional[list[int]] = None,
     task: str = "faithful-execution",
 ) -> CheckReport:
     """Sweep virtual PMP configurations through install + pmpCheck compare.
@@ -132,7 +131,7 @@ def run_execution_check(
     miralis = system.miralis
     hart = system.machine.harts[0]
     vctx = miralis.vctx[0]
-    probe = addresses or address_probe_points(system.machine.config)
+    probe = address_probe_points(system.machine.config)
     report = CheckReport(task=task)
     start = time.perf_counter()
     for cfg, addr in pmp_configs:

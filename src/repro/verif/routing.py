@@ -67,12 +67,12 @@ class IrqInputs(NamedTuple):
     quarantined: bool
 
 
-def routing_space(worlds=(World.FIRMWARE, World.OS)) -> Iterator[IrqInputs]:
+def routing_space() -> Iterator[IrqInputs]:
     """Every routing input that can reach the monitor (module docstring)."""
     m_enables = range(8)  # MSIE, MTIE, MEIE in every combination
     for world, irq, mstatus_mie, m_bits, s_level, msip, meip, timer, \
             offload, quarantined in itertools.product(
-                worlds, ROUTED_IRQS, (False, True), m_enables, _S_LEVEL,
+                (World.FIRMWARE, World.OS), ROUTED_IRQS, (False, True), m_enables, _S_LEVEL,
                 (False, True), (False, True), _TIMERS, (False, True),
                 (False, True)):
         if irq == c.IRQ_MEI and not meip:
@@ -103,12 +103,11 @@ def describe(s: IrqInputs) -> str:
     )
 
 
-def run_routing_check(task: str = "interrupt-routing",
-                      worlds=(World.FIRMWARE, World.OS)) -> CheckReport:
+def run_routing_check(task: str = "interrupt-routing") -> CheckReport:
     """Check progress for every input in :func:`routing_space`."""
     report = CheckReport(task=task)
     start = time.perf_counter()
-    for inputs in routing_space(worlds):
+    for inputs in routing_space():
         action, target, mie = route_interrupt(*inputs)
         report.inputs_checked += 1
         if action in ACKING:

@@ -124,13 +124,18 @@ def system_instruction_space() -> Iterator[Instruction]:
     yield Instruction("fence.i")
 
 
-def pmp_config_space(entries: int, seed: int = 7) -> Iterator[tuple[list[int], list[int]]]:
+#: Seed of the random multi-entry part of :func:`pmp_config_space`; the
+#: faithful-execution cell keys index into that fixed sequence.
+_PMP_CONFIG_SEED = 7
+
+
+def pmp_config_space(entries: int) -> Iterator[tuple[list[int], list[int]]]:
     """(pmpcfg bytes, pmpaddr values) samples over ``entries`` entries.
 
     Covers every addressing mode, permission combination (including the
     reserved W=1/R=0), locks, and TOR chains.
     """
-    rng = random.Random(seed)
+    rng = random.Random(_PMP_CONFIG_SEED)
     modes = [int(m) << c.PMP_A_SHIFT for m in c.PmpAddressMode]
     perms = [0, c.PMP_R, c.PMP_R | c.PMP_W, c.PMP_R | c.PMP_X,
              c.PMP_R | c.PMP_W | c.PMP_X, c.PMP_W]  # includes reserved W-only
@@ -154,13 +159,13 @@ def pmp_config_space(entries: int, seed: int = 7) -> Iterator[tuple[list[int], l
         yield cfg, addr
 
 
-def address_probe_points(machine_config, extra: Iterable[int] = ()) -> list[int]:
+def address_probe_points(machine_config) -> list[int]:
     """Addresses at which faithful execution is checked.
 
     Includes region boundaries (the off-by-one habitat) and interior
     points of RAM and each device window.
     """
-    points = set(extra)
+    points = set()
     interesting = [
         machine_config.ram_base,
         machine_config.ram_base + 0x1000,

@@ -71,8 +71,7 @@ class TestTimeoutAndRetry:
         # structured "timeout" — all while the rest of the shard runs.
         hung = stall_cells(1, 30.0, label="hang")
         quick = _cells("fine", 3)
-        campaign = run_campaign(hung + quick, workers=2, timeout=0.5,
-                                retries=1)
+        campaign = run_campaign(hung + quick, workers=2, timeout=0.5)
         by_key = {r.key: r for r in campaign.results}
         result = by_key["stall:hang:000"]
         assert result.status == "timeout"
@@ -85,7 +84,7 @@ class TestTimeoutAndRetry:
         # Wall time bounds: ~timeout * (retries + 1) + slack, never the
         # 30 s the hung cell would take.
         campaign = run_campaign(stall_cells(1, 30.0, label="wall"),
-                                workers=2, timeout=0.4, retries=1)
+                                workers=2, timeout=0.4)
         assert campaign.wall_seconds < 10.0
         assert campaign.results[0].status == "timeout"
 

@@ -91,11 +91,12 @@ class TestInProcessDrain:
 
 
 class TestStalledCellDrain:
-    def test_drain_stops_a_stalled_cell_after_the_grace(self):
+    def test_drain_stops_a_stalled_cell_after_the_grace(self, monkeypatch):
         """Red-first: the drain used to wait for every in-flight cell, so a
         stalled one held ^C for the whole per-cell timeout."""
-        from repro.campaign.runner import SIGINT_GRACE_SECONDS
+        from repro.campaign import runner
 
+        monkeypatch.setattr(runner, "SIGINT_GRACE_SECONDS", 0.5)
         register_family("sigint-slow", _slow_family)
         cells = [CampaignCell.make("sigint-slow", "slow:000", i=0,
                                    delay=60.0)]
@@ -108,7 +109,7 @@ class TestStalledCellDrain:
             campaign = run_campaign(cells, workers=2, handle_sigint=True)
         finally:
             timer.cancel()
-        assert time.monotonic() - start < SIGINT_GRACE_SECONDS + 5
+        assert time.monotonic() - start < runner.SIGINT_GRACE_SECONDS + 5
         assert campaign.interrupted
         assert len(campaign.results) == len(cells)
         stalled = next(result for result in campaign.results

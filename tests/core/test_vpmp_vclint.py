@@ -24,9 +24,7 @@ def machine():
 
 @pytest.fixture
 def vpmp(machine):
-    from repro.core.config import MiralisConfig
-
-    return PmpVirtualizer(machine, MIRALIS_REGION, MiralisConfig(), 0)
+    return PmpVirtualizer(machine, MIRALIS_REGION, 0)
 
 
 @pytest.fixture
@@ -42,16 +40,12 @@ class TestLayout:
         assert vpmp.virtual_count == 4
 
     def test_policy_entries_reduce_virtual_count(self, machine):
-        from repro.core.config import MiralisConfig
-
-        vpmp = PmpVirtualizer(machine, MIRALIS_REGION, MiralisConfig(), 2)
+        vpmp = PmpVirtualizer(machine, MIRALIS_REGION, 2)
         assert vpmp.virtual_count == 2
 
     def test_too_many_reservations_rejected(self, machine):
-        from repro.core.config import MiralisConfig
-
         with pytest.raises(ValueError):
-            PmpVirtualizer(machine, MIRALIS_REGION, MiralisConfig(), 5)
+            PmpVirtualizer(machine, MIRALIS_REGION, 5)
 
     def test_napot_cover_rounds_up(self):
         pmpaddr = napot_power_of_two_cover(0x200_0000, 0xC000)

@@ -6,6 +6,7 @@ full monitor stack, so recovery is tested exactly as chaos runs hit it.
 
 import pytest
 
+from repro.core import watchdog as watchdog_module
 from repro.core.config import MiralisConfig
 from repro.core.miralis import Miralis
 from repro.faults import FaultInjector, FaultPlan, FaultSpec
@@ -20,13 +21,18 @@ from repro.spec.platform import VISIONFIVE2
 from repro.system import build_virtualized, memory_regions
 
 
+@pytest.fixture(autouse=True)
+def _short_watchdog(monkeypatch):
+    """A 200-trap budget and two retries keep these boots short."""
+    monkeypatch.setattr(watchdog_module, "VM_TRAP_BUDGET", 200)
+    monkeypatch.setattr(watchdog_module, "MAX_FIRMWARE_RETRIES", 2)
+
+
 def _watchdog_config(**overrides) -> MiralisConfig:
     params = dict(
         offload_enabled=False,
         watchdog_enabled=True,
         halt_on_violation=False,
-        vm_trap_budget=200,
-        max_firmware_retries=2,
     )
     params.update(overrides)
     return MiralisConfig(**params)
@@ -94,11 +100,12 @@ class TestBootRecovery:
         assert watchdog.counters["retries"] == 2
         assert watchdog.counters["quarantines"] == 1
 
-    def test_boot_panic_retries_are_bounded(self):
+    def test_boot_panic_retries_are_bounded(self, monkeypatch):
+        monkeypatch.setattr(watchdog_module, "MAX_FIRMWARE_RETRIES", 0)
         system = build_virtualized(
             VISIONFIVE2,
             firmware_class=WedgedBootFirmware,
-            miralis_config=_watchdog_config(max_firmware_retries=0),
+            miralis_config=_watchdog_config(),
         )
         reason = system.run()
         assert "firmware quarantined" in reason
@@ -145,7 +152,7 @@ class TestTrapStorm:
         assert "firmware quarantined" in reason
         assert watchdog.counters["detect:trap-storm"] == 3
         assert watchdog.counters["detect:trap-budget"] == 0
-        repeats = watchdog.config.max_fault_repeats
+        repeats = watchdog_module.MAX_FAULT_REPEATS
         assert traps_at_detection == [repeats + 1] * 3
 
     def test_progress_at_one_pc_ends_in_trap_budget(self):
@@ -165,7 +172,7 @@ class TestTrapStorm:
         assert "firmware quarantined" in reason
         assert watchdog.counters["detect:trap-budget"] == 3
         assert watchdog.counters["detect:trap-storm"] == 0
-        budget = watchdog.config.vm_trap_budget
+        budget = watchdog_module.VM_TRAP_BUDGET
         assert traps_at_detection == [budget + 1] * 3
 
     def test_interrupt_between_identical_traps_resets_the_count(self):
@@ -175,7 +182,7 @@ class TestTrapStorm:
         hart = system.machine.harts[0]
         vctx = system.miralis.vctx[0]
         watchdog.arm_boot(hart, vctx)
-        repeats = watchdog.config.max_fault_repeats
+        repeats = watchdog_module.MAX_FAULT_REPEATS
 
         def rerun_trapping_instruction():
             hart.instret += 1

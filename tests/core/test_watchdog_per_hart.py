@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core import watchdog as watchdog_module
 from repro.core.config import MiralisConfig
 from repro.hart.program import FirmwareRecovered
 from repro.isa import constants as c
@@ -19,13 +20,18 @@ from repro.spec.platform import VISIONFIVE2
 from repro.system import build_virtualized
 
 
+@pytest.fixture(autouse=True)
+def _short_watchdog(monkeypatch):
+    """A 200-trap budget and two retries keep these boots short."""
+    monkeypatch.setattr(watchdog_module, "VM_TRAP_BUDGET", 200)
+    monkeypatch.setattr(watchdog_module, "MAX_FIRMWARE_RETRIES", 2)
+
+
 def _watchdog_config(**overrides) -> MiralisConfig:
     params = dict(
         offload_enabled=False,
         watchdog_enabled=True,
         halt_on_violation=False,
-        vm_trap_budget=200,
-        max_firmware_retries=2,
     )
     params.update(overrides)
     return MiralisConfig(**params)
@@ -56,7 +62,7 @@ def test_secondary_hart_recovery_not_attributed_to_hart0():
 
 def test_detector_counters_keyed_by_hart():
     system, watchdog, hart, vctx = _armed(1)
-    budget = watchdog.config.vm_trap_budget
+    budget = watchdog_module.VM_TRAP_BUDGET
     with pytest.raises(FirmwareRecovered):
         for index in range(budget + 1):
             watchdog.note_vm_trap(hart, vctx, c.TrapCause.ILLEGAL_INSTRUCTION,
@@ -74,7 +80,7 @@ def test_trap_storm_counted_on_its_hart_only():
     vctx0 = system.miralis.vctx[0]
     watchdog.arm_boot(hart0, vctx0)
     with pytest.raises(FirmwareRecovered):
-        for index in range(watchdog.config.max_fault_repeats + 1):
+        for index in range(watchdog_module.MAX_FAULT_REPEATS + 1):
             hart0.instret += 1
             watchdog.note_vm_trap(hart0, vctx0, c.TrapCause.ECALL_FROM_U,
                                   0x8000_0000 + 4 * index, 0)

@@ -51,7 +51,6 @@ def _build(attack: str):
             offload_enabled=False,
             watchdog_enabled=True,
             halt_on_violation=False,
-            allowed_vendor_csrs=tuple(VISIONFIVE2.vendor_csrs),
         ),
     )
     return system, secret_address, completed

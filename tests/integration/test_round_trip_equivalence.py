@@ -13,12 +13,13 @@ from __future__ import annotations
 import dataclasses
 from types import SimpleNamespace
 from typing import Optional
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.config import MiralisConfig
+from repro.core import vpmp as vpmp_module
 from repro.core.vcpu import VirtContext, World
 from repro.core.vpmp import PmpVirtualizer
 from repro.hart.machine import Machine
@@ -283,11 +284,11 @@ class TestPmpInstall:
     def test_install_matches_the_element_wise_reference(self, case):
         machine = _machine(case["pmp_count"])
         hart = machine.harts[0]
-        config = MiralisConfig(max_virtual_pmp=case["max_virtual"])
         region = Region("miralis", 0x8000_0000, 0x20_0000)
         try:
-            vpmp = PmpVirtualizer(machine, region, config,
-                                  case["policy_entries"])
+            with mock.patch.object(vpmp_module, "MAX_VIRTUAL_PMP",
+                                   case["max_virtual"]):
+                vpmp = PmpVirtualizer(machine, region, case["policy_entries"])
         except ValueError:
             return  # no room for virtual PMPs: rejected either way
         vctx = VirtContext(machine.config, hartid=0)

@@ -11,9 +11,9 @@ after a warm-up pass (so lookup caches are filled):
 
 - the chaos cell ``opensbi`` x ``stall-loop`` x seed 137, a vM-mode CSR
   trap re-executed until the watchdog's trap budget breaks the loop.  The
-  watchdog's storm detector ends that loop after ``max_fault_repeats``
+  watchdog's storm detector ends that loop after ``MAX_FAULT_REPEATS``
   repeats, which would leave a slice of mostly boot glue, so the cell
-  runs with the storm out of reach (``max_fault_repeats=10**9``) and
+  runs with the storm out of reach (``MAX_FAULT_REPEATS = 10**9``) and
   keeps its ~8k runaway traps per run;
 - 100 ops of the Fig. 12 Memcached stream under ``miralis-no-offload``,
   where every op world-switches into the firmware and back;
@@ -27,8 +27,6 @@ change that lowers the count should lower the budget with it.
 
 from __future__ import annotations
 
-import dataclasses
-import functools
 import random
 import sys
 from unittest import mock
@@ -36,6 +34,7 @@ from unittest import mock
 import pytest
 
 from repro.bench.runner import build_system
+from repro.core import watchdog
 from repro.coverage import CoverageMap
 from repro.faults import chaos
 from repro.hart.stats import TrapStats
@@ -77,17 +76,6 @@ class CallCounter:
             sys.setprofile(None)
         assert self.traps > 0
         return self.calls / self.traps
-
-
-_CHAOS_CONFIG = chaos._chaos_miralis_config
-
-
-@functools.cache
-def _runaway_config(vendor_csrs):
-    """The chaos watchdog config with the storm detector out of reach
-    (cached, so the measured run builds no config)."""
-    return dataclasses.replace(_CHAOS_CONFIG(vendor_csrs),
-                               max_fault_repeats=10**9)
 
 
 def _stall_loop() -> None:
@@ -133,8 +121,7 @@ def _memcached_reinject(measure):
 
 def calls_per_trap(workload: str) -> float:
     if workload == "stall-loop":
-        with mock.patch.object(chaos, "_chaos_miralis_config",
-                               _runaway_config):
+        with mock.patch.object(watchdog, "MAX_FAULT_REPEATS", 10**9):
             _stall_loop()  # warm-up
             return CallCounter().run(_stall_loop)
     if workload == "opensbi-none":

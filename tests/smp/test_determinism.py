@@ -24,7 +24,7 @@ def _traced_run(harts, workload_name, quantum=50, seed=0, jitter=0):
         secondary_workload=secondary,
         start_secondaries=harts > 1,
     )
-    tracer = Tracer(capacity=200_000)
+    tracer = Tracer()
     system.machine.tracer = tracer
     reason = system.run_smp(quantum=quantum, seed=seed, jitter=jitter)
     stream = tuple(event.to_tuple() for event in tracer.events())

@@ -270,7 +270,7 @@ class TestShapeChecks:
         assert checkpoint.state["monitor"]["policy"]["locked"] == [True]
         target = build_virtualized(
             VISIONFIVE2, policy=DefaultPolicy(),
-            miralis_config=_chaos_miralis_config(VISIONFIVE2.vendor_csrs))
+            miralis_config=_chaos_miralis_config())
         with pytest.raises(SnapshotError, match="policy"):
             restore(target.machine, checkpoint)
         assert not hasattr(target.miralis.policy, "locked")

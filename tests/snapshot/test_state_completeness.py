@@ -56,8 +56,7 @@ NOT_STATE = {
                      # The list FastPath.timer_armed shares and captures.
                      "timer_armed"},
     "FastPath": {"miralis", "machine", "costs"},
-    "FirmwareWatchdog": {"miralis", "machine", "config",
-                         "_capture_activation"},
+    "FirmwareWatchdog": {"miralis", "machine", "_capture_activation"},
     "Miralis": {"machine", "region", "firmware", "config", "vpmp",
                 "switcher"},
     "DefaultPolicy": set(),  # binds no wiring: its init is the no-op

@@ -83,10 +83,26 @@ class TestBuilders:
             VISIONFIVE2, offload=False
         ).miralis.config.offload_enabled
 
-    def test_vendor_csr_allowlist_from_platform(self):
-        system = build_virtualized(PREMIER_P550)
-        assert system.miralis.config.allowed_vendor_csrs == \
-            PREMIER_P550.vendor_csrs
+    def test_vendor_csrs_are_emulated_on_the_virtual_context(self):
+        """A vendor CSR written and read back from vM-mode lands in the
+        hart's ``vctx.vendor``, which ``PlatformConfig.vendor_csrs``
+        populates; a platform without vendor CSRs has none."""
+        readback = []
+
+        class ReadBackP550(PremierP550Firmware):
+            def platform_init(self, ctx, hartid):
+                super().platform_init(ctx, hartid)
+                ctx.csrw(0x7C0, 0x5A5A)
+                readback.append(ctx.csrr(0x7C0))
+
+        p550 = build_virtualized(PREMIER_P550, firmware_class=ReadBackP550)
+        p550.run()
+        assert readback == [0x5A5A]
+        assert p550.miralis.vctx[0].vendor == {
+            0x7C0: 0x5A5A, 0x7C1: 0x1, 0x7C2: 0x1, 0x7C3: 0x1}
+        vf2 = build_virtualized(VISIONFIVE2)
+        vf2.run()
+        assert all(vctx.vendor == {} for vctx in vf2.miralis.vctx)
 
     def test_run_boots_from_the_right_entry(self):
         native = build_native(VISIONFIVE2)

@@ -21,6 +21,7 @@ from repro.trace import (
     trace_summary,
     validate_chrome_trace,
 )
+from repro.trace import tracer as tracer_module
 
 
 def _demo_workload(kernel, ctx):
@@ -100,8 +101,9 @@ class TestTracer:
             assert result.recoveries.get("retries", 0) > 0
         assert_counted_events_match(tracer, built[-1].stats)
 
-    def test_ring_wraps_but_counters_stay_exact(self):
-        tracer = Tracer(capacity=8)
+    def test_ring_wraps_but_counters_stay_exact(self, monkeypatch):
+        monkeypatch.setattr(tracer_module, "RING_CAPACITY", 8)
+        tracer = Tracer()
 
         class _FakeHart:
             instret = 0
@@ -131,9 +133,10 @@ class TestTracer:
         assert tracer.total_events == 0
         assert not tracer.counts
 
-    def test_quarantine_dump_captures_tail(self, traced_boot):
+    def test_quarantine_dump_captures_tail(self, traced_boot, monkeypatch):
         _, tracer = traced_boot
-        tracer.note_quarantine("test reason", tail=4)
+        monkeypatch.setattr(tracer_module, "QUARANTINE_TAIL", 4)
+        tracer.note_quarantine("test reason")
         assert len(tracer.quarantine_dumps) == 1
         reason, events = tracer.quarantine_dumps[-1]
         assert reason == "test reason"
