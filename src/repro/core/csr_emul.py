@@ -7,19 +7,28 @@ legalization — deliberately *not* sharing code with the reference
 specification, since checking the two against each other is the entire
 point of §6's faithful-emulation criterion.
 
-Writes return a :class:`CsrEffect` describing physical state the monitor
-must re-synchronize (PMP reinstall, interrupt-enable updates, timer
+Each platform config has one table (:func:`virtual_csr_table`) mapping
+every virtual CSR address to its reader and writer, so an access is one
+lookup rather than a walk down per-CSR tests.  Writes return a
+:class:`CsrEffect` describing physical state the monitor must
+re-synchronize (PMP reinstall, interrupt-enable updates, timer
 reprogramming).
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Optional
+import functools
+from functools import partial
+from operator import attrgetter
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Mapping, Optional
 
 from repro.core import bugs
-from repro.core.vcpu import VirtContext
 from repro.isa import constants as c
+
+if TYPE_CHECKING:
+    from repro.core.vcpu import VirtContext
 
 U64 = (1 << 64) - 1
 
@@ -39,16 +48,6 @@ class CsrEffect(enum.Flag):
 
 # Interrupt bits writable by M-mode software in the virtual mip.
 _VMIP_WRITABLE = c.MIP_SSIP | c.MIP_STIP | c.MIP_SEIP
-
-_H_CSR_ADDRESSES = frozenset(
-    {
-        c.CSR_HSTATUS, c.CSR_HEDELEG, c.CSR_HIDELEG, c.CSR_HIE, c.CSR_HIP,
-        c.CSR_HVIP, c.CSR_HCOUNTEREN, c.CSR_HGEIE, c.CSR_HTVAL, c.CSR_HTINST,
-        c.CSR_HGATP, c.CSR_VSSTATUS, c.CSR_VSIE, c.CSR_VSTVEC,
-        c.CSR_VSSCRATCH, c.CSR_VSEPC, c.CSR_VSCAUSE, c.CSR_VSTVAL,
-        c.CSR_VSIP, c.CSR_VSATP, c.CSR_MTINST, c.CSR_MTVAL2, c.CSR_HGEIP,
-    }
-)
 
 
 def _legalize_mstatus(ctx: VirtContext, value: int) -> int:
@@ -86,233 +85,217 @@ def _legalize_tvec(old: int, value: int) -> int:
     return (value & ~0x3) | mode
 
 
-def _exists(ctx: VirtContext, csr: int) -> bool:
-    platform = ctx.platform
-    if c.CSR_PMPCFG0 <= csr <= c.CSR_PMPCFG15:
-        # Beyond-count registers are read-zero/ignore-write (probing).
-        return csr % 2 == 0
-    if c.CSR_PMPADDR0 <= csr <= c.CSR_PMPADDR63:
-        return True
-    if csr == c.CSR_TIME:
-        return platform.has_hw_time_csr
-    if csr == c.CSR_STIMECMP:
-        return platform.has_sstc
-    if csr in ctx.vendor:
-        return True
-    if csr in _H_CSR_ADDRESSES:
-        return platform.has_h_extension
-    if c.CSR_MHPMCOUNTER3 <= csr < c.CSR_MHPMCOUNTER3 + 29:
-        return True
-    if c.CSR_MHPMEVENT3 <= csr < c.CSR_MHPMEVENT3 + 29:
-        return True
-    if c.CSR_HPMCOUNTER3 <= csr < c.CSR_HPMCOUNTER3 + 29:
-        return True
-    return csr in _DIRECT_READS or csr in _DIRECT_WRITES or csr in (
-        c.CSR_CYCLE, c.CSR_INSTRET, c.CSR_MVENDORID, c.CSR_MARCHID,
-        c.CSR_MIMPID, c.CSR_MHARTID, c.CSR_MCONFIGPTR, c.CSR_SSTATUS,
-        c.CSR_SIE, c.CSR_SIP, c.CSR_MISA, c.CSR_MIP,
-    )
+def _store(field: str, mask: int = U64, effect: CsrEffect = CsrEffect.NONE):
+    """A writer keeping ``value & mask`` in the shadow ``field``."""
+    def write(ctx: VirtContext, value: int) -> CsrEffect:
+        setattr(ctx, field, value & mask)
+        return effect
+    return write
 
 
-_DIRECT_READS = {
-    c.CSR_MSTATUS: lambda ctx: ctx.mstatus,
-    c.CSR_MEDELEG: lambda ctx: ctx.medeleg,
-    c.CSR_MIDELEG: lambda ctx: ctx.mideleg,
-    c.CSR_MIE: lambda ctx: ctx.mie,
-    c.CSR_MTVEC: lambda ctx: ctx.mtvec,
-    c.CSR_MCOUNTEREN: lambda ctx: ctx.mcounteren,
-    c.CSR_MCOUNTINHIBIT: lambda ctx: ctx.mcountinhibit,
-    c.CSR_MENVCFG: lambda ctx: ctx.menvcfg,
-    c.CSR_MSCRATCH: lambda ctx: ctx.mscratch,
-    c.CSR_MEPC: lambda ctx: ctx.mepc,
-    c.CSR_MCAUSE: lambda ctx: ctx.mcause,
-    c.CSR_MTVAL: lambda ctx: ctx.mtval,
-    c.CSR_MCYCLE: lambda ctx: ctx.mcycle,
-    c.CSR_MINSTRET: lambda ctx: ctx.minstret,
-    c.CSR_STVEC: lambda ctx: ctx.stvec,
-    c.CSR_SCOUNTEREN: lambda ctx: ctx.scounteren,
-    c.CSR_SENVCFG: lambda ctx: ctx.senvcfg,
-    c.CSR_SSCRATCH: lambda ctx: ctx.sscratch,
-    c.CSR_SEPC: lambda ctx: ctx.sepc,
-    c.CSR_SCAUSE: lambda ctx: ctx.scause,
-    c.CSR_STVAL: lambda ctx: ctx.stval,
-    c.CSR_SATP: lambda ctx: ctx.satp,
-    c.CSR_STIMECMP: lambda ctx: ctx.stimecmp,
-}
+def _ignore(ctx: VirtContext, value: int) -> CsrEffect:
+    """WARL: the CSR keeps its value."""
+    return CsrEffect.NONE
 
-_DIRECT_WRITES = frozenset(_DIRECT_READS) - {c.CSR_MCYCLE, c.CSR_MINSTRET}
+
+def _zero(ctx: VirtContext) -> int:
+    return 0
+
+
+def _write_mstatus(ctx: VirtContext, value: int) -> CsrEffect:
+    ctx.mstatus = _legalize_mstatus(ctx, value)
+    return CsrEffect.INTERRUPTS
+
+
+def _write_sstatus(ctx: VirtContext, value: int) -> CsrEffect:
+    merged = (ctx.mstatus & ~c.SSTATUS_MASK) | (value & c.SSTATUS_MASK)
+    ctx.mstatus = _legalize_mstatus(ctx, merged)
+    return CsrEffect.INTERRUPTS
+
+
+def _write_mideleg(ctx: VirtContext, value: int) -> CsrEffect:
+    # §4.3: Miralis hard-wires delegation of all non-M interrupts.
+    ctx.mideleg = c.MIDELEG_MASK
+    return CsrEffect.NONE
+
+
+def _write_sie(ctx: VirtContext, value: int) -> CsrEffect:
+    writable = ctx.mideleg & c.SIP_MASK
+    ctx.mie = (ctx.mie & ~writable) | (value & writable)
+    return CsrEffect.INTERRUPTS
+
+
+def _write_mip(ctx: VirtContext, value: int) -> CsrEffect:
+    ctx.mip = (ctx.mip & ~_VMIP_WRITABLE) | (value & _VMIP_WRITABLE)
+    return CsrEffect.INTERRUPTS
+
+
+def _write_sip(ctx: VirtContext, value: int) -> CsrEffect:
+    writable = ctx.mideleg & c.MIP_SSIP
+    ctx.mip = (ctx.mip & ~writable) | (value & writable)
+    return CsrEffect.INTERRUPTS
+
+
+def _write_mtvec(ctx: VirtContext, value: int) -> CsrEffect:
+    ctx.mtvec = _legalize_tvec(ctx.mtvec, value)
+    return CsrEffect.NONE
+
+
+def _write_stvec(ctx: VirtContext, value: int) -> CsrEffect:
+    ctx.stvec = _legalize_tvec(ctx.stvec, value)
+    return CsrEffect.NONE
+
+
+def _write_satp(ctx: VirtContext, value: int) -> CsrEffect:
+    if value >> 60 in (0, 8, 9):
+        ctx.satp = value
+    return CsrEffect.NONE
+
+
+def _read_pmpcfg(ctx: VirtContext, base: int) -> int:
+    value = 0
+    for i in range(8):
+        value |= ctx.pmpcfg[base + i] << (8 * i)
+    return value
+
+
+def _read_pmpaddr(ctx: VirtContext, index: int) -> int:
+    return ctx.pmpaddr[index]
+
+
+def _read_vendor(ctx: VirtContext, csr: int) -> int:
+    return ctx.vendor[csr]
+
+
+def _write_vendor(ctx: VirtContext, value: int, csr: int) -> CsrEffect:
+    ctx.vendor[csr] = value
+    return CsrEffect.NONE
+
+
+def _read_h(ctx: VirtContext, csr: int) -> int:
+    return ctx.h_csrs[csr]
+
+
+def _write_h(ctx: VirtContext, value: int, csr: int) -> CsrEffect:
+    ctx.h_csrs[csr] = _legalize_h_csr(csr, ctx.h_csrs[csr], value)
+    return CsrEffect.NONE
+
+
+#: The ``read`` of the ``time`` CSR: the caller's mtime, not a field.
+_TIME_READ = None
+
+
+@functools.cache
+def virtual_csr_table(config) -> Mapping[int, tuple]:
+    """Every virtual CSR of ``config`` by address: ``(read, write)``.
+
+    ``read(ctx)`` returns the value (``_TIME_READ`` for ``time``: the
+    caller's mtime), ``write(ctx, value)`` applies the WARL rule to a
+    64-bit value and returns the :class:`CsrEffect`; ``write`` is None
+    for a read-only CSR.  An address absent from the table does not
+    exist on the virtual platform.  Built once per (frozen) platform
+    config and shared by its contexts; seeded bugs are read by the
+    writers on each call.
+    """
+    table: dict[int, tuple] = {}
+
+    def csr(addr: int, read, write=None) -> None:
+        # Address bits 11:10 = 3 mark a read-only CSR.
+        table[addr] = (read, None if (addr >> 10) & 0x3 == 0x3 else write)
+
+    def field(addr: int, name: str, write) -> None:
+        csr(addr, attrgetter(name), write)
+
+    field(c.CSR_MSTATUS, "mstatus", _write_mstatus)
+    field(c.CSR_SSTATUS, "sstatus", _write_sstatus)
+    field(c.CSR_MISA, "misa", _ignore)  # fixed on the virtual platform too
+    field(c.CSR_MEDELEG, "medeleg", _store("medeleg", c.MEDELEG_MASK))
+    field(c.CSR_MIDELEG, "mideleg", _write_mideleg)
+    field(c.CSR_MIE, "mie",
+          _store("mie", c.MIP_MASK, CsrEffect.INTERRUPTS))
+    field(c.CSR_SIE, "sie", _write_sie)
+    field(c.CSR_MIP, "mip", _write_mip)
+    field(c.CSR_SIP, "sip", _write_sip)
+    field(c.CSR_MTVEC, "mtvec", _write_mtvec)
+    field(c.CSR_STVEC, "stvec", _write_stvec)
+    field(c.CSR_MEPC, "mepc", _store("mepc", ~0x3 & U64))
+    field(c.CSR_SEPC, "sepc", _store("sepc", ~0x3 & U64))
+    field(c.CSR_MCAUSE, "mcause", _store("mcause", c.INTERRUPT_BIT | 0x3F))
+    field(c.CSR_SCAUSE, "scause", _store("scause", c.INTERRUPT_BIT | 0x3F))
+    for addr, name in ((c.CSR_MTVAL, "mtval"), (c.CSR_STVAL, "stval"),
+                       (c.CSR_MSCRATCH, "mscratch"),
+                       (c.CSR_SSCRATCH, "sscratch"),
+                       (c.CSR_MCYCLE, "mcycle"),
+                       (c.CSR_MINSTRET, "minstret")):
+        field(addr, name, _store(name))
+    field(c.CSR_SATP, "satp", _write_satp)
+    stce = c.MENVCFG_STCE if config.has_sstc else 0
+    field(c.CSR_MENVCFG, "menvcfg",
+          _store("menvcfg", c.MENVCFG_FIOM | stce, CsrEffect.TIMER))
+    field(c.CSR_SENVCFG, "senvcfg", _store("senvcfg", c.MENVCFG_FIOM))
+    field(c.CSR_MCOUNTEREN, "mcounteren", _store("mcounteren", 0xFFFFFFFF))
+    field(c.CSR_SCOUNTEREN, "scounteren", _store("scounteren", 0xFFFFFFFF))
+    field(c.CSR_MCOUNTINHIBIT, "mcountinhibit",
+          _store("mcountinhibit", 0xFFFFFFFD))
+    field(c.CSR_CYCLE, "mcycle", None)
+    field(c.CSR_INSTRET, "minstret", None)
+    field(c.CSR_MVENDORID, "platform.mvendorid", None)
+    field(c.CSR_MARCHID, "platform.marchid", None)
+    field(c.CSR_MIMPID, "platform.mimpid", None)
+    field(c.CSR_MHARTID, "hartid", None)
+    csr(c.CSR_MCONFIGPTR, _zero)
+    if config.has_hw_time_csr:
+        csr(c.CSR_TIME, _TIME_READ)
+    if config.has_sstc:
+        field(c.CSR_STIMECMP, "stimecmp",
+              _store("stimecmp", effect=CsrEffect.TIMER | CsrEffect.INTERRUPTS))
+    for addr in config.vendor_csrs:
+        csr(addr, partial(_read_vendor, csr=addr),
+            partial(_write_vendor, csr=addr))
+    if config.has_h_extension:
+        for addr in _H_WRITE_MASKS:
+            csr(addr, partial(_read_h, csr=addr), partial(_write_h, csr=addr))
+        csr(c.CSR_HGEIP, _zero)
+    # Every even pmpcfg and every pmpaddr exists: beyond the virtual
+    # count they are read-zero/ignore-write, so firmware can probe.
+    for index in range(0, 64, 8):
+        csr(c.CSR_PMPCFG0 + index // 4, partial(_read_pmpcfg, base=index),
+            partial(_write_virtual_pmpcfg, first_entry=index))
+    for index in range(64):
+        csr(c.CSR_PMPADDR0 + index, partial(_read_pmpaddr, index=index),
+            partial(_write_virtual_pmpaddr, index=index))
+    # Remaining performance counters read as zero.
+    for offset in range(29):
+        csr(c.CSR_MHPMCOUNTER3 + offset, _zero, _ignore)
+        csr(c.CSR_MHPMEVENT3 + offset, _zero, _ignore)
+        csr(c.CSR_HPMCOUNTER3 + offset, _zero)
+    return MappingProxyType(table)
 
 
 def read_csr(ctx: VirtContext, csr: int, mtime: Optional[int] = None) -> int:
-    """Emulate a CSR read from vM-mode."""
-    if not _exists(ctx, csr):
+    """Emulate a CSR read from vM-mode (``mtime``: for the ``time`` CSR)."""
+    entry = ctx.csr_table.get(csr)
+    if entry is None:
         raise VirtCsrError(f"virtual CSR {csr:#x} does not exist")
-    if csr in _DIRECT_READS:
-        return _DIRECT_READS[csr](ctx)
-    if csr == c.CSR_MISA:
-        return ctx.misa
-    if csr == c.CSR_MIP:
-        return ctx.mip
-    if csr == c.CSR_SSTATUS:
-        return ctx.sstatus
-    if csr == c.CSR_SIE:
-        return ctx.sie
-    if csr == c.CSR_SIP:
-        return ctx.sip
-    if csr == c.CSR_MVENDORID:
-        return ctx.platform.mvendorid
-    if csr == c.CSR_MARCHID:
-        return ctx.platform.marchid
-    if csr == c.CSR_MIMPID:
-        return ctx.platform.mimpid
-    if csr == c.CSR_MHARTID:
-        return ctx.hartid
-    if csr == c.CSR_MCONFIGPTR:
-        return 0
-    if csr == c.CSR_CYCLE:
-        return ctx.mcycle
-    if csr == c.CSR_INSTRET:
-        return ctx.minstret
-    if csr == c.CSR_TIME:
+    read = entry[0]
+    if read is _TIME_READ:
         return (mtime or 0) & U64
-    if c.CSR_PMPCFG0 <= csr <= c.CSR_PMPCFG15:
-        base = (csr - c.CSR_PMPCFG0) * 4
-        value = 0
-        for i in range(8):
-            value |= ctx.pmpcfg[base + i] << (8 * i)
-        return value
-    if c.CSR_PMPADDR0 <= csr <= c.CSR_PMPADDR63:
-        return ctx.pmpaddr[csr - c.CSR_PMPADDR0]
-    if csr in ctx.vendor:
-        return ctx.vendor[csr]
-    if csr in ctx.h_csrs:
-        return ctx.h_csrs[csr]
-    if csr == c.CSR_HGEIP:
-        return 0
-    # Remaining performance counters read as zero.
-    return 0
+    return read(ctx)
 
 
 def write_csr(ctx: VirtContext, csr: int, value: int) -> CsrEffect:
     """Emulate a CSR write from vM-mode; returns required physical effects."""
-    if not _exists(ctx, csr):
+    entry = ctx.csr_table.get(csr)
+    if entry is None:
         raise VirtCsrError(f"virtual CSR {csr:#x} does not exist")
-    if (csr >> 10) & 0x3 == 0x3:
+    write = entry[1]
+    if write is None:
         raise VirtCsrError(f"virtual CSR {csr:#x} is read-only")
-    value &= U64
-
-    if csr == c.CSR_MSTATUS:
-        ctx.mstatus = _legalize_mstatus(ctx, value)
-        return CsrEffect.INTERRUPTS
-    if csr == c.CSR_SSTATUS:
-        merged = (ctx.mstatus & ~c.SSTATUS_MASK) | (value & c.SSTATUS_MASK)
-        ctx.mstatus = _legalize_mstatus(ctx, merged)
-        return CsrEffect.INTERRUPTS
-    if csr == c.CSR_MISA:
-        return CsrEffect.NONE  # fixed on the virtual platform too
-    if csr == c.CSR_MEDELEG:
-        ctx.medeleg = value & c.MEDELEG_MASK
-        return CsrEffect.NONE
-    if csr == c.CSR_MIDELEG:
-        # §4.3: Miralis hard-wires delegation of all non-M interrupts.
-        ctx.mideleg = c.MIDELEG_MASK
-        return CsrEffect.NONE
-    if csr == c.CSR_MIE:
-        ctx.mie = value & c.MIP_MASK
-        return CsrEffect.INTERRUPTS
-    if csr == c.CSR_SIE:
-        writable = ctx.mideleg & c.SIP_MASK
-        ctx.mie = (ctx.mie & ~writable) | (value & writable)
-        return CsrEffect.INTERRUPTS
-    if csr == c.CSR_MIP:
-        ctx.mip = (ctx.mip & ~_VMIP_WRITABLE) | (value & _VMIP_WRITABLE)
-        return CsrEffect.INTERRUPTS
-    if csr == c.CSR_SIP:
-        writable = ctx.mideleg & c.MIP_SSIP
-        ctx.mip = (ctx.mip & ~writable) | (value & writable)
-        return CsrEffect.INTERRUPTS
-    if csr == c.CSR_MTVEC:
-        ctx.mtvec = _legalize_tvec(ctx.mtvec, value)
-        return CsrEffect.NONE
-    if csr == c.CSR_STVEC:
-        ctx.stvec = _legalize_tvec(ctx.stvec, value)
-        return CsrEffect.NONE
-    if csr == c.CSR_MEPC:
-        ctx.mepc = value & ~0x3
-        return CsrEffect.NONE
-    if csr == c.CSR_SEPC:
-        ctx.sepc = value & ~0x3
-        return CsrEffect.NONE
-    if csr == c.CSR_MCAUSE:
-        ctx.mcause = value & (c.INTERRUPT_BIT | 0x3F)
-        return CsrEffect.NONE
-    if csr == c.CSR_SCAUSE:
-        ctx.scause = value & (c.INTERRUPT_BIT | 0x3F)
-        return CsrEffect.NONE
-    if csr == c.CSR_MTVAL:
-        ctx.mtval = value
-        return CsrEffect.NONE
-    if csr == c.CSR_STVAL:
-        ctx.stval = value
-        return CsrEffect.NONE
-    if csr == c.CSR_MSCRATCH:
-        ctx.mscratch = value
-        return CsrEffect.NONE
-    if csr == c.CSR_SSCRATCH:
-        ctx.sscratch = value
-        return CsrEffect.NONE
-    if csr == c.CSR_SATP:
-        mode = value >> 60
-        if mode in (0, 8, 9):
-            ctx.satp = value
-        return CsrEffect.NONE
-    if csr == c.CSR_MENVCFG:
-        mask = c.MENVCFG_FIOM
-        if ctx.platform.has_sstc:
-            mask |= c.MENVCFG_STCE
-        ctx.menvcfg = value & mask
-        return CsrEffect.TIMER
-    if csr == c.CSR_SENVCFG:
-        ctx.senvcfg = value & c.MENVCFG_FIOM
-        return CsrEffect.NONE
-    if csr == c.CSR_MCOUNTEREN:
-        ctx.mcounteren = value & 0xFFFFFFFF
-        return CsrEffect.NONE
-    if csr == c.CSR_SCOUNTEREN:
-        ctx.scounteren = value & 0xFFFFFFFF
-        return CsrEffect.NONE
-    if csr == c.CSR_MCOUNTINHIBIT:
-        ctx.mcountinhibit = value & 0xFFFFFFFD
-        return CsrEffect.NONE
-    if csr == c.CSR_MCYCLE:
-        ctx.mcycle = value
-        return CsrEffect.NONE
-    if csr == c.CSR_MINSTRET:
-        ctx.minstret = value
-        return CsrEffect.NONE
-    if csr == c.CSR_STIMECMP:
-        ctx.stimecmp = value
-        return CsrEffect.TIMER | CsrEffect.INTERRUPTS
-    if c.CSR_PMPCFG0 <= csr <= c.CSR_PMPCFG15:
-        _write_virtual_pmpcfg(ctx, (csr - c.CSR_PMPCFG0) * 4, value)
-        return CsrEffect.PMP
-    if c.CSR_PMPADDR0 <= csr <= c.CSR_PMPADDR63:
-        _write_virtual_pmpaddr(ctx, csr - c.CSR_PMPADDR0, value)
-        return CsrEffect.PMP
-    if csr in ctx.vendor:
-        ctx.vendor[csr] = value
-        return CsrEffect.NONE
-    if csr in ctx.h_csrs:
-        ctx.h_csrs[csr] = _legalize_h_csr(csr, ctx.h_csrs[csr], value)
-        return CsrEffect.NONE
-    if c.CSR_MHPMCOUNTER3 <= csr < c.CSR_MHPMCOUNTER3 + 29:
-        return CsrEffect.NONE
-    if c.CSR_MHPMEVENT3 <= csr < c.CSR_MHPMEVENT3 + 29:
-        return CsrEffect.NONE
-    raise VirtCsrError(f"virtual CSR {csr:#x} is not writable")
+    return write(ctx, value & U64)
 
 
-def _write_virtual_pmpcfg(ctx: VirtContext, first_entry: int, value: int) -> None:
+def _write_virtual_pmpcfg(ctx: VirtContext, value: int,
+                          first_entry: int) -> CsrEffect:
     limit = ctx.virtual_pmp_count
     if "vpmp_out_of_range" in bugs.active:
         limit = 64  # the §6.5 bug: missing bound check on virtual entries
@@ -329,18 +312,19 @@ def _write_virtual_pmpcfg(ctx: VirtContext, first_entry: int, value: int) -> Non
         if writes_w_without_r and "pmp_w_without_r" not in bugs.active:
             continue
         ctx.pmpcfg[index] = byte
+    return CsrEffect.PMP
 
 
-def _write_virtual_pmpaddr(ctx: VirtContext, index: int, value: int) -> None:
-    if index >= ctx.virtual_pmp_count:
-        return
-    if ctx.pmpcfg[index] & c.PMP_L:
-        return
+def _write_virtual_pmpaddr(ctx: VirtContext, value: int,
+                           index: int) -> CsrEffect:
+    if index >= ctx.virtual_pmp_count or ctx.pmpcfg[index] & c.PMP_L:
+        return CsrEffect.PMP
     if index + 1 < ctx.virtual_pmp_count:
         next_cfg = ctx.pmpcfg[index + 1]
         if next_cfg & c.PMP_L and (next_cfg >> 3) & 0x3 == 1:  # locked TOR
-            return
+            return CsrEffect.PMP
     ctx.pmpaddr[index] = value & ((1 << 54) - 1)
+    return CsrEffect.PMP
 
 
 _H_WRITE_MASKS = {

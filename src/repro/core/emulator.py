@@ -10,8 +10,7 @@ machine would.
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from repro.core import bugs
 from repro.core.csr_emul import CsrEffect, VirtCsrError, read_csr, write_csr
@@ -22,9 +21,12 @@ from repro.isa.instructions import Instruction
 U64 = (1 << 64) - 1
 
 
-@dataclasses.dataclass(slots=True)
-class EmulationResult:
-    """Outcome of emulating one privileged instruction."""
+class EmulationResult(NamedTuple):
+    """Outcome of emulating one privileged instruction.
+
+    Immutable; a tuple because one is built on every emulated
+    instruction, and a tuple's constructor is cheaper than a dataclass's.
+    """
 
     #: Physical pc at which the firmware resumes (None when the result is a
     #: world switch, whose resume point the world-switch code decides).
@@ -119,12 +121,13 @@ def emulate_privileged(
     trapped_pc: int,
     gpr_read,
     gpr_write,
-    mtime: int,
+    mtime: Optional[int],
 ) -> EmulationResult:
     """Emulate one privileged instruction trapped from vM-mode.
 
     ``gpr_read``/``gpr_write`` access the firmware's live general-purpose
-    registers (which stay in the physical register file, §4.1).  Raises
+    registers (which stay in the physical register file, §4.1); ``mtime``
+    is what a ``time`` read returns, and only such a read needs it.  Raises
     :class:`VirtualTrapError` when the instruction is illegal on the
     virtual platform and must be re-injected.
     """

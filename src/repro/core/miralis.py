@@ -68,6 +68,7 @@ _ACCESS_FAULTS = (c.TrapCause.LOAD_ACCESS_FAULT, c.TrapCause.STORE_ACCESS_FAULT)
 _U_MODE = c.U_MODE
 _M_MODE = c.M_MODE
 _CSR_MTVAL = c.CSR_MTVAL
+_CSR_TIME = c.CSR_TIME
 _INTERRUPT_BIT = c.INTERRUPT_BIT
 _SIP_MASK = c.SIP_MASK
 _MSTATUS_MIE = c.MSTATUS_MIE
@@ -159,16 +160,6 @@ class Miralis:
         hart.machine.cycles += cost
 
     # ------------------------------------------------------------------
-    # Entry point (machine dispatch lands here when pc is in our region)
-    # ------------------------------------------------------------------
-
-    def handle(self, machine, hart) -> None:
-        if not self._booted[hart.hartid]:
-            self._boot_hart(hart)
-            return
-        self._handle_trap(hart)
-
-    # ------------------------------------------------------------------
     # Boot
     # ------------------------------------------------------------------
 
@@ -211,24 +202,28 @@ class Miralis:
         hart.state.set_xreg(11, opaque)
 
     # ------------------------------------------------------------------
-    # Trap dispatch
+    # Entry point (machine dispatch lands here when pc is in our region)
     # ------------------------------------------------------------------
 
-    def _handle_trap(self, hart) -> None:
+    def handle(self, machine, hart) -> None:
+        """A hart's first entry boots it; every later one is a trap."""
         hartid = hart.hartid
+        if not self._booted[hartid]:
+            self._boot_hart(hart)
+            return
         worlds = self.world  # mutated in place on world switches
         vctx = self.vctx[hartid]
-        machine = self.machine
         model = hart.cycle_model
         state = hart.state
         csr_file = state.csr
         tracer = machine.tracer
+        costs = self.config.costs
         # The trap event for this entry was recorded just before dispatch
         # reached us; its handler annotation is final once we return.
         entry_event = machine.stats.last_event if tracer is not None else None
         # _charge_host(dispatch), then hart.charge for the
         # mcause/mepc/mtval reads: the same products in the same order.
-        cost = self.config.costs.dispatch * model.instruction
+        cost = costs.dispatch * model.instruction
         hart.cycles += cost
         machine.cycles += cost
         cost = 3 * model.csr_access
@@ -236,7 +231,8 @@ class Miralis:
         machine.cycles += cost
         mcause = csr_file.mcause
         mepc = csr_file.mepc
-        mtval = csr_file.read(_CSR_MTVAL)
+        # mtval is plain storage: read as ``CsrFile.read`` would.
+        mtval = csr_file._simple[_CSR_MTVAL]
         code = mcause & ~_INTERRUPT_BIT
 
         world = worlds[hartid]
@@ -253,16 +249,53 @@ class Miralis:
         if mcause & _INTERRUPT_BIT:
             self._handle_physical_interrupt(hart, vctx, code, mepc)
         elif worlds[hartid] == _FIRMWARE:
-            self._handle_firmware_trap(hart, vctx, code, mepc, mtval)
+            injector = machine.fault_injector
+            if injector is not None and injector.stall_firmware(hartid):
+                # Injected runaway loop: resume the trapped instruction
+                # without emulating it, so it traps again.  The watchdog's
+                # trap-storm detector breaks the cycle.
+                machine.stats.annotate_last("fault-inject", detail="stall",
+                                            hart=hartid)
+                state.pc = mepc
+            elif code == _ILLEGAL_INSTRUCTION:
+                self._emulate_firmware_instruction(hart, vctx, mepc, mtval)
+            else:
+                self._handle_firmware_trap(hart, vctx, code, mepc, mtval)
         else:
             self._handle_os_trap(hart, vctx, code, mepc, mtval)
 
-        # §4.1: the virtual-interrupt check must run AFTER emulation, as
-        # the handled trap may have masked or unmasked interrupts.
+        # The post-trap step.  §4.1: the virtual-interrupt check must run
+        # AFTER emulation, as the handled trap may have masked or unmasked
+        # interrupts; then the physical M enables follow the world now
+        # running.
         if "interrupt_loss" not in bugs.active:
-            self._check_virtual_interrupts(hart, vctx)
-        self._sync_physical_mie(hart, vctx)
-        if worlds[hartid] == _FIRMWARE:
+            # _charge_host(interrupt_check), inlined.
+            cost = costs.interrupt_check * model.instruction
+            hart.cycles += cost
+            machine.cycles += cost
+            if worlds[hartid] == _FIRMWARE:
+                vclint = self.vclint
+                refresh_virtual_mip(
+                    vctx, machine.read_mtime(), vclint.mtimecmp[hartid],
+                    bool(vclint.msip[hartid]),  # vclint.virtual_msip
+                    bool(csr_file.mip_hw & _MIP_MEIP))
+                # Nothing ready, pending_virtual_interrupt's first test, is
+                # the common case: tested here, it costs no call.
+                if vctx.mip & vctx.mie & ~vctx.mideleg:
+                    irq = pending_virtual_interrupt(vctx, _FIRMWARE)
+                    if irq is not None:
+                        self._inject_firmware_trap(hart, vctx, irq, True, 0,
+                                                   state.pc)
+                        cost = costs.inject * model.instruction
+                        hart.cycles += cost
+                        machine.cycles += cost
+        world = worlds[hartid]
+        watchdog = self.watchdog
+        csr_file.mie = (csr_file.mie & _SIP_MASK) | physical_m_enables(
+            world, vctx.mstatus & _MSTATUS_MIE, vctx.mie,
+            self.offload.timer_armed[hartid], self.config.offload_enabled,
+            watchdog is not None and watchdog.quarantined[hartid])
+        if world == _FIRMWARE:
             # Resume the virtualized firmware deprivileged: vM-mode is
             # physical U-mode, always.
             state.mode = _U_MODE
@@ -302,18 +335,8 @@ class Miralis:
         hart.state.pc = pc
 
     def _handle_firmware_trap(self, hart, vctx, code, mepc, mtval) -> None:
-        injector = self.machine.fault_injector
-        if injector is not None and injector.stall_firmware(hart.hartid):
-            # Injected runaway loop: resume the trapped instruction without
-            # emulating it, so it traps again.  The watchdog's trap-storm
-            # detector breaks the cycle.
-            self.machine.stats.annotate_last("fault-inject", detail="stall", hart=hart.hartid)
-            hart.state.pc = mepc
-            return
+        """A vM-mode trap other than an emulated instruction."""
         costs = self.config.costs
-        if code == _ILLEGAL_INSTRUCTION:
-            self._emulate_firmware_instruction(hart, vctx, mepc, mtval)
-            return
         if code == _ECALL_FROM_U:
             self.machine.stats.annotate_last("miralis-emulate", detail="vm-ecall", hart=hart.hartid)
             action = self.policy.on_firmware_ecall(hart, vctx)
@@ -345,35 +368,33 @@ class Miralis:
         self._charge_host(hart, costs.inject)
 
     def _emulate_firmware_instruction(self, hart, vctx, mepc, mtval) -> None:
+        machine = self.machine
         costs = self.config.costs
         try:
             instr = decode(mtval)
         except IllegalInstructionError:
             instr = None
-        injector = self.machine.fault_injector
+        injector = machine.fault_injector
         if (instr is not None and injector is not None
                 and injector.flip_instruction(hart.hartid, instr.mnemonic)):
             instr = None  # injected decoder glitch: treat as illegal
-        what = instr.mnemonic if instr else "invalid"
-        stats = self.machine.stats
-        stats.annotate_last("miralis-emulate",
-                            detail=trap_detail("emulate", what),
-                            hart=hart.hartid)
-        stats.note_firmware_emulation(hart.hartid, what)
-        self._charge_host(hart, costs.emulate_instruction)
+        machine.stats.note_firmware_emulation(
+            hart.hartid, instr.mnemonic if instr else "invalid")
+        # _charge_host(emulate_instruction), inlined.
+        cost = costs.emulate_instruction * hart.cycle_model.instruction
+        hart.cycles += cost
+        machine.cycles += cost
         if instr is None:
             self._inject_firmware_trap(
-                hart, vctx, c.TrapCause.ILLEGAL_INSTRUCTION, False, mtval, mepc
+                hart, vctx, _ILLEGAL_INSTRUCTION, False, mtval, mepc
             )
             return
+        state = hart.state
         try:
             result = emulate_privileged(
-                vctx,
-                instr,
-                trapped_pc=mepc,
-                gpr_read=hart.state.get_xreg,
-                gpr_write=hart.state.set_xreg,
-                mtime=self.machine.read_mtime(),
+                vctx, instr, mepc, state.get_xreg, state.set_xreg,
+                # Only a ``time`` read consumes mtime.
+                machine.read_mtime() if instr.csr == _CSR_TIME else None,
             )
         except VirtualTrapError as exc:
             self._inject_firmware_trap(
@@ -388,7 +409,7 @@ class Miralis:
             hart.charge(hart.cycle_model.memory_fence)
         if self.watchdog is not None and instr.mnemonic in ("mret", "sret"):
             self.watchdog.note_virtual_xret(hart)
-        if result.world_switch:
+        if result.new_virtual_mode != _M_MODE:  # result.world_switch
             if (self.watchdog is not None
                     and self.machine.owner_of(result.next_pc) is None):
                 self.watchdog.recover(
@@ -644,20 +665,6 @@ class Miralis:
             bool(vclint.msip[hartid]),  # vclint.virtual_msip, inlined
             bool(hart.state.csr.mip_hw & _MIP_MEIP),
         )
-
-    def _check_virtual_interrupts(self, hart, vctx) -> None:
-        # _charge_host(interrupt_check), inlined.
-        cost = self.config.costs.interrupt_check * hart.cycle_model.instruction
-        hart.cycles += cost
-        self.machine.cycles += cost
-        if self.world[hart.hartid] != _FIRMWARE:
-            return
-        self._refresh_vmip(hart, vctx)
-        irq = pending_virtual_interrupt(vctx, _FIRMWARE)
-        if irq is None:
-            return
-        self._inject_firmware_trap(hart, vctx, irq, True, 0, hart.state.pc)
-        self._charge_host(hart, self.config.costs.inject)
 
     def _sync_physical_mie(self, hart, vctx) -> None:
         """Install the physical M-level enables for the world now running."""

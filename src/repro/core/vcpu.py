@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 
+from repro.core.csr_emul import virtual_csr_table
 from repro.isa import constants as c
 
 
@@ -28,8 +29,8 @@ class World(enum.Enum):
 
 #: VirtContext fields that are wiring, not state: never captured, and
 #: left as they are by a restore (a retried activation keeps its
-#: injector hook).
-WIRING = ("platform", "hartid", "csr_write_hook")
+#: injector hook; the CSR table is a function of the platform).
+WIRING = ("platform", "hartid", "csr_write_hook", "csr_table")
 #: The container-valued fields (lists and dicts of ints); every other
 #: state field holds an immutable value.
 CONTAINERS = ("pmpcfg", "pmpaddr", "vendor", "h_csrs")
@@ -41,6 +42,8 @@ class VirtContext:
     def __init__(self, config, hartid: int = 0):
         self.platform = config
         self.hartid = hartid
+        #: Every virtual CSR's reader and writer (:mod:`repro.core.csr_emul`).
+        self.csr_table = virtual_csr_table(config)
         #: The firmware's virtual privilege mode: M while the firmware
         #: executes in vM-mode; S or U after a virtual mret into the OS.
         self.virtual_mode: c.PrivilegeLevel = c.M_MODE

@@ -281,7 +281,9 @@ class BaseFirmware(GuestProgram):
     # -- SBI dispatch ----------------------------------------------------
 
     def _handle_sbi_call(self, ctx: GuestContext) -> None:
-        call = SbiCall.from_regs([ctx.trap_reg(i) for i in range(32)])
+        frame = ctx.trap_frame  # the interrupted context's registers
+        call = SbiCall.from_regs(
+            ctx.hart.state.xregs if frame is None else frame)
         self.sbi_counts[call.name] += 1
         self.machine.stats.annotate_last("firmware", detail=f"sbi:{call.name}", hart=ctx.hart.hartid, injected=True)
         ret = self.dispatch_sbi(ctx, call)

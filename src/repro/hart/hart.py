@@ -15,6 +15,11 @@ from repro.spec.traps import take_trap
 if TYPE_CHECKING:
     from repro.hart.machine import Machine
 
+# Constants ``execute`` reads on every instruction, bound once.
+_M_MODE = c.M_MODE
+_CSR_MINSTRET = c.CSR_MINSTRET
+_CSR_MCYCLE = c.CSR_MCYCLE
+
 
 class Hart:
     """One hardware thread of the simulated machine."""
@@ -58,23 +63,20 @@ class Hart:
         if trap is not None:
             cost += (
                 model.trap_entry
-                if state.mode == c.M_MODE
+                if state.mode == _M_MODE
                 else model.trap_entry_s
             )
-            machine.stats.record_trap(
-                hart=self.hartid,
-                cause=trap.cause,
-                is_interrupt=trap.is_interrupt,
-                from_mode=None,  # mode before the trap is folded into cause
-                mtime=machine.read_mtime(),
-                pc=state.pc,
-            )
+            # Positional: hart, cause, is_interrupt, from_mode (None: the
+            # mode before the trap is folded into the cause), mtime, pc.
+            machine.stats.record_trap(self.hartid, trap.cause,
+                                      trap.is_interrupt, None,
+                                      machine.read_mtime(), state.pc)
         self.cycles += cost
         machine.cycles += cost
         self.instret += 1
         simple = state.csr._simple
-        simple[c.CSR_MINSTRET] = self.instret
-        simple[c.CSR_MCYCLE] = int(self.cycles)
+        simple[_CSR_MINSTRET] = self.instret
+        simple[_CSR_MCYCLE] = int(self.cycles)
         return outcome
 
     def check_interrupts(self) -> bool:

@@ -102,8 +102,14 @@ class Ram:
     def write(self, address: int, size: int, value: int) -> None:
         end = address + size
         data = value.to_bytes(size, "little")
-        if (address >> _PAGE_SHIFT) == ((end - 1) >> _PAGE_SHIFT):
-            page, offset = self._writable_page(address)
+        page_number = address >> _PAGE_SHIFT
+        if page_number == (end - 1) >> _PAGE_SHIFT:
+            # One page: a live, unfrozen page is written in place without
+            # the allocate-or-clone call.
+            page = self._pages.get(page_number)
+            if page is None or page_number in self._frozen:
+                page, _ = self._writable_page(address)
+            offset = address & (_PAGE_SIZE - 1)
             page[offset:offset + size] = data
             return
         for i, byte in enumerate(data):

@@ -135,7 +135,7 @@ class GuestProgram:
         pc = hart.state.pc
         if pc == self.entry_point:
             self.boot(ctx)
-        elif self.trap_vector <= pc < self.trap_vector + 4 * 64:
+        elif 0 <= pc - self.trap_vector < 4 * 64:
             # Direct or vectored entry (vectored: base + 4 * cause).
             ctx.enter_trap_frame()
             self.handle_trap(ctx)

@@ -87,11 +87,12 @@ class TrapStats:
         self.firmware_emulations = 0
         self.fastpath_hits = 0
         self.total_traps = 0
-        # Annotation targets.  ``_last`` is always its hart's entry in
-        # ``_last_by_hart``; the ``_seq`` maps give each target's position
-        # in the log (``0 .. logged - 1``), which an epoch needs to find it
-        # again in a restored ring.
-        self._last: Optional[TrapEvent] = None
+        # Annotation targets.  ``last_event`` is always its hart's entry
+        # in ``_last_by_hart``; the ``_seq`` maps give each target's
+        # position in the log (``0 .. logged - 1``), which an epoch needs
+        # to find it again in a restored ring.
+        #: The most recently recorded trap (also kept when events aren't).
+        self.last_event: Optional[TrapEvent] = None
         self._last_by_hart: dict[int, TrapEvent] = {}
         self._seq_by_hart: dict[int, Optional[int]] = {}
         self._injected_by_hart: dict[int, TrapEvent] = {}
@@ -109,7 +110,7 @@ class TrapStats:
             self._seq_by_hart[hart] = self.logged
             self.events.append(event)
             self.logged += 1
-        self._last = event
+        self.last_event = event
         self._last_by_hart[hart] = event
         machine = self.machine
         tracer = machine.tracer
@@ -156,19 +157,23 @@ class TrapStats:
         back to the hart's last trap, which *is* the trap being served.
         """
         if hart is None:
-            event = self._last
+            event = self.last_event
         elif injected and hart in self._injected_by_hart:
             event = self._injected_by_hart[hart]
         else:
             event = self._last_by_hart.get(hart)
         if event is None:
             return
-        if event.handler != "unclassified":
-            previous = event.handler
-            self.handler_counts[previous] -= 1
-            if self.handler_counts[previous] <= 0:
-                del self.handler_counts[previous]
-        self.handler_counts[handler] += 1
+        # ``get``, not Counter's Python-level ``__missing__``/``__delitem__``.
+        counts = self.handler_counts
+        previous = event.handler
+        if previous != "unclassified":
+            left = counts[previous] - 1
+            if left > 0:
+                counts[previous] = left
+            else:
+                counts.pop(previous, None)
+        counts[handler] = counts.get(handler, 0) + 1
         event.handler = handler
         if detail:
             event.detail = detail
@@ -189,8 +194,11 @@ class TrapStats:
                             csr_ops=csr_ops)
 
     def note_firmware_emulation(self, hart: int, what: str) -> None:
-        """Count one firmware instruction emulation and trace it."""
+        """Count one firmware instruction emulation (``what``: the
+        mnemonic, or ``invalid``), annotate its trap and trace it."""
         self.firmware_emulations += 1
+        self.annotate_last("miralis-emulate",
+                           detail=trap_detail("emulate", what), hart=hart)
         machine = self.machine
         tracer = machine.tracer
         if tracer is not None:
@@ -205,11 +213,6 @@ class TrapStats:
         tracer = machine.tracer
         if tracer is not None:
             tracer.fastpath(machine, hart, name)
-
-    @property
-    def last_event(self) -> Optional[TrapEvent]:
-        """The most recently recorded trap (also kept when events aren't)."""
-        return self._last
 
     @property
     def dropped(self) -> int:
@@ -257,7 +260,7 @@ class TrapStats:
         self.total_traps = state["total_traps"]
         # A document carries no annotation targets: relink each hart's
         # last trap from the ring (a hart with none there gets no target).
-        self._last = self.events[-1] if self.events else None
+        self.last_event = self.events[-1] if self.events else None
         self._last_by_hart = {}
         self._seq_by_hart = {}
         for seq, event in enumerate(self.events, self.dropped):
@@ -284,7 +287,8 @@ class TrapStats:
         kept as ``(seq, event, handler, detail)``, O(harts) in all.
         """
         return {
-            "last_hart": None if self._last is None else self._last.hart,
+            "last_hart": (None if self.last_event is None
+                          else self.last_event.hart),
             "last_by_hart": self._targets(self._last_by_hart,
                                           self._seq_by_hart),
             "injected_by_hart": self._targets(self._injected_by_hart,
@@ -319,7 +323,7 @@ class TrapStats:
             epoch["last_by_hart"])
         self._injected_by_hart, self._injected_seq_by_hart = self._relink(
             epoch["injected_by_hart"])
-        self._last = self._last_by_hart.get(epoch["last_hart"])
+        self.last_event = self._last_by_hart.get(epoch["last_hart"])
 
     @staticmethod
     def _targets(events: dict, seqs: dict) -> dict:
@@ -366,7 +370,7 @@ class TrapStats:
         self.firmware_emulations = 0
         self.fastpath_hits = 0
         self.total_traps = 0
-        self._last = None
+        self.last_event = None
         self._last_by_hart.clear()
         self._seq_by_hart.clear()
         self._injected_by_hart.clear()

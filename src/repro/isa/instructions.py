@@ -74,7 +74,7 @@ class Instruction:
     def is_store(self) -> bool:
         return self.mnemonic in STORE_MNEMONICS
 
-    @property
+    @cached_property
     def memory_size(self) -> int:
         """Access size in bytes for load/store instructions."""
         if self.is_load:

@@ -16,7 +16,6 @@ switch into the virtualized firmware — whichever deployment is assembled.
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional
 
 from repro.hart.program import GuestContext
 from repro.isa import constants as c
@@ -186,7 +185,6 @@ class WorkloadResult:
     simulated_seconds: float = 0.0
     start_cycles: float = 0.0
     end_cycles: float = 0.0
-    op_latencies_ns: Optional[list[float]] = None
     #: Traps and world switches within the measured window only (boot-time
     #: activity excluded).
     traps: int = 0
@@ -208,7 +206,6 @@ def run_trap_mix(
     ctx: GuestContext,
     mix: TrapMix,
     operations: int = 1_000,
-    record_latencies: bool = False,
 ) -> WorkloadResult:
     """Drive the kernel through ``operations`` trap-causing events.
 
@@ -228,7 +225,6 @@ def run_trap_mix(
     result = WorkloadResult(name=mix.name, start_cycles=machine.cycles)
     start_traps = machine.stats.total_traps
     start_switches = machine.stats.world_switches
-    latencies: list[float] = [] if record_latencies else None
     misaligned_buffer = kernel.region.base + 0x8000
 
     for _ in range(operations):
@@ -239,7 +235,6 @@ def run_trap_mix(
             quotas[kind] += rate / total_rate
         kind = max(quotas, key=lambda k: quotas[k])
         quotas[kind] -= 1.0
-        start = machine.cycles
         if kind == "time":
             kernel.read_time(ctx)
         elif kind == "timer":
@@ -250,14 +245,9 @@ def run_trap_mix(
             kernel.sbi_remote_fence_i(ctx, 1 << (machine.config.num_harts - 1), 0)
         elif kind == "misaligned":
             ctx.load(misaligned_buffer + 1, size=4)
-        if latencies is not None:
-            latencies.append(
-                (machine.cycles - start) * 1e9 / frequency
-            )
         result.operations += 1
     result.end_cycles = machine.cycles
     result.simulated_seconds = result.total_cycles / frequency
-    result.op_latencies_ns = latencies
     result.traps = machine.stats.total_traps - start_traps
     result.world_switches = machine.stats.world_switches - start_switches
     return result

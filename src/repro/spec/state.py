@@ -7,11 +7,16 @@ hart simulator and, copied, by the verification harness.
 
 from __future__ import annotations
 
+from functools import partial
+from operator import and_
 from typing import Callable, Optional
 
 from repro.isa.constants import M_MODE, XMASK, PrivilegeLevel
 from repro.spec.csrs import CsrFile
 from repro.spec.platform import PlatformConfig
+
+#: ``v & XMASK`` as one C-level callable, for ``map``.
+_MASK_XLEN = partial(and_, XMASK)
 
 
 class MachineState:
@@ -53,7 +58,7 @@ class MachineState:
     def load_xregs(self, values: list[int]) -> None:
         if len(values) != 32:
             raise ValueError("expected 32 register values")
-        self._xregs = [0] + [v & XMASK for v in values[1:]]
+        self._xregs = [0, *map(_MASK_XLEN, values[1:])]
 
     # -- state protocol (checkpoints, verification harness) --------------
 

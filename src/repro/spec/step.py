@@ -9,6 +9,7 @@ configuration turns this specification into a simulator (used by
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple, Optional, Protocol
 
 from repro.isa import constants as c
@@ -17,6 +18,7 @@ from repro.isa.instructions import (
     LOAD_SIGNED,
     Instruction,
 )
+from repro.perf import register_cache
 from repro.spec.pmp import pmp_check
 from repro.spec.state import MachineState
 from repro.spec.traps import Trap, execute_mret, execute_sret, take_trap
@@ -62,6 +64,17 @@ _WFI = Outcome(is_wfi=True)
 _FENCE = Outcome(is_fence=True)
 
 
+@lru_cache(maxsize=1 << 12)
+def _illegal_outcome(word: int) -> Outcome:
+    """The illegal-instruction outcome of ``word``, shared the same way:
+    under a monitor, every privileged instruction the firmware runs traps
+    with the same (immutable) Trap and Outcome each time."""
+    return Outcome(trap=Trap(c.TrapCause.ILLEGAL_INSTRUCTION, tval=word))
+
+
+register_cache(_illegal_outcome.cache_clear)
+
+
 # ---------------------------------------------------------------------------
 # CSR access rules
 # ---------------------------------------------------------------------------
@@ -94,14 +107,15 @@ def csr_access_allowed(
     return True
 
 
-def _execute_csr(state: MachineState, instr: Instruction) -> Optional[Trap]:
-    """Zicsr semantics.  Returns a trap instead of committing on failure."""
+def _execute_csr(state: MachineState, instr: Instruction) -> Optional[Outcome]:
+    """Zicsr semantics.  Returns the trapping outcome instead of
+    committing on failure."""
     mnemonic = instr.mnemonic
     writes = not (
         mnemonic in ("csrrs", "csrrc", "csrrsi", "csrrci") and instr.rs1 == 0
     )
     if not csr_access_allowed(state, instr.csr, writes):
-        return Trap(c.TrapCause.ILLEGAL_INSTRUCTION, tval=instr.word)
+        return _illegal_outcome(instr.word)
     old = state.csr.read(instr.csr)
     if instr.csr_uses_immediate:
         operand = instr.rs1  # zimm
@@ -351,10 +365,6 @@ _ECALL_CAUSE = {
 }
 
 
-def _illegal(instr: Instruction) -> Outcome:
-    return Outcome(trap=Trap(c.TrapCause.ILLEGAL_INSTRUCTION, tval=instr.word))
-
-
 def _execute_system(state: MachineState, instr: Instruction) -> Outcome:
     m = instr.mnemonic
     mode = state.mode
@@ -365,29 +375,29 @@ def _execute_system(state: MachineState, instr: Instruction) -> Outcome:
         return Outcome(trap=Trap(c.TrapCause.BREAKPOINT, tval=state.pc))
     if m == "mret":
         if mode != c.M_MODE:
-            return _illegal(instr)
+            return _illegal_outcome(instr.word)
         execute_mret(state)
         return _COMMITTED
     if m == "sret":
         if mode == c.U_MODE:
-            return _illegal(instr)
+            return _illegal_outcome(instr.word)
         if mode == c.S_MODE and mstatus & c.MSTATUS_TSR:
-            return _illegal(instr)
+            return _illegal_outcome(instr.word)
         execute_sret(state)
         return _COMMITTED
     if m == "wfi":
         if mode == c.U_MODE:
-            return _illegal(instr)
+            return _illegal_outcome(instr.word)
         if mode == c.S_MODE and mstatus & c.MSTATUS_TW:
-            return _illegal(instr)
+            return _illegal_outcome(instr.word)
         state.waiting_for_interrupt = True
         state.pc = to_u64(state.pc + 4)
         return _WFI
     if m == "sfence.vma":
         if mode == c.U_MODE:
-            return _illegal(instr)
+            return _illegal_outcome(instr.word)
         if mode == c.S_MODE and mstatus & c.MSTATUS_TVM:
-            return _illegal(instr)
+            return _illegal_outcome(instr.word)
         state.pc = to_u64(state.pc + 4)
         return _FENCE
     raise AssertionError(f"not a system instruction: {m}")
@@ -451,10 +461,10 @@ def execute_instruction(
         return Outcome(memory_access=access)
 
     if instr.is_csr_op:
-        trap = _execute_csr(state, instr)
-        if trap is not None:
-            take_trap(state, trap)
-            return Outcome(trap=trap)
+        outcome = _execute_csr(state, instr)
+        if outcome is not None:
+            take_trap(state, outcome.trap)
+            return outcome
         state.pc = to_u64(state.pc + 4)
         return _COMMITTED
 

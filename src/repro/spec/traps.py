@@ -35,6 +35,7 @@ class Trap(NamedTuple):
             return f"{kind} code {self.cause}"
 
 
+# take_trap's constants, bound once: it runs on every trap.
 # mstatus fields take_trap rewrites, per target mode.
 _M_TRAP_FIELDS = c.MSTATUS_MPP | c.MSTATUS_MPIE | c.MSTATUS_MIE
 _S_TRAP_FIELDS = c.MSTATUS_SPP | c.MSTATUS_SPIE | c.MSTATUS_SIE
@@ -43,6 +44,17 @@ _PIE_SHIFT = 4
 _M_MODE = c.M_MODE
 _S_MODE = c.S_MODE
 _M = int(_M_MODE)
+_MPP_SHIFT = c.MSTATUS_MPP_SHIFT
+_SPP_SHIFT = c.MSTATUS_SPP_SHIFT
+_MSTATUS_MIE = c.MSTATUS_MIE
+_MSTATUS_SIE = c.MSTATUS_SIE
+_INTERRUPT_BIT = c.INTERRUPT_BIT
+_CSR_MTVAL = c.CSR_MTVAL
+_CSR_STVAL = c.CSR_STVAL
+_XMASK = c.XMASK
+_TVEC_BASE_MASK = c.TVEC_BASE_MASK
+_TVEC_MODE_MASK = c.TVEC_MODE_MASK
+_VECTORED = int(c.TvecMode.VECTORED)
 
 
 def take_trap(state: MachineState, trap: Trap) -> c.PrivilegeLevel:
@@ -61,36 +73,38 @@ def take_trap(state: MachineState, trap: Trap) -> c.PrivilegeLevel:
         target = _S_MODE
     else:
         target = _M_MODE
-    mcause = trap.mcause_value
+    mcause = (_INTERRUPT_BIT | cause) if is_interrupt else cause
     mstatus = csr.mstatus
+    # xtval is plain storage with a full-width mask: stored directly, as
+    # ``CsrFile.write`` would store it.
     if target is _M_MODE:
         csr.mepc = state.pc & ~0x3
         csr.mcause = mcause
-        csr.write(c.CSR_MTVAL, tval)
+        csr._simple[_CSR_MTVAL] = tval & _XMASK
         # MPP = mode, MPIE = MIE, MIE = 0.
         mstatus = (
             (mstatus & ~_M_TRAP_FIELDS)
-            | (mode << c.MSTATUS_MPP_SHIFT)
-            | ((mstatus & c.MSTATUS_MIE) << _PIE_SHIFT)
+            | (mode << _MPP_SHIFT)
+            | ((mstatus & _MSTATUS_MIE) << _PIE_SHIFT)
         )
         tvec = csr.mtvec
     else:
         csr.sepc = state.pc & ~0x3
         csr.scause = mcause
-        csr.write(c.CSR_STVAL, tval)
+        csr._simple[_CSR_STVAL] = tval & _XMASK
         # SPP = mode & 1, SPIE = SIE, SIE = 0.
         mstatus = (
             (mstatus & ~_S_TRAP_FIELDS)
-            | ((mode & 1) << c.MSTATUS_SPP_SHIFT)
-            | ((mstatus & c.MSTATUS_SIE) << _PIE_SHIFT)
+            | ((mode & 1) << _SPP_SHIFT)
+            | ((mstatus & _MSTATUS_SIE) << _PIE_SHIFT)
         )
         tvec = csr.stvec
-    pc = tvec & c.TVEC_BASE_MASK
-    if is_interrupt and (tvec & c.TVEC_MODE_MASK) == c.TvecMode.VECTORED:
+    pc = tvec & _TVEC_BASE_MASK
+    if is_interrupt and (tvec & _TVEC_MODE_MASK) == _VECTORED:
         pc += 4 * cause
     state.pc = pc
     # Bypass legalization: trap delivery may set any MPP among supported.
-    csr.mstatus = mstatus & c.XMASK
+    csr.mstatus = mstatus & _XMASK
     state.mode = target
     state.waiting_for_interrupt = False
     return target

@@ -13,12 +13,16 @@ so a disabled tracer (``machine.tracer is None``, the default) costs one
 attribute load and one branch on the hot path.
 
 An *enabled* tracer has its own budget (<10% of steps/sec, checked by
-the hot-path benchmark), so the recording path does the minimum work per
-event: the ring holds plain tuples and :class:`TraceEvent` objects are
-materialized lazily by :meth:`Tracer.events`; trap cause names arrive
-from ``TrapStats``, which derives each once for its own counters; and
-trap latencies are buffered and folded into the metrics registry in
-batches (flushed transparently when :attr:`metrics` is read).
+the hot-path benchmark), so recording an event does the minimum: it
+appends one plain tuple to the ring, whose trap-path records are flat
+(the payload follows the stamps).  Everything else is folded from the
+ring lazily, in batches, when a reader needs it or before the ring
+drops records: each record's sequence number, the per-kind and
+per-cause counters, the pairing of each trap exit with its entry (its
+latency) and the metrics registry.  Trap cause names arrive from
+``TrapStats``, which derives each once for its own counters, and
+:class:`TraceEvent` objects are materialized only by
+:meth:`Tracer.events` and :meth:`Tracer.tail`.
 
 The ring is bounded (old events are dropped, counted in :attr:`dropped`)
 but the per-kind and per-cause counters are cumulative, so aggregate
@@ -27,8 +31,7 @@ numbers stay exact even after the buffer wraps on a long run.
 
 from __future__ import annotations
 
-import itertools
-from collections import Counter, deque
+from collections import Counter
 from typing import Optional
 
 from repro.hart.cycles import cycles_to_mtime
@@ -55,6 +58,15 @@ RING_CAPACITY = 65536
 
 #: Events preserved by a quarantine dump (the "flight recorder" tail).
 QUARANTINE_TAIL = 64
+
+#: The trap-path kinds whose records are flat: their payload fields follow
+#: the stamps, where other kinds hold one args dict.
+_FLAT_KINDS = frozenset({"trap-entry", "trap-exit", "fastpath"})
+
+#: Records recorded between two folds, as a share of the ring capacity:
+#: the ring's list holds at most ``1 + 1 / FOLD_SHARE`` times the
+#: capacity.
+FOLD_SHARE = 4
 
 
 class TraceEvent:
@@ -86,102 +98,135 @@ class Tracer:
     """Bounded event recorder plus the metrics fed by trap pairing."""
 
     def __init__(self):
-        #: Raw records ``(seq, kind, hart, mtime, instret, args)``; use
-        #: :meth:`events` for the materialized :class:`TraceEvent` view.
-        self.ring: deque[tuple] = deque(maxlen=RING_CAPACITY)
-        self._ring_append = self.ring.append
+        # The ring, oldest record first: ``(seq, kind, hart, cycles,
+        # instret, args)``, or ``(seq, kind, hart, cycles, instret,
+        # *payload)`` for the flat trap-path kinds.  Records from
+        # ``_folded`` on are not folded yet and lack their ``seq`` (they
+        # are numbered on from ``_folded_seq``); a fold also cuts the
+        # list back to the last ``_capacity`` records.  Use
+        # :meth:`events` for the materialized :class:`TraceEvent` view.
+        self._capacity = RING_CAPACITY
+        self._ring: list[tuple] = []
+        self._folded = 0
+        self._folded_seq = 0
+        self._fold_every = max(1, RING_CAPACITY // FOLD_SHARE)
+        #: Recording folds once the ring's list is this long: at the
+        #: first event, which also captures the clock frequency, then
+        #: every ``_fold_every`` events.
+        self._fold_at = 1
         # Per-kind counters.  The three kinds on the per-trap path get
         # scalar counters (or are derived: trap-entry == sum of causes);
         # everything else shares one Counter.  Merged by :attr:`counts`.
         self._counts: Counter[str] = Counter()
         self._n_exit = 0
         self._n_fastpath = 0
-        # Per-cause trap counts fold in batches: list.append per trap,
-        # one C-speed Counter.update at read time.
         self._causes: Counter[str] = Counter()
-        self._pending_causes: list[str] = []
         self._metrics = MetricsRegistry()
-        # (handler, cause, latency) observations awaiting a batched fold
-        # into the registry; bounded by _FLUSH_THRESHOLD.
-        self._pending_metrics: list[tuple[str, str, float]] = []
         #: Last-N snapshots taken when the watchdog quarantines firmware,
         #: as ``(reason, events)`` pairs.
         self.quarantine_dumps: list[tuple[str, tuple[TraceEvent, ...]]] = []
-        self._seq = 0
-        # Per-hart open trap: (cause name, machine.cycles at entry).
+        # Per-hart open trap as of the last fold: (cause name,
+        # machine.cycles at entry).
         self._open: dict[int, tuple[str, float]] = {}
-        # Clock frequency of the traced machine, captured on first emit:
-        # events are stamped with the cheap ``machine.cycles`` attribute
-        # and converted to mtime lazily when materialized.  A tracer
-        # therefore records one machine (one run), which every user —
-        # CLI, chaos harness, benchmark — already guarantees.
+        # Clock frequency of the traced machine, captured at the first
+        # event: events are stamped with the cheap ``machine.cycles``
+        # attribute and converted to mtime lazily when materialized.  A
+        # tracer therefore records one machine (one run), which every
+        # user — CLI, chaos harness, benchmark — already guarantees.
         self._hz: Optional[int] = None
-
-    _FLUSH_THRESHOLD = 4096
 
     # -- recording -----------------------------------------------------
 
     def emit(self, machine, kind: str, hart: int, **args) -> None:
         """Record one event, stamped with mtime and retired instructions."""
-        if self._hz is None:
-            self._hz = machine.config.frequency_hz
-        seq = self._seq
-        self._seq = seq + 1
-        self._ring_append((seq, kind, hart, machine.cycles,
-                           machine.harts[hart].instret, args))
-        self._counts[kind] += 1
+        ring = self._ring
+        ring.append((kind, hart, machine.cycles, machine.harts[hart].instret,
+                     args))
+        if len(ring) >= self._fold_at:
+            self._fold(machine)
 
     def trap_entry(self, machine, hartid: int, name: str,
                    is_interrupt: bool) -> None:
         """A hart took a trap, whose cause name ``TrapStats.record_trap``
-        passes in; opens the latency span for this hart."""
-        if self._hz is None:
-            self._hz = machine.config.frequency_hz
-        self._pending_causes.append(name)
-        cycles = machine.cycles
-        self._open[hartid] = (name, cycles)
-        seq = self._seq
-        self._seq = seq + 1
-        # Payload is a plain tuple; the args dict is built lazily on
-        # materialization (a dict per trap is measurable on this path).
-        self._ring_append((seq, "trap-entry", hartid, cycles,
-                           machine.harts[hartid].instret,
-                           (name, is_interrupt)))
+        passes in; the fold opens the latency span for this hart."""
+        # The args dict is built lazily on materialization (a dict per
+        # trap is measurable on this path).
+        ring = self._ring
+        ring.append(("trap-entry", hartid, machine.cycles,
+                     machine.harts[hartid].instret, name, is_interrupt))
+        if len(ring) >= self._fold_at:
+            self._fold(machine)
+
+    # A trap exit and a fast-path hit each follow their trap's entry, so
+    # the fold checks in ``trap_entry`` and ``emit`` bound the ring.
 
     def trap_exit(self, machine, hartid: int, handler: str) -> None:
-        """The monitor finished a trap; closes the span and feeds metrics."""
-        cycles = machine.cycles
-        opened = self._open.pop(hartid, None)
-        if opened is None:
-            payload: tuple = (handler,)
-        else:
-            name, entry_cycles = opened
-            payload = (handler, name, cycles - entry_cycles)
-            pending = self._pending_metrics
-            pending.append(payload)
-            if len(pending) >= self._FLUSH_THRESHOLD:
-                self._flush_metrics()
-        seq = self._seq
-        self._seq = seq + 1
-        self._ring_append((seq, "trap-exit", hartid, cycles,
-                           machine.harts[hartid].instret, payload))
-        self._n_exit += 1
+        """The monitor finished a trap; the fold closes the span, adds the
+        cause and latency to this record and feeds the metrics."""
+        self._ring.append(("trap-exit", hartid, machine.cycles,
+                           machine.harts[hartid].instret, handler))
 
     def fastpath(self, machine, hartid: int, name: str) -> None:
         """An offload hit — frequent enough to warrant its own lean path."""
-        seq = self._seq
-        self._seq = seq + 1
-        self._ring_append((seq, "fastpath", hartid, machine.cycles,
-                           machine.harts[hartid].instret, (name,)))
-        self._n_fastpath += 1
+        self._ring.append(("fastpath", hartid, machine.cycles,
+                           machine.harts[hartid].instret, name))
+
+    def _fold(self, machine=None) -> None:
+        """Fold the records since the last fold, in order: number each
+        one and count it; then drop the records the ring no longer holds.
+
+        A trap exit pairs with its hart's open entry: the record gains the
+        entry's cause and its latency in cycles, and the metrics registry
+        observes them.  ``machine``: the recording machine, whose clock
+        frequency the first fold captures.
+        """
+        if self._hz is None and machine is not None:
+            self._hz = machine.config.frequency_hz
+        ring = self._ring
+        counts, causes, opened = self._counts, self._causes, self._open
+        observe = self._metrics.observe_trap
+        n_exit, n_fastpath = self._n_exit, self._n_fastpath
+        seq = self._folded_seq
+        for index in range(self._folded, len(ring)):
+            record = (seq, *ring[index])
+            seq += 1
+            kind = record[1]
+            if kind == "trap-entry":
+                causes[record[5]] += 1
+                opened[record[2]] = (record[5], record[3])
+            elif kind == "trap-exit":
+                n_exit += 1
+                entry = opened.pop(record[2], None)
+                if entry is not None:
+                    cause, latency = entry[0], record[3] - entry[1]
+                    record = (*record, cause, latency)
+                    observe(cause, record[5], latency)
+            elif kind == "fastpath":
+                n_fastpath += 1
+            else:
+                counts[kind] += 1
+            ring[index] = record
+        self._folded_seq = seq
+        self._n_exit, self._n_fastpath = n_exit, n_fastpath
+        excess = len(ring) - self._capacity
+        if excess > 0:
+            del ring[:excess]
+        self._folded = len(ring)
+        self._fold_at = len(ring) + self._fold_every
+
+    @property
+    def _seq(self) -> int:
+        """The sequence number of the next event."""
+        return self._folded_seq + len(self._ring) - self._folded
 
     # -- inspection ----------------------------------------------------
 
     @property
     def counts(self) -> Counter:
         """Cumulative events per kind (exact even after the ring wraps)."""
+        self._fold()
         merged = Counter(self._counts)
-        entries = sum(self.trap_causes.values())
+        entries = sum(self._causes.values())
         if entries:
             merged["trap-entry"] = entries
         if self._n_exit:
@@ -195,24 +240,13 @@ class Tracer:
         """Cumulative trap-entry events per cause name; equal by
         construction to ``TrapStats.trap_counts`` for the same run, whose
         ``record_trap`` is the one caller of :meth:`trap_entry`."""
-        pending = self._pending_causes
-        if pending:
-            self._causes.update(pending)
-            pending.clear()
+        self._fold()
         return self._causes
-
-    def _flush_metrics(self) -> None:
-        pending = self._pending_metrics
-        if pending:
-            observe = self._metrics.observe_trap
-            for handler, cause, latency in pending:
-                observe(cause, handler, latency)
-            pending.clear()
 
     @property
     def metrics(self) -> MetricsRegistry:
-        """The metrics registry, with buffered observations folded in."""
-        self._flush_metrics()
+        """The metrics registry, with every recorded trap folded in."""
+        self._fold()
         return self._metrics
 
     @property
@@ -223,12 +257,13 @@ class Tracer:
     @property
     def dropped(self) -> int:
         """Events the bounded ring has discarded."""
-        return self._seq - len(self.ring)
+        return self._seq - min(len(self._ring), self._capacity)
 
     @staticmethod
-    def _payload_args(kind: str, payload) -> dict:
-        if type(payload) is dict:
-            return payload
+    def _payload_args(kind: str, payload: list) -> dict:
+        """The args of a record from its fields after the stamps."""
+        if kind not in _FLAT_KINDS:
+            return payload[0]  # emit's args dict
         if kind == "trap-entry":
             return {"cause": payload[0], "interrupt": payload[1]}
         if kind == "fastpath":
@@ -244,16 +279,17 @@ class Tracer:
         return [
             TraceEvent(seq, kind, hart, cycles_to_mtime(cycles, hz),
                        instret, payload_args(kind, payload))
-            for seq, kind, hart, cycles, instret, payload in records
+            for seq, kind, hart, cycles, instret, *payload in records
         ]
 
     def events(self) -> list[TraceEvent]:
-        return self._materialize(self.ring)
+        self._fold()
+        return self._materialize(self._ring)
 
     def tail(self, n: int) -> list[TraceEvent]:
         """The last ``n`` events still in the ring, oldest first."""
-        return self._materialize(
-            list(itertools.islice(reversed(self.ring), n))[::-1])
+        self._fold()
+        return self._materialize(self._ring[-n:] if n > 0 else [])
 
     def tail_tuples(self, n: int) -> list[tuple]:
         """The last ``n`` events as plain JSON-stable tuples.
@@ -281,8 +317,7 @@ class Tracer:
         back with it, keeping ``trap_causes`` equal to the (also rewound)
         ``TrapStats.trap_counts``.
         """
-        _ = self.trap_causes      # fold pending causes
-        self._flush_metrics()     # fold pending latency observations
+        self._fold()
         return {
             "seq": self._seq,
             "counts": dict(self._counts),
@@ -316,7 +351,10 @@ class Tracer:
         seq = epoch["seq"]
         if self._seq < seq:
             return
-        ring = self.ring
+        # Fold first: the ring is then cut to its capacity, so the
+        # records it dropped stay dropped.
+        self._fold()
+        ring = self._ring
         kept: list[tuple] = []
         while ring and ring[-1][0] >= seq:
             record = ring.pop()
@@ -327,13 +365,13 @@ class Tracer:
         for record in kept:
             ring.append(record)
             self._counts[record[1]] += 1
+        self._folded = len(ring)
         # Preserved events keep their sequence numbers, so the clock only
         # rewinds to just past the last survivor (seq stays monotonic).
-        self._seq = kept[-1][0] + 1 if kept else seq
+        self._folded_seq = kept[-1][0] + 1 if kept else seq
+        self._fold_at = len(ring) + self._fold_every
         self._n_exit = epoch["n_exit"]
         self._n_fastpath = epoch["n_fastpath"]
-        self._pending_causes.clear()
         self._causes = Counter(epoch["causes"])
-        self._pending_metrics.clear()
         self._metrics.rewind_to_epoch(epoch["metrics"])
         self._open = dict(epoch["open"])

@@ -42,9 +42,13 @@ def bit_walk(width: int = 64) -> Iterator[int]:
         yield 1 << position
 
 
-def csr_value_space(samples: int = 32, seed: int = 2025) -> list[int]:
+#: Seed of the random tail of :func:`csr_value_space`.
+CSR_SAMPLE_SEED = 2025
+
+
+def csr_value_space(samples: int = 32) -> list[int]:
     """The value space used to test one CSR write."""
-    rng = random.Random(seed)
+    rng = random.Random(CSR_SAMPLE_SEED)
     values = list(BOUNDARY_VALUES)
     values.extend(bit_walk())
     values.extend(rng.getrandbits(64) for _ in range(samples))

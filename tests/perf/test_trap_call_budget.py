@@ -1,10 +1,13 @@
-"""Timing-free guard on the trap round trip: Python calls per recorded trap.
+"""Timing-free guard on the trap round trip: Python calls and bytecodes
+per recorded trap.
 
 Host time per trap is dominated by interpreter glue, and a host timing is
-too noisy to gate on.  The number of Python function calls per trap is
-exact and deterministic for one interpreter version, so a regression on
-the trap path (a new wrapper, a property on the hot path, a per-trap
-object with a Python ``__init__``) shows here without a timer.
+too noisy to gate on.  The number of Python function calls per trap, and
+of bytecode instructions executed per trap (counted with opcode tracing),
+are exact and deterministic for one interpreter version, so a regression
+on the trap path (a new wrapper, a property on the hot path, a per-trap
+object with a Python ``__init__``, extra work inside a function) shows
+here without a timer.
 
 Two slices of the benchmark workloads are counted with ``sys.setprofile``
 after a warm-up pass (so lookup caches are filled):
@@ -22,7 +25,9 @@ after a warm-up pass (so lookup caches are filled):
   over ~219 traps, so the sandbox hooks and the activation arm count.
 
 Each budget is the count measured when it was set plus 10% headroom.  A
-change that lowers the count should lower the budget with it.
+change that lowers the count should lower the budget with it.  The counts
+differ between interpreter versions (and can between patch releases), so
+each is recorded for the patch version it was measured on.
 """
 
 from __future__ import annotations
@@ -43,13 +48,22 @@ from repro.spec.platform import VISIONFIVE2
 
 HEADROOM = 1.10
 
-#: Python version -> workload -> calls per recorded trap when set.  3.12
-#: inlines comprehensions, hence its lower Memcached count.
+#: Python version -> workload -> calls per recorded trap when set,
+#: measured on CPython 3.11.7 and 3.12.1.  3.12 inlines comprehensions,
+#: hence its lower counts.
 MEASURED = {
-    (3, 11): {"stall-loop": 36.68, "memcached-reinject": 62.06,
-              "opensbi-none": 96.92},
-    (3, 12): {"stall-loop": 36.68, "memcached-reinject": 61.59,
-              "opensbi-none": 95.24},
+    (3, 11): {"stall-loop": 28.50, "memcached-reinject": 47.81,
+              "opensbi-none": 77.74},
+    (3, 12): {"stall-loop": 28.50, "memcached-reinject": 47.51,
+              "opensbi-none": 76.74},
+}
+#: Python version -> workload -> bytecode instructions per recorded trap
+#: when set, on the same interpreters.
+MEASURED_BYTECODES = {
+    (3, 11): {"stall-loop": 1371.1, "memcached-reinject": 1895.1,
+              "opensbi-none": 2917.7},
+    (3, 12): {"stall-loop": 1311.1, "memcached-reinject": 1792.7,
+              "opensbi-none": 2746.3},
 }
 
 _RECORD_TRAP = TrapStats.record_trap.__code__
@@ -76,6 +90,42 @@ class CallCounter:
             sys.setprofile(None)
         assert self.traps > 0
         return self.calls / self.traps
+
+
+class BytecodeCounter:
+    """A trace hook counting executed bytecodes and ``record_trap`` entries."""
+
+    def __init__(self):
+        self.bytecodes = 0
+        self.traps = 0
+
+    def __call__(self, frame, event, arg):
+        if event == "opcode":
+            self.bytecodes += 1
+        elif event == "call":
+            frame.f_trace_opcodes = True
+            if frame.f_code is _RECORD_TRAP:
+                self.traps += 1
+        return self
+
+    def run(self, fn) -> float:
+        # CPython 3.12.1 reports no opcode events in the first tracing
+        # session of a process; a traced no-op session absorbs that.
+        sys.settrace(self)
+        _no_op()
+        sys.settrace(None)
+        self.bytecodes = 0
+        sys.settrace(self)
+        try:
+            fn()
+        finally:
+            sys.settrace(None)
+        assert self.traps > 0
+        return self.bytecodes / self.traps
+
+
+def _no_op() -> None:
+    pass
 
 
 def _stall_loop() -> None:
@@ -119,26 +169,51 @@ def _memcached_reinject(measure):
     return result["per_trap"]
 
 
-def calls_per_trap(workload: str) -> float:
+def per_trap(workload: str, counter) -> float:
+    """``counter`` (a :class:`CallCounter` or :class:`BytecodeCounter`
+    class) over one warmed-up run of ``workload``, per recorded trap."""
     if workload == "stall-loop":
         with mock.patch.object(watchdog, "MAX_FAULT_REPEATS", 10**9):
             _stall_loop()  # warm-up
-            return CallCounter().run(_stall_loop)
+            return counter().run(_stall_loop)
     if workload == "opensbi-none":
         _opensbi_none()  # warm-up
-        return CallCounter().run(_opensbi_none)
+        return counter().run(_opensbi_none)
     _memcached_reinject(lambda ops: ops())  # warm-up
-    return _memcached_reinject(lambda ops: CallCounter().run(ops))
+    return _memcached_reinject(lambda ops: counter().run(ops))
 
 
-@pytest.mark.parametrize("workload",
-                         ["stall-loop", "memcached-reinject", "opensbi-none"])
-def test_calls_per_trap_within_budget(workload):
-    measured = MEASURED.get(sys.version_info[:2])
+def calls_per_trap(workload: str) -> float:
+    return per_trap(workload, CallCounter)
+
+
+def bytecodes_per_trap(workload: str) -> float:
+    return per_trap(workload, BytecodeCounter)
+
+
+WORKLOADS = ["stall-loop", "memcached-reinject", "opensbi-none"]
+
+
+def _budget(table: dict, workload: str) -> tuple[float, float]:
+    measured = table.get(sys.version_info[:2])
     if measured is None:
-        pytest.skip("call counts are recorded for CPython 3.11 and 3.12")
-    budget = measured[workload] * HEADROOM
+        pytest.skip("counts are recorded for CPython 3.11 and 3.12")
+    return measured[workload], measured[workload] * HEADROOM
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_calls_per_trap_within_budget(workload):
+    measured, budget = _budget(MEASURED, workload)
     per_trap = calls_per_trap(workload)
     assert per_trap <= budget, (
         f"{workload}: {per_trap:.2f} Python calls per trap, budget "
-        f"{budget:.2f} ({measured[workload]} + 10%)")
+        f"{budget:.2f} ({measured} + 10%)")
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_bytecodes_per_trap_within_budget(workload):
+    measured, budget = _budget(MEASURED_BYTECODES, workload)
+    per_trap = bytecodes_per_trap(workload)
+    assert per_trap <= budget, (
+        f"{workload}: {per_trap:.1f} bytecodes per trap, budget "
+        f"{budget:.1f} ({measured} + 10%)")

@@ -49,7 +49,7 @@ NOT_STATE = {
               "_window_lo", "_window_hi", "_window_cmp"},
     "Plic": {"base", "size", "num_harts", "_set_eip", "fault_hook"},
     "Uart": {"base", "size", "fault_hook"},
-    "TrapStats": {"keep_events", "machine", "_last", "_last_by_hart", "_seq_by_hart",
+    "TrapStats": {"keep_events", "machine", "last_event", "_last_by_hart", "_seq_by_hart",
                   "_injected_by_hart", "_injected_seq_by_hart"},
     "VirtContext": set(vcpu.WIRING),
     "VirtualClint": {"machine", "clint",

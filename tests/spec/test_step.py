@@ -8,7 +8,8 @@ from repro.isa import constants as c
 from repro.isa.instructions import Instruction
 from repro.spec.platform import PREMIER_P550, VISIONFIVE2
 from repro.spec.state import MachineState
-from repro.spec.step import BusError, execute_instruction
+from repro.spec.step import BusError, Outcome, execute_instruction
+from repro.spec.traps import Trap
 
 u64 = st.integers(min_value=0, max_value=(1 << 64) - 1)
 MASK = (1 << 64) - 1
@@ -330,6 +331,22 @@ class TestCsrInstructions:
         state.pc = 0x8000_0000
         outcome = run(state, Instruction("csrrs", rd=1, rs1=0, csr=c.CSR_CYCLE))
         assert outcome.trap is None
+
+    def test_repeated_illegal_instruction_shares_its_outcome(self, state):
+        """A trapping word's Trap and Outcome are immutable, so each
+        execution of it returns the one shared outcome, with the same
+        architectural effect as a fresh one."""
+        instr = Instruction("csrrs", rd=1, rs1=0, csr=c.CSR_MSTATUS)
+        outcomes = []
+        for _ in range(2):
+            state.mode = c.U_MODE
+            state.pc = 0x8000_0000
+            outcomes.append(run(state, instr))
+            assert state.csr.read(c.CSR_MTVAL) == instr.word
+            assert state.csr.mcause == c.TrapCause.ILLEGAL_INSTRUCTION
+        assert outcomes[0] is outcomes[1]
+        assert outcomes[0] == Outcome(trap=Trap(
+            c.TrapCause.ILLEGAL_INSTRUCTION, tval=instr.word))
 
 
 class TestSystemInstructions:

@@ -101,6 +101,31 @@ class TestTracer:
             assert result.recoveries.get("retries", 0) > 0
         assert_counted_events_match(tracer, built[-1].stats)
 
+    @pytest.mark.parametrize("plan, seed", [("csr-chaos", 119),
+                                            ("random", 3)])
+    def test_small_ring_keeps_a_suffix_of_a_large_one(self, monkeypatch,
+                                                       plan, seed):
+        """A small ring folds and cuts many times mid-run, around the
+        cell's rewinds; it must hold the tail of what a ring that never
+        wraps holds, with the same counters and metrics."""
+        def traced(capacity):
+            monkeypatch.setattr(tracer_module, "RING_CAPACITY", capacity)
+            tracer = Tracer()
+            run_chaos("opensbi", plan, seed, tracer=tracer)
+            return tracer
+
+        small, large = traced(16), traced(1 << 16)
+        assert small.dropped > large.dropped
+        kept = [event.to_tuple() for event in small.events()]
+        assert kept == [event.to_tuple() for event in large.events()][-len(kept):]
+        assert small.counts == large.counts
+        assert small.trap_causes == large.trap_causes
+        assert small.total_events == large.total_events
+        assert ({cause: histogram.snapshot() for cause, histogram
+                 in small.metrics.trap_latency.items()}
+                == {cause: histogram.snapshot() for cause, histogram
+                    in large.metrics.trap_latency.items()})
+
     def test_ring_wraps_but_counters_stay_exact(self, monkeypatch):
         monkeypatch.setattr(tracer_module, "RING_CAPACITY", 8)
         tracer = Tracer()

@@ -87,16 +87,16 @@ def test_installed_enables_are_the_routes(monkeypatch):
     from repro.core.miralis import Miralis
 
     checked = []
-    handle = Miralis._handle_trap
+    handle = Miralis.handle  # every monitor entry: boots and traps
 
-    def handle_trap(self, hart):
+    def handle_trap(self, machine, hart):
         before = len(routes)
-        handle(self, hart)
+        handle(self, machine, hart)
         if len(routes) == before + 1:
             installed = hart.state.csr.mie & ~c.SIP_MASK
             checked.append((routes[-1], installed))
 
-    monkeypatch.setattr(Miralis, "_handle_trap", handle_trap)
+    monkeypatch.setattr(Miralis, "handle", handle_trap)
     platform = dataclasses.replace(VISIONFIVE2, num_harts=2)
     for name, workloads in sorted(SMP_WORKLOADS.items()):
         for offload in (True, False):

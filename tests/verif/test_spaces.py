@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 
 from repro.isa import constants as c
+from repro.verif import spaces
 from repro.verif.spaces import (
     BOUNDARY_VALUES,
     bit_walk,
@@ -39,16 +40,17 @@ class TestBitWalk:
 
 class TestCsrValueSpace:
     def test_structured_prefix_is_boundaries_then_bit_walk(self):
-        values = csr_value_space(samples=32, seed=2025)
+        values = csr_value_space(samples=32)
         structured = len(BOUNDARY_VALUES) + 64
         assert tuple(values[: len(BOUNDARY_VALUES)]) == BOUNDARY_VALUES
         assert values[len(BOUNDARY_VALUES): structured] == list(bit_walk())
         assert len(values) == structured + 32
 
-    def test_sampling_is_deterministic_in_the_seed(self):
+    def test_sampling_is_deterministic(self, monkeypatch):
         assert csr_value_space() == csr_value_space()
-        a = csr_value_space(samples=8, seed=1)
-        b = csr_value_space(samples=8, seed=2)
+        a = csr_value_space(samples=8)
+        monkeypatch.setattr(spaces, "CSR_SAMPLE_SEED", 1)
+        b = csr_value_space(samples=8)
         assert a[: len(BOUNDARY_VALUES) + 64] == b[: len(BOUNDARY_VALUES) + 64]
         assert a[-8:] != b[-8:]
 
