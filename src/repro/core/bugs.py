@@ -33,10 +33,6 @@ KNOWN_BUGS = {
 active: set[str] = set()
 
 
-def is_active(name: str) -> bool:
-    return name in active
-
-
 @contextlib.contextmanager
 def seeded(*names: str):
     """Context manager enabling one or more seeded bugs."""

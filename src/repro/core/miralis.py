@@ -33,7 +33,6 @@ from repro.core.vcpu import VirtContext, World
 from repro.core.vpmp import PmpVirtualizer
 from repro.core.watchdog import FirmwareWatchdog
 from repro.core.world_switch import WorldSwitcher
-from repro.hart.cycles import mtime_to_cycles
 from repro.hart.program import MachineHalted, Region
 from repro.hart.stats import trap_detail
 from repro.isa import constants as c
@@ -277,7 +276,7 @@ class Miralis:
                 vclint = self.vclint
                 refresh_virtual_mip(
                     vctx, machine.read_mtime(), vclint.mtimecmp[hartid],
-                    bool(vclint.msip[hartid]),  # vclint.virtual_msip
+                    bool(vclint.msip[hartid]),
                     bool(csr_file.mip_hw & _MIP_MEIP))
                 # Nothing ready, pending_virtual_interrupt's first test, is
                 # the common case: tested here, it costs no call.
@@ -489,31 +488,23 @@ class Miralis:
 
     def _firmware_wfi(self, hart, vctx) -> None:
         """Emulate WFI from vM-mode: wait until a virtual interrupt pends."""
+        vclint, hartid = self.vclint, hart.hartid
+        deadlines = (vclint.mtimecmp[hartid], vclint.monitor_mtimecmp[hartid])
         for _ in range(64):
             self._refresh_vmip(hart, vctx)
             if vctx.mip & vctx.mie:
                 return
-            deadline = min(
-                self.vclint.mtimecmp[hart.hartid],
-                self.vclint.monitor_mtimecmp[hart.hartid],
-            )
-            now = self.machine.read_mtime()
-            if deadline == U64 or deadline <= now:
+            if not self.machine.fast_forward(deadlines):
                 break
-            self.machine.charge(
-                mtime_to_cycles(deadline - now + 1, self.machine.config.frequency_hz)
-            )
         else:
             return
-        self._refresh_vmip(hart, vctx)
-        if not vctx.mip & vctx.mie:
-            if self.watchdog is not None:
-                self.watchdog.on_wfi_stall(hart, vctx)  # does not return
-            self.machine.halt(
-                "miralis: virtual firmware waits for interrupt with no "
-                "wakeup source armed"
-            )
-            raise MachineHalted(self.machine.halt_reason)
+        if self.watchdog is not None:
+            self.watchdog.on_wfi_stall(hart, vctx)  # does not return
+        self.machine.halt(
+            "miralis: virtual firmware waits for interrupt with no "
+            "wakeup source armed"
+        )
+        raise MachineHalted(self.machine.halt_reason)
 
     # ------------------------------------------------------------------
     # Traps from the OS (direct world)
@@ -662,7 +653,7 @@ class Miralis:
             vctx,
             self.machine.read_mtime(),
             vclint.mtimecmp[hartid],
-            bool(vclint.msip[hartid]),  # vclint.virtual_msip, inlined
+            bool(vclint.msip[hartid]),
             bool(hart.state.csr.mip_hw & _MIP_MEIP),
         )
 

@@ -64,12 +64,6 @@ class VirtualClint:
     def clear_monitor_deadline(self, hartid: int) -> None:
         self.set_monitor_deadline(hartid, U64)
 
-    def virtual_mtip(self, hartid: int, mtime: int) -> bool:
-        return mtime >= self.mtimecmp[hartid]
-
-    def virtual_msip(self, hartid: int) -> bool:
-        return bool(self.msip[hartid])
-
     # -- state protocol -----------------------------------------------------
 
     def snapshot_state(self) -> dict:
@@ -134,11 +128,20 @@ class VirtualClint:
                         op="load" if instr.is_load else "store",
                         offset=offset, size=size)
         if instr.is_load:
-            value = instr.extend_loaded(self._read(offset, size))
+            register, hartid, byte = clint_regs.locate(
+                offset, size, self.clint.num_harts, ValueError)
+            if register == "mtime":
+                value = self.machine.read_mtime()
+            elif register == "msip":
+                value = self.msip[hartid]
+            else:
+                value = self.mtimecmp[hartid]
+            value = instr.extend_loaded(
+                (value >> (8 * byte)) & ((1 << (8 * size)) - 1))
             hart.state.set_xreg(instr.rd, value)
             return value
         value = hart.state.get_xreg(instr.rs2) & ((1 << (size * 8)) - 1)
-        self._write(offset, size, value, hart.hartid)
+        self._write(offset, size, value)
         return None
 
     def emulate_os_access(
@@ -175,7 +178,8 @@ class VirtualClint:
         self.accesses += 1
         offset = address - self.clint.base
         size = instr.memory_size
-        kind, hartid, byte = self._locate(offset, size)
+        register, hartid, _ = clint_regs.locate(
+            offset, size, self.clint.num_harts, ValueError)
         tracer = self.machine.tracer
         if tracer is not None:
             tracer.emit(self.machine, "vclint", hart.hartid,
@@ -184,87 +188,37 @@ class VirtualClint:
         if instr.is_load:
             hart.state.set_xreg(
                 instr.rd, instr.extend_loaded(self.clint.read(offset, size)))
-            return kind
+            return register
         value = hart.state.get_xreg(instr.rs2) & ((1 << (size * 8)) - 1)
-        if kind == "mtime":
+        if register == "mtime":
             self.clint.write(offset, size, value)  # ignored, as natively
-            return kind
-        if kind == "msip":
-            if "os_ipi_write_dropped" in bugs.active:
-                return kind  # seeded hole: the IPI silently vanishes
-            # Mirror into the firmware's view before the physical write:
-            # the native firmware sees every msip bit regardless of who
-            # set it, and the virtual-MSI routing keys on this shadow.
-            self.msip[hartid] = value & 1
-            self.clint.write(offset, size, value)
-            return kind
-        # mtimecmp: merge into the *effective* (physical) comparator value,
-        # keep the result as the virtual deadline, and retire the monitor
-        # deadline — a native store leaves exactly one armed deadline.
-        current = self.clint.mtimecmp[hartid]
-        mask = ((1 << (8 * size)) - 1) << (8 * byte)
-        merged = (current & ~mask) | ((value << (8 * byte)) & mask)
-        self.mtimecmp[hartid] = merged & U64
-        self.monitor_mtimecmp[hartid] = U64
-        self.timer_armed[hartid] = False
-        self.program_physical_timer(hartid)
-        return kind
-
-    def _locate(self, offset: int, size: int) -> tuple[str, int, int]:
-        """Map an access onto one register: (kind, hartid, byte offset).
-
-        ``mtime``/``mtimecmp`` are byte-granular (as on the physical
-        device); ``msip`` keeps its 32-bit-only access width.  Accesses
-        that straddle a register boundary or miss the map fault.
-        """
-        num_harts = self.machine.config.num_harts
-        if clint_regs.MTIME_OFFSET <= offset < clint_regs.MTIME_OFFSET + 8:
-            byte = offset - clint_regs.MTIME_OFFSET
-            if byte + size <= 8:
-                return "mtime", 0, byte
-        elif (
-            clint_regs.MSIP_BASE <= offset < clint_regs.MSIP_BASE + 4 * num_harts
-            and size == 4 and offset % 4 == 0
-        ):
-            return "msip", (offset - clint_regs.MSIP_BASE) // 4, 0
-        elif (
-            clint_regs.MTIMECMP_BASE
-            <= offset
-            < clint_regs.MTIMECMP_BASE + 8 * num_harts
-        ):
-            byte = (offset - clint_regs.MTIMECMP_BASE) % 8
-            if byte + size <= 8:
-                return "mtimecmp", (offset - clint_regs.MTIMECMP_BASE) // 8, byte
-        raise ValueError(
-            f"bad virtual CLINT access: {size}B at offset {offset:#x}"
-        )
-
-    def _read(self, offset: int, size: int) -> int:
-        kind, hartid, byte = self._locate(offset, size)
-        if kind == "mtime":
-            register = self.machine.read_mtime()
-        elif kind == "msip":
-            register = self.msip[hartid]
+        elif register == "msip" and "os_ipi_write_dropped" in bugs.active:
+            pass  # seeded hole: the IPI silently vanishes
         else:
-            register = self.mtimecmp[hartid]
-        return (register >> (8 * byte)) & ((1 << (8 * size)) - 1)
+            if register == "mtimecmp":
+                # The store merges into the *effective* (physical)
+                # comparator, not the virtual shadow.
+                self.mtimecmp[hartid] = self.clint.mtimecmp[hartid]
+            self._write(offset, size, value)
+        return register
 
-    def _write(self, offset: int, size: int, value: int, from_hart: int) -> None:
-        kind, hartid, byte = self._locate(offset, size)
-        if kind == "mtime":
+    def _write(self, offset: int, size: int, value: int) -> None:
+        register, hartid, byte = clint_regs.locate(
+            offset, size, self.clint.num_harts, ValueError)
+        if register == "mtime":
             return  # writes to mtime ignored, as on the physical device
-        if kind == "msip":
-            # Shadow the firmware's view, then pass through: an IPI must
-            # physically reach the target hart, whose own monitor
-            # instance virtualizes it.
+        if register == "msip":
+            # Shadow the firmware's view (the native firmware sees every
+            # msip bit, and the virtual-MSI routing keys on this shadow),
+            # then pass through: an IPI must physically reach the target
+            # hart, whose own monitor instance virtualizes it.
             self.msip[hartid] = value & 1
             self.clint.write(offset, size, value)
             return
-        mask = ((1 << (8 * size)) - 1) << (8 * byte)
-        merged = (self.mtimecmp[hartid] & ~mask) | ((value << (8 * byte)) & mask)
-        self.mtimecmp[hartid] = merged & U64
+        self.mtimecmp[hartid] = clint_regs.merge(
+            self.mtimecmp[hartid], value, size, byte)
         # One comparator natively: the store retires any deadline the
-        # monitor armed for the OS, as an OS store does.
+        # monitor armed for the OS, and leaves exactly one armed.
         self.monitor_mtimecmp[hartid] = U64
         self.timer_armed[hartid] = False
         self.program_physical_timer(hartid)

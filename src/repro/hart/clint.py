@@ -3,8 +3,9 @@
 The CLINT provides the machine timer (``mtime``, one ``mtimecmp`` per hart)
 and software interrupts (one ``msip`` word per hart).  Per §4.3 of the
 paper, this is the only MMIO device the VFM needs to emulate; Miralis's
-virtual CLINT (:mod:`repro.core.vclint`) re-implements this register layout
-on top of shadow state.
+virtual CLINT (:mod:`repro.core.vclint`) serves the same register map on
+top of shadow state, through this module's :func:`locate` and
+:func:`merge`.
 
 Register map (standard SiFive layout):
 
@@ -29,6 +30,36 @@ MTIME_OFFSET = 0xBFF8
 CLINT_SIZE = 0xC000
 
 _INF = float("inf")
+
+
+def locate(offset: int, size: int, num_harts: int,
+           error: type[Exception] = BusError) -> tuple[str, int, int]:
+    """Map an access onto one register: ("msip"/"mtimecmp"/"mtime", hart, byte).
+
+    ``mtime``/``mtimecmp`` accept byte-granular accesses contained in one
+    register; ``msip`` is 32-bit only, as on SiFive hardware.  Anything
+    else raises ``error`` (the vCLINT's is ``ValueError``).
+    """
+    if MTIME_OFFSET <= offset < MTIME_OFFSET + 8:
+        byte = offset - MTIME_OFFSET
+        if byte + size <= 8:
+            return "mtime", 0, byte
+    elif (
+        MSIP_BASE <= offset < MSIP_BASE + 4 * num_harts
+        and size == 4 and offset % 4 == 0
+    ):
+        return "msip", (offset - MSIP_BASE) // 4, 0
+    elif MTIMECMP_BASE <= offset < MTIMECMP_BASE + 8 * num_harts:
+        byte = (offset - MTIMECMP_BASE) % 8
+        if byte + size <= 8:
+            return "mtimecmp", (offset - MTIMECMP_BASE) // 8, byte
+    raise error(f"bad CLINT access: {size}B at offset {offset:#x}")
+
+
+def merge(register: int, value: int, size: int, byte: int) -> int:
+    """``register`` after a ``size``-byte store of ``value`` at ``byte``."""
+    mask = ((1 << (8 * size)) - 1) << (8 * byte)
+    return (register & ~mask) | ((value << (8 * byte)) & mask)
 
 
 class Clint:
@@ -78,56 +109,32 @@ class Clint:
     def read(self, offset: int, size: int) -> int:
         if self.fault_hook is not None and self.fault_hook("read", offset, size):
             raise BusError(f"clint: transient bus fault reading offset {offset:#x}")
-        register_base, hart, byte = self._locate(offset, size)
-        if register_base == MTIME_OFFSET:
-            register = self.time_source()
-        elif register_base == MSIP_BASE:
-            register = self.msip[hart]
+        register, hart, byte = locate(offset, size, self.num_harts)
+        if register == "mtime":
+            value = self.time_source()
+        elif register == "msip":
+            value = self.msip[hart]
         else:
-            register = self.mtimecmp[hart]
-        return (register >> (8 * byte)) & ((1 << (8 * size)) - 1)
+            value = self.mtimecmp[hart]
+        return (value >> (8 * byte)) & ((1 << (8 * size)) - 1)
 
     def write(self, offset: int, size: int, value: int) -> None:
         if self.fault_hook is not None and self.fault_hook("write", offset, size):
             raise BusError(f"clint: transient bus fault writing offset {offset:#x}")
-        register_base, hart, byte = self._locate(offset, size)
-        if register_base == MTIME_OFFSET:
+        register, hart, byte = locate(offset, size, self.num_harts)
+        if register == "mtime":
             # mtime is writable on real CLINTs; the simulated clock is
             # monotonic and owned by the machine, so writes are ignored.
             return
-        if register_base == MSIP_BASE:
+        if register == "msip":
             self.msip[hart] = value & 1
             self._set_msip(hart, bool(value & 1))
             return
-        mask = ((1 << (8 * size)) - 1) << (8 * byte)
-        self.mtimecmp[hart] = (
-            (self.mtimecmp[hart] & ~mask) | ((value << (8 * byte)) & mask)
-        )
+        self.mtimecmp[hart] = merge(self.mtimecmp[hart], value, size, byte)
         self._update_mtip(hart)
         self._rewindow()
 
     # -- timer logic ------------------------------------------------------
-
-    def _locate(self, offset: int, size: int) -> tuple[int, int, int]:
-        """Map an access onto one register: (register base, hart, byte).
-
-        ``mtime``/``mtimecmp`` accept byte-granular accesses contained in
-        one register; ``msip`` is 32-bit only, as on SiFive hardware.
-        """
-        if MTIME_OFFSET <= offset < MTIME_OFFSET + 8:
-            byte = offset - MTIME_OFFSET
-            if byte + size <= 8:
-                return MTIME_OFFSET, 0, byte
-        elif (
-            MSIP_BASE <= offset < MSIP_BASE + 4 * self.num_harts
-            and size == 4 and offset % 4 == 0
-        ):
-            return MSIP_BASE, (offset - MSIP_BASE) // 4, 0
-        elif MTIMECMP_BASE <= offset < MTIMECMP_BASE + 8 * self.num_harts:
-            byte = (offset - MTIMECMP_BASE) % 8
-            if byte + size <= 8:
-                return MTIMECMP_BASE, (offset - MTIMECMP_BASE) // 8, byte
-        raise BusError(f"bad CLINT access: {size}B at offset {offset:#x}")
 
     def _update_mtip(self, hart: int, now: int | None = None) -> None:
         level = (self.time_source() if now is None else now) >= self.mtimecmp[hart]

@@ -47,10 +47,6 @@ class CycleModel:
     memory_fence: int = 150
     ipi_remote_delivery: int = 3000
 
-    def scale_ns(self, cycles: float, frequency_hz: int) -> float:
-        """Convert a cycle count to nanoseconds at a given core frequency."""
-        return cycles * 1e9 / frequency_hz
-
 
 # The VisionFive 2's U74 cores are in-order dual-issue: cheap traps,
 # moderate flush costs.

@@ -57,7 +57,8 @@ class Hart:
         if cost is None:
             cost = model.instruction
         if outcome.memory_access is not None:
-            if machine.is_mmio(outcome.memory_access.address):
+            if machine.spec_bus.device_at(
+                    outcome.memory_access.address) is not None:
                 cost += model.mmio_access
         trap = outcome.trap
         if trap is not None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import weakref
 from bisect import bisect_right, insort
-from collections.abc import Container
+from collections.abc import Container, Iterable
 from typing import Optional, Protocol, Union
 
 from repro.hart.clint import Clint
@@ -47,6 +47,8 @@ class HostHandler(Protocol):
 
 
 Owner = Union[GuestProgram, "HostHandler"]
+
+U64 = (1 << 64) - 1
 
 _MAX_DISPATCHES = 200_000_000
 
@@ -178,8 +180,23 @@ class Machine:
     def elapsed_seconds(self) -> float:
         return self.cycles / self.config.frequency_hz
 
-    def refresh_timer_lines(self) -> None:
-        self.clint.tick()
+    def wakeup_deadlines(self, hart: Hart) -> list[int]:
+        """``hart``'s wfi deadlines: ``mtimecmp``, and ``stimecmp`` (Sstc)."""
+        deadlines = [self.clint.mtimecmp[hart.hartid]]
+        if self.config.has_sstc:
+            deadlines.append(hart.state.csr.stimecmp)
+        return deadlines
+
+    def fast_forward(self, deadlines: Iterable[int]) -> bool:
+        """Move the clock just past the earliest armed deadline still ahead
+        of ``mtime`` (all ones is disarmed); False, charging nothing, when
+        none is.  Every idle loop waits through this one rule."""
+        now = self.read_mtime()
+        deadline = min((d for d in deadlines if now < d != U64), default=None)
+        if deadline is None:
+            return False
+        self.charge(mtime_to_cycles(deadline - now + 1, self._frequency_hz))
+        return True
 
     # -- interrupt lines ---------------------------------------------------
 
@@ -233,9 +250,6 @@ class Machine:
             if region.name == name:
                 return region
         raise KeyError(name)
-
-    def is_mmio(self, address: int) -> bool:
-        return self.spec_bus.device_at(address) is not None
 
     # -- control flow -------------------------------------------------
 
@@ -327,20 +341,11 @@ class Machine:
 
         Returns the halt reason.
         """
-        hart = self.harts[0]
-        if entry is not None:
-            hart.state.pc = entry
-        try:
-            while not self.halted:
-                try:
-                    self.dispatch_current(hart)
-                except FirmwareRecovered:
-                    continue
-        except MachineHalted:
-            pass
+        self.boot_to(None, entry)
         return self.halt_reason or "halted"
 
-    def boot_to(self, stop_pc: int, entry: Optional[int] = None) -> bool:
+    def boot_to(self, stop_pc: Optional[int],
+                entry: Optional[int] = None) -> bool:
         """Run like :meth:`boot` until hart 0's pc first equals ``stop_pc``
         *at the top-level dispatch loop*.
 
@@ -349,7 +354,8 @@ class Machine:
         frames, so the architectural state is quiescent and a
         :mod:`repro.snapshot` checkpoint taken here is complete.  Returns
         True when the phase was reached, False when the machine halted
-        first (the caller reads ``halt_reason``).
+        first (the caller reads ``halt_reason``); a ``stop_pc`` of None
+        runs to the halt.
         """
         hart = self.harts[0]
         if entry is not None:
@@ -400,25 +406,16 @@ class Machine:
             self.scheduler.wait_for_interrupt(hart)
             return
 
+        state = hart.state
+        deadlines = self.wakeup_deadlines(hart)
         for _ in range(64):
-            self.refresh_timer_lines()
-            state = hart.state
+            self.clint.tick()
             if state.csr.mip & state.csr.mie:
                 state.waiting_for_interrupt = False
                 return
-            deadlines = [self.clint.mtimecmp[hart.hartid]]
-            if self.config.has_sstc:
-                deadlines.append(state.csr.stimecmp)
-            deadline = min(deadlines)
-            now = self.read_mtime()
-            if deadline == (1 << 64) - 1 or deadline <= now:
+            if not self.fast_forward(deadlines):
                 break
-            self.charge(mtime_to_cycles(deadline - now + 1, self.config.frequency_hz))
         else:
-            return
-        self.refresh_timer_lines()
-        if hart.state.csr.mip & hart.state.csr.mie:
-            hart.state.waiting_for_interrupt = False
             return
         reason = f"hart {hart.hartid} is idle in wfi with no wakeup source armed"
         self.halt(reason)
@@ -458,7 +455,12 @@ class Machine:
         self._service_depth += 1
         try:
             self.charge(self.cycle_model.ipi_remote_delivery)
-            while hart.check_interrupts():
-                self.run_until(hart, {hart.parked_pc})
+            self.serve_parked(hart)
         finally:
             self._service_depth -= 1
+
+    def serve_parked(self, hart: Hart) -> None:
+        """Take a parked hart's pending interrupts one after another, each
+        handled until control is back at the parking point."""
+        while hart.check_interrupts():
+            self.run_until(hart, {hart.parked_pc})

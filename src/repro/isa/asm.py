@@ -71,10 +71,6 @@ class Assembler:
     def current_address(self) -> int:
         return self.base + 4 * len(self._items)
 
-    def address_of(self, label: str) -> int:
-        """Address of a label (valid after all labels are emitted)."""
-        return self.base + 4 * self._labels[label]
-
     # -- assembly -------------------------------------------------------
 
     def instructions(self) -> list[Instruction]:

@@ -29,10 +29,7 @@ import random
 import threading
 from typing import Optional
 
-from repro.hart.cycles import mtime_to_cycles
 from repro.hart.program import FirmwareRecovered, MachineHalted
-
-U64 = (1 << 64) - 1
 
 #: Hart lifecycle states, from the scheduler's point of view.
 READY = "ready"      # runnable, waiting for a slice
@@ -104,7 +101,7 @@ class SmpScheduler:
         machine = self.machine
         state = hart.state
         while True:
-            machine.refresh_timer_lines()
+            machine.clint.tick()
             if state.csr.mip & state.csr.mie:
                 state.waiting_for_interrupt = False
                 return
@@ -170,8 +167,7 @@ class SmpScheduler:
                     # Parked idle loop: sleep until an interrupt pends,
                     # service the chain, park again.
                     self.wait_for_interrupt(hart)
-                    while hart.check_interrupts():
-                        machine.run_until(hart, {hart.parked_pc})
+                    machine.serve_parked(hart)
                     continue
                 try:
                     machine.dispatch_current(hart)
@@ -225,7 +221,11 @@ class SmpScheduler:
                 return
             target = self._pick(alive)
             if target is None:
-                if not self._advance_time(alive):
+                if not machine.fast_forward([
+                        deadline for hartid in alive
+                        if self._status[hartid] == BLOCKED
+                        for deadline in machine.wakeup_deadlines(
+                            machine.harts[hartid])]):
                     machine.halt(
                         "smp: all harts idle with no wakeup source armed"
                     )
@@ -235,7 +235,7 @@ class SmpScheduler:
 
     def _pick(self, alive: list[int]) -> Optional[int]:
         """Next runnable hart in round-robin order, or None."""
-        self.machine.refresh_timer_lines()
+        self.machine.clint.tick()
         num_harts = self.machine.config.num_harts
         start = self._last_scheduled + 1
         for offset in range(num_harts):
@@ -248,30 +248,6 @@ class SmpScheduler:
                 if state.csr.mip & state.csr.mie:
                     return hartid
         return None
-
-    def _advance_time(self, alive: list[int]) -> bool:
-        """Jump the shared clock to the earliest armed deadline.
-
-        Returns False when no blocked hart has a future wakeup source —
-        the deterministic deadlock case.
-        """
-        machine = self.machine
-        deadlines = []
-        for hartid in alive:
-            if self._status[hartid] != BLOCKED:
-                continue
-            deadlines.append(machine.clint.mtimecmp[hartid])
-            if machine.config.has_sstc:
-                deadlines.append(machine.harts[hartid].state.csr.stimecmp)
-        now = machine.read_mtime()
-        future = [d for d in deadlines if d != U64 and d > now]
-        if not future:
-            return False
-        machine.charge(
-            mtime_to_cycles(min(future) - now + 1, machine.config.frequency_hz)
-        )
-        machine.refresh_timer_lines()
-        return True
 
     def _drain(self) -> None:
         """Wake every live thread so it observes the halt and unwinds."""

@@ -77,10 +77,6 @@ class PlatformConfig:
     def has_h_extension(self) -> bool:
         return bool(self.misa & MISA_H)
 
-    @property
-    def ram_end(self) -> int:
-        return self.ram_base + self.ram_bytes
-
     def with_overrides(self, **kwargs) -> "PlatformConfig":
         """Return a copy with the given fields replaced."""
         return dataclasses.replace(self, **kwargs)

@@ -1,7 +1,7 @@
 """The virtual CLINT must keep its own per-hart msip view.
 
 Regression tests for monitor IPI traffic leaking into the firmware's
-virtual CLINT: ``virtual_msip`` read the *physical* CLINT, so an IPI the
+virtual CLINT: its msip view read the *physical* CLINT, so an IPI the
 monitor injected on the OS's behalf (offload fast path) showed up in the
 firmware's virtual MSIP — the firmware would observe machine software
 interrupts it never sent, and the monitor's virtual-interrupt injection
@@ -16,8 +16,17 @@ from __future__ import annotations
 from repro.core.vcpu import World
 from repro.hart import clint as clint_regs
 from repro.isa import constants as c
+from repro.isa.instructions import Instruction
 from repro.spec.platform import VISIONFIVE2
 from repro.system import build_virtualized
+
+
+def _firmware_load_msip(system, hartid):
+    """The value a firmware ``lw`` of ``msip[hartid]`` reads."""
+    machine = system.machine
+    return system.miralis.vclint.emulate_access(
+        machine.harts[0], Instruction("lw", rd=5),
+        machine.clint.msip_address(hartid))
 
 
 def test_monitor_ipi_does_not_leak_into_virtual_msip():
@@ -28,10 +37,10 @@ def test_monitor_ipi_does_not_leak_into_virtual_msip():
     vclint = system.miralis.vclint
     machine.clint.write(clint_regs.MSIP_BASE + 4 * 0, 4, 1)
     assert machine.clint.msip[0] == 1
-    assert not vclint.virtual_msip(0), (
+    assert not vclint.msip[0], (
         "monitor-injected IPI leaked into the firmware's virtual MSIP view"
     )
-    assert vclint._read(clint_regs.MSIP_BASE, 4) == 0
+    assert _firmware_load_msip(system, 0) == 0
 
 
 def test_firmware_msip_write_sets_both_views():
@@ -40,12 +49,12 @@ def test_firmware_msip_write_sets_both_views():
     system = build_virtualized(VISIONFIVE2)
     machine = system.machine
     vclint = system.miralis.vclint
-    vclint._write(clint_regs.MSIP_BASE + 4 * 1, 4, 1, 0)
-    assert vclint.virtual_msip(1)
+    vclint._write(clint_regs.MSIP_BASE + 4 * 1, 4, 1)
+    assert vclint.msip[1]
     assert machine.clint.msip[1] == 1
-    assert vclint._read(clint_regs.MSIP_BASE + 4, 4) == 1
-    vclint._write(clint_regs.MSIP_BASE + 4 * 1, 4, 0, 0)
-    assert not vclint.virtual_msip(1)
+    assert _firmware_load_msip(system, 1) == 1
+    vclint._write(clint_regs.MSIP_BASE + 4 * 1, 4, 0)
+    assert not vclint.msip[1]
     assert machine.clint.msip[1] == 0
 
 
@@ -88,4 +97,4 @@ def test_offload_ipi_run_leaves_virtual_msip_clear():
     assert system.kernel.software_interrupts == 2
     vclint = system.miralis.vclint
     for hartid in range(system.machine.config.num_harts):
-        assert not vclint.virtual_msip(hartid)
+        assert not vclint.msip[hartid]

@@ -61,13 +61,13 @@ class TestNarrowMtimecmpAccess:
     def test_lb_on_mtimecmp_byte(self, vclint_parts):
         vclint, machine, hart = vclint_parts
         base = machine.clint.base + clint_regs.MTIMECMP_BASE
-        vclint._write(clint_regs.MTIMECMP_BASE, 8, 0x1122_3344_5566_8899, 0)
+        vclint._write(clint_regs.MTIMECMP_BASE, 8, 0x1122_3344_5566_8899)
         assert _load(vclint, hart, "lbu", base + 2) == 0x66
         assert _load(vclint, hart, "lb", base) == _sign_extend(0x99, 1)
 
     def test_sb_merges_into_shadow_mtimecmp(self, vclint_parts):
         vclint, machine, hart = vclint_parts
-        vclint._write(clint_regs.MTIMECMP_BASE, 8, 0x1122_3344_5566_7788, 0)
+        vclint._write(clint_regs.MTIMECMP_BASE, 8, 0x1122_3344_5566_7788)
         hart.state.set_xreg(6, 0xAB)
         vclint.emulate_access(
             hart,

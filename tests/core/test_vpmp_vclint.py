@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.interrupts import refresh_virtual_mip
 from repro.core.vcpu import VirtContext, World
 from repro.core.vclint import VirtualClint
 from repro.core.vpmp import PmpVirtualizer, napot_power_of_two_cover
@@ -224,7 +225,11 @@ class TestVirtualClint:
         )
         assert vclint.mtimecmp[0] == 0x1111_2222_AAAA_BBBB
 
-    def test_virtual_mtip(self, vclint, machine):
+    def test_virtual_mtip(self, vclint, vctx):
+        """The firmware's MTIP follows its own comparator, as the monitor
+        computes it."""
         vclint.mtimecmp[0] = 100
-        assert not vclint.virtual_mtip(0, 50)
-        assert vclint.virtual_mtip(0, 100)
+        refresh_virtual_mip(vctx, 50, vclint.mtimecmp[0], False)
+        assert not vctx.mip & c.MIP_MTIP
+        refresh_virtual_mip(vctx, 100, vclint.mtimecmp[0], False)
+        assert vctx.mip & c.MIP_MTIP

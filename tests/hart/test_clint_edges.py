@@ -167,7 +167,7 @@ class TestTickAcrossCheckpointRestore:
 
         machine.clint._set_mtip = record
         last = num_harts - 1
-        machine.refresh_timer_lines()
+        machine.clint.tick()
         deadline = machine.read_mtime() + 1000
         machine.clint.write(MTIMECMP_BASE + 8 * last, 8, deadline)
         checkpoint = capture(machine)
@@ -175,17 +175,17 @@ class TestTickAcrossCheckpointRestore:
 
         machine.charge(machine.cycle_model.instruction * 1_000_000)
         assert machine.read_mtime() >= deadline
-        machine.refresh_timer_lines()
+        machine.clint.tick()
         assert edges == [(last, True)]
         assert machine.harts[last].state.csr.mip_hw
 
         restore(machine, checkpoint)
         assert machine.read_mtime() < deadline
-        machine.refresh_timer_lines()  # level restored: no edge
+        machine.clint.tick()  # level restored: no edge
         assert edges == [(last, True)]
         assert not machine.harts[last].state.csr.mip_hw
 
         machine.charge(machine.cycle_model.instruction * 1_000_000)
-        machine.refresh_timer_lines()
+        machine.clint.tick()
         assert edges == [(last, True), (last, True)]
         _assert_edges_only(edges[1:])

@@ -67,13 +67,6 @@ class TestLabels:
         with pytest.raises(ValueError):
             asm.instructions()
 
-    def test_address_of(self):
-        asm = Assembler(base=0x8000_0000)
-        asm.nop()
-        asm.label("here")
-        asm.nop()
-        assert asm.address_of("here") == 0x8000_0004
-
 
 class TestBinary:
     def test_binary_little_endian(self):

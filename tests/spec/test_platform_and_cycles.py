@@ -63,9 +63,6 @@ class TestPlatformConfig:
         with pytest.raises(dataclasses.FrozenInstanceError):
             VISIONFIVE2.pmp_count = 4
 
-    def test_ram_end(self):
-        assert QEMU_VIRT.ram_end == QEMU_VIRT.ram_base + QEMU_VIRT.ram_bytes
-
     def test_default_ram_covers_canonical_layout(self):
         from repro.system import memory_regions
 
@@ -87,10 +84,6 @@ class TestCycleModel:
         assert PREMIER_P550_CYCLES.instruction < VISIONFIVE2_CYCLES.instruction
         # ...but pays more for TLB flushes (world switches).
         assert PREMIER_P550_CYCLES.tlb_flush > VISIONFIVE2_CYCLES.tlb_flush
-
-    def test_scale_ns(self):
-        assert VISIONFIVE2_CYCLES.scale_ns(1500, 1_500_000_000) == \
-            pytest.approx(1000.0)
 
     def test_time_conversions_roundtrip(self):
         cycles = 3_000_000

@@ -120,7 +120,7 @@ def test_firmware_comparator_store_retires_the_os_deadline():
     vclint = miralis.vclint
     vclint.set_monitor_deadline(0, 5_000)
     miralis.offload.timer_armed[0] = True
-    vclint._write(clint_regs.MTIMECMP_BASE, 8, 9_000, 0)
+    vclint._write(clint_regs.MTIMECMP_BASE, 8, 9_000)
     assert not miralis.offload.timer_armed[0]
     assert vclint.monitor_mtimecmp[0] == (1 << 64) - 1
     assert system.machine.clint.mtimecmp[0] == 9_000

@@ -173,5 +173,5 @@ class TestCleanImplementationPasses:
 
     def test_seeding_is_scoped(self):
         with bugs.seeded("vpc_overflow"):
-            assert bugs.is_active("vpc_overflow")
-        assert not bugs.is_active("vpc_overflow")
+            assert "vpc_overflow" in bugs.active
+        assert "vpc_overflow" not in bugs.active
