@@ -205,13 +205,14 @@ class FastPath:
         if mask_base == U64:
             return list(range(num_harts)), True
         targets: list[int] = []
-        for i in range(64):
-            if not hart_mask >> i & 1:
-                continue
-            target = mask_base + i
+        mask = hart_mask & U64
+        while mask:
+            bit = mask & -mask  # the lowest set bit
+            target = mask_base + bit.bit_length() - 1
             if not 0 <= target < num_harts:
                 return targets, False
             targets.append(target)
+            mask ^= bit
         return targets, True
 
     def _deliver_ipi(self, hart, vctx: VirtContext, targets: list[int]) -> None:

@@ -20,8 +20,9 @@ offset                register
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Protocol
 
+from repro.hart.cycles import TIMEBASE_FREQUENCY, cycles_to_mtime
 from repro.spec.step import BusError
 
 MSIP_BASE = 0x0000
@@ -62,27 +63,36 @@ def merge(register: int, value: int, size: int, byte: int) -> int:
     return (register & ~mask) | ((value << (8 * byte)) & mask)
 
 
+class Clock(Protocol):
+    """What the CLINT reads time from: the machine's elapsed cycles."""
+
+    cycles: float
+
+
 class Clint:
     """The physical CLINT device.
 
-    ``time_source`` supplies the current mtime value (owned by the
-    machine's clock); interrupt level changes are pushed through the
-    ``set_msip``/``set_mtip`` callbacks so CSR ``mip`` bits track device
-    state, as wired lines do on hardware.
+    ``mtime`` is derived from ``clock.cycles`` at ``frequency_hz`` by
+    ``cycles_to_mtime``, as the machine derives it; interrupt level
+    changes are pushed through the ``set_msip``/``set_mtip`` callbacks
+    so CSR ``mip`` bits track device state, as wired lines do on
+    hardware.
     """
 
     def __init__(
         self,
         base: int,
         num_harts: int,
-        time_source: Callable[[], int],
+        clock: Clock,
+        frequency_hz: int,
         set_msip: Callable[[int, bool], None],
         set_mtip: Callable[[int, bool], None],
     ):
         self.base = base
         self.size = CLINT_SIZE
         self.num_harts = num_harts
-        self.time_source = time_source
+        self.clock = clock
+        self._frequency_hz = frequency_hz
         self._set_msip = set_msip
         self._set_mtip = set_mtip
         self.msip = [0] * num_harts
@@ -92,13 +102,15 @@ class Clint:
         # exact, not an approximation — unlike msip, whose rising edge also
         # triggers remote-hart servicing and must never be filtered.
         self._mtip_level: list[bool | None] = [None] * num_harts
-        # The deadline window: while ``lo <= mtime < hi`` and the
-        # comparators still equal ``_window_cmp``, no hart's level can
-        # differ from ``_mtip_level``, so ``tick`` is one range test.
-        # Derived from the levels and comparators by ``_rewindow``; empty
-        # until every level is known.
-        self._window_lo: float = _INF
-        self._window_hi: float = -_INF
+        # The quiet window, in clock cycles: while
+        # ``_cycles_lo <= clock.cycles < _cycles_hi`` and the comparators
+        # still equal ``_window_cmp``, no hart's level can differ from
+        # ``_mtip_level``, so ``tick`` (and ``Hart.check_interrupts``,
+        # which tests it in place) is one range test.  Derived from the
+        # levels and comparators by ``_rewindow``; empty until every
+        # level is known.
+        self._cycles_lo: float = _INF
+        self._cycles_hi: float = -_INF
         self._window_cmp: list[int] = []
         #: Fault-injection hook: ``hook(kind, offset, size) -> bool``;
         #: True makes the access fail with a transient bus error.
@@ -111,7 +123,7 @@ class Clint:
             raise BusError(f"clint: transient bus fault reading offset {offset:#x}")
         register, hart, byte = locate(offset, size, self.num_harts)
         if register == "mtime":
-            value = self.time_source()
+            value = self.mtime()
         elif register == "msip":
             value = self.msip[hart]
         else:
@@ -136,8 +148,11 @@ class Clint:
 
     # -- timer logic ------------------------------------------------------
 
+    def mtime(self) -> int:
+        return cycles_to_mtime(self.clock.cycles, self._frequency_hz)
+
     def _update_mtip(self, hart: int, now: int | None = None) -> None:
-        level = (self.time_source() if now is None else now) >= self.mtimecmp[hart]
+        level = (self.mtime() if now is None else now) >= self.mtimecmp[hart]
         if level != self._mtip_level[hart]:
             self._mtip_level[hart] = level
             self._set_mtip(hart, level)
@@ -145,14 +160,16 @@ class Clint:
     def tick(self) -> None:
         """Re-evaluate all timer comparators (called when time advances).
 
-        Inside the deadline window (see ``_rewindow``) nothing can change
-        and this is one range test; outside it, one comparison pass, and
-        ``set_mtip`` runs only for a level change.
+        Inside the quiet window (see ``_rewindow``) nothing can change
+        and this is one range test on the cycle count; outside it, one
+        comparison pass on ``mtime``, and ``set_mtip`` runs only for a
+        level change.
         """
-        now = self.time_source()
-        if (self._window_lo <= now < self._window_hi
+        cycles = self.clock.cycles
+        if (self._cycles_lo <= cycles < self._cycles_hi
                 and self.mtimecmp == self._window_cmp):
             return
+        now = cycles_to_mtime(cycles, self._frequency_hz)
         if [now >= deadline for deadline in self.mtimecmp] != self._mtip_level:
             for hart in range(self.num_harts):
                 self._update_mtip(hart, now)
@@ -162,14 +179,25 @@ class Clint:
         """Recompute the window in which no comparator changes level.
 
         Hart ``h`` keeps its level exactly while ``mtime >= mtimecmp[h]``
-        equals ``_mtip_level[h]``: the window is ``[lo, hi)`` with ``lo``
-        the latest raised comparator and ``hi`` the earliest lowered one.
-        It is derived from the recorded levels, not from the time, so a
-        stale level leaves ``mtime`` outside (or the window empty) and the
-        next ``tick`` re-evaluates.  Recomputed after every level change,
-        ``write`` and ``restore_state``; ``tick`` also compares the
-        comparators against the copy taken here, which catches a direct
-        (in-place) mutation of ``mtimecmp``.
+        equals ``_mtip_level[h]``: in ``mtime`` the window is ``[lo, hi)``
+        with ``lo`` the latest raised comparator and ``hi`` the earliest
+        lowered one.  It is kept in cycles, shrunk by one cycle at each
+        end: ``mtime`` is ``int(cycles * TIMEBASE_FREQUENCY / frequency)``
+        in floating point, and a cycle inside ``[lo * frequency /
+        TIMEBASE_FREQUENCY + 1, hi * frequency / TIMEBASE_FREQUENCY - 1)``
+        lies at least ``TIMEBASE_FREQUENCY / frequency`` ticks (0.002 at
+        2 GHz) inside ``[lo, hi)``, far more than the two roundings can
+        move it while ``mtime`` stays below about 2**40 (three days at
+        the 4 MHz timebase).  Outside the window ``tick`` compares as
+        before, so the result is exact; the test is two-sided, so a
+        restore that moves the clock back leaves it too.
+
+        The window is derived from the recorded levels, not from the
+        time, so a stale level leaves the clock outside (or the window
+        empty) and the next ``tick`` re-evaluates.  Recomputed after
+        every level change, ``write`` and ``restore_state``; ``tick``
+        also compares the comparators against the copy taken here, which
+        catches a direct (in-place) mutation of ``mtimecmp``.
         """
         lo, hi = -_INF, _INF
         for deadline, level in zip(self.mtimecmp, self._mtip_level):
@@ -181,8 +209,9 @@ class Clint:
                     lo = deadline
             elif deadline < hi:
                 hi = deadline
-        self._window_lo = lo
-        self._window_hi = hi
+        frequency = self._frequency_hz
+        self._cycles_lo = lo * frequency / TIMEBASE_FREQUENCY + 1
+        self._cycles_hi = hi * frequency / TIMEBASE_FREQUENCY - 1
         self._window_cmp = list(self.mtimecmp)
 
     # -- state protocol ---------------------------------------------------

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from repro.hart.cycles import mnemonic_cost_table
+from repro.hart.cycles import TIMEBASE_FREQUENCY, mnemonic_cost_table
 from repro.isa import constants as c
 from repro.isa.instructions import Instruction
 from repro.spec.interrupts import pending_interrupt
@@ -15,10 +15,13 @@ from repro.spec.traps import take_trap
 if TYPE_CHECKING:
     from repro.hart.machine import Machine
 
-# Constants ``execute`` reads on every instruction, bound once.
+# Constants ``execute`` and ``check_interrupts`` read on every
+# instruction, bound once.
 _M_MODE = c.M_MODE
 _CSR_MINSTRET = c.CSR_MINSTRET
 _CSR_MCYCLE = c.CSR_MCYCLE
+_MIP_MASK = c.MIP_MASK
+_MENVCFG_STCE = c.MENVCFG_STCE
 
 
 class Hart:
@@ -32,6 +35,9 @@ class Hart:
         )
         self.cycle_model = machine.cycle_model
         self._cost_table = mnemonic_cost_table(machine.cycle_model)
+        self._clint = machine.clint
+        # Whether ``stimecmp`` can drive STIP (Sstc, when menvcfg.STCE).
+        self._has_sstc = machine.config.has_sstc
         self.cycles = 0.0
         self.instret = 0
         #: When parked (idle in wfi), the pc handlers must return to so the
@@ -69,9 +75,12 @@ class Hart:
             )
             # Positional: hart, cause, is_interrupt, from_mode (None: the
             # mode before the trap is folded into the cause), mtime, pc.
-            machine.stats.record_trap(self.hartid, trap.cause,
-                                      trap.is_interrupt, None,
-                                      machine.read_mtime(), state.pc)
+            machine.stats.record_trap(
+                self.hartid, trap.cause, trap.is_interrupt, None,
+                # Machine.read_mtime, inlined.
+                int(machine.cycles * TIMEBASE_FREQUENCY
+                    / machine._frequency_hz),
+                state.pc)
         self.cycles += cost
         machine.cycles += cost
         self.instret += 1
@@ -82,11 +91,19 @@ class Hart:
 
     def check_interrupts(self) -> bool:
         """Deliver a pending interrupt if any.  Returns True if one was taken."""
-        self.machine.clint.tick()
+        clint = self._clint
+        # Clint.tick's quiet-window test, in place: tick only outside it.
+        if not (clint._cycles_lo <= self.machine.cycles < clint._cycles_hi
+                and clint.mtimecmp == clint._window_cmp):
+            clint.tick()
         csr = self.state.csr
-        # ``mip`` is already masked by MIP_MASK, so this is exactly the
-        # "nothing ready" case of pending_interrupt.
-        if not csr.mip & csr.mie:
+        # The "nothing ready" case of pending_interrupt.  CsrFile.mip
+        # reads the same bits, and is needed only where stimecmp drives
+        # STIP.
+        if self._has_sstc and csr.menvcfg & _MENVCFG_STCE:
+            if not csr.mip & csr.mie:
+                return False
+        elif not (csr.mip_sw | csr.mip_hw) & csr.mie & _MIP_MASK:
             return False
         trap = pending_interrupt(self.state)
         if trap is None:

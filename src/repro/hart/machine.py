@@ -83,7 +83,8 @@ class Machine:
 
     def __init__(self, config: PlatformConfig, keep_trap_events: bool = True):
         self.config = config
-        # Read by ``read_mtime`` several times per trap.
+        # Read by ``read_mtime`` and by ``Hart.execute`` for each trap it
+        # records.
         self._frequency_hz = config.frequency_hz
         self.cycle_model = cycle_model_for(config)
         self.stats = TrapStats(keep_events=keep_trap_events, machine=self)
@@ -97,7 +98,8 @@ class Machine:
         self.clint = Clint(
             config.clint_base,
             config.num_harts,
-            time_source=self.read_mtime,
+            clock=self,
+            frequency_hz=config.frequency_hz,
             set_msip=self._set_msip_line,
             set_mtip=self._set_mtip_line,
         )

@@ -14,6 +14,7 @@ from repro.spec.step import BusError
 
 _PAGE_SHIFT = 12
 _PAGE_SIZE = 1 << _PAGE_SHIFT
+_PAGE_MASK = _PAGE_SIZE - 1
 
 #: Sentinel so the device cache can remember "no device here" distinctly
 #: from a cold entry.
@@ -60,7 +61,7 @@ class Ram:
         if page is None:
             page = bytearray(_PAGE_SIZE)
             self._pages[page_number] = page
-        return page, address & (_PAGE_SIZE - 1)
+        return page, address & _PAGE_MASK
 
     def _writable_page(self, address: int) -> tuple[bytearray, int]:
         """Write path: clone a frozen page before handing it out."""
@@ -73,7 +74,7 @@ class Ram:
             page = bytearray(page)
             self._pages[page_number] = page
             self._frozen.discard(page_number)
-        return page, address & (_PAGE_SIZE - 1)
+        return page, address & _PAGE_MASK
 
     def read(self, address: int, size: int) -> int:
         end = address + size
@@ -100,19 +101,17 @@ class Ram:
         return b"".join(chunks)
 
     def write(self, address: int, size: int, value: int) -> None:
-        end = address + size
-        data = value.to_bytes(size, "little")
-        page_number = address >> _PAGE_SHIFT
-        if page_number == (end - 1) >> _PAGE_SHIFT:
+        offset = address & _PAGE_MASK
+        if offset + size <= _PAGE_SIZE:
             # One page: a live, unfrozen page is written in place without
             # the allocate-or-clone call.
+            page_number = address >> _PAGE_SHIFT
             page = self._pages.get(page_number)
             if page is None or page_number in self._frozen:
                 page, _ = self._writable_page(address)
-            offset = address & (_PAGE_SIZE - 1)
-            page[offset:offset + size] = data
+            page[offset:offset + size] = value.to_bytes(size, "little")
             return
-        for i, byte in enumerate(data):
+        for i, byte in enumerate(value.to_bytes(size, "little")):
             page, offset = self._writable_page(address + i)
             page[offset] = byte
 

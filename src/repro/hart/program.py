@@ -31,6 +31,8 @@ if TYPE_CHECKING:
     from repro.hart.hart import Hart
     from repro.hart.machine import Machine
 
+_XMASK = c.XMASK
+
 
 class MachineHalted(Exception):
     """Raised to unwind all guest programs when the machine halts."""
@@ -273,19 +275,33 @@ class GuestContext:
 
     # -- register access ---------------------------------------------------
 
+    # ``get_reg``, ``set_reg`` and ``compute`` run once or more per guest
+    # operation, so they do MachineState.get_xreg/set_xreg's and
+    # Hart.charge's work in place.
+
     def get_reg(self, index: int) -> int:
-        return self.hart.state.get_xreg(index)
+        if not 0 <= index <= 31:
+            raise IndexError(f"register x{index} out of range")
+        return self.hart.state._xregs[index]
 
     def set_reg(self, index: int, value: int) -> None:
         """Place a value in a register (modelled as a materialization).
 
         Charged as two instructions, approximating an ``li`` sequence.
         """
-        self.hart.state.set_xreg(index, value)
-        self.hart.charge(2 * self.hart.cycle_model.instruction)
+        if not 0 <= index <= 31:
+            raise IndexError(f"register x{index} out of range")
+        hart = self.hart
+        if index:
+            hart.state._xregs[index] = value & _XMASK
+        cost = 2 * hart.cycle_model.instruction
+        hart.cycles += cost
+        self.machine.cycles += cost
 
     # -- CSR operations ----------------------------------------------------
 
+    # The operations below read their result registers straight from the
+    # register file: these indices are in range by construction.
     _SCRATCH_A = 31  # t6: address / CSR operand scratch
     _SCRATCH_B = 30  # t5: data scratch
     _SCRATCH_C = 29  # t4: result scratch
@@ -293,11 +309,11 @@ class GuestContext:
     def csrrw(self, csr: int, value: int) -> int:
         self.set_reg(self._SCRATCH_A, value)
         self.exec(make_instruction("csrrw", rd=self._SCRATCH_C, rs1=self._SCRATCH_A, csr=csr))
-        return self.get_reg(self._SCRATCH_C)
+        return self.hart.state._xregs[self._SCRATCH_C]
 
     def csrr(self, csr: int) -> int:
         self.exec(make_instruction("csrrs", rd=self._SCRATCH_C, rs1=0, csr=csr))
-        return self.get_reg(self._SCRATCH_C)
+        return self.hart.state._xregs[self._SCRATCH_C]
 
     def csrw(self, csr: int, value: int) -> None:
         self.set_reg(self._SCRATCH_A, value)
@@ -306,16 +322,16 @@ class GuestContext:
     def csrs(self, csr: int, mask: int) -> int:
         self.set_reg(self._SCRATCH_A, mask)
         self.exec(make_instruction("csrrs", rd=self._SCRATCH_C, rs1=self._SCRATCH_A, csr=csr))
-        return self.get_reg(self._SCRATCH_C)
+        return self.hart.state._xregs[self._SCRATCH_C]
 
     def csrc(self, csr: int, mask: int) -> int:
         self.set_reg(self._SCRATCH_A, mask)
         self.exec(make_instruction("csrrc", rd=self._SCRATCH_C, rs1=self._SCRATCH_A, csr=csr))
-        return self.get_reg(self._SCRATCH_C)
+        return self.hart.state._xregs[self._SCRATCH_C]
 
     def csrrwi(self, csr: int, zimm: int) -> int:
         self.exec(make_instruction("csrrwi", rd=self._SCRATCH_C, rs1=zimm, csr=csr))
-        return self.get_reg(self._SCRATCH_C)
+        return self.hart.state._xregs[self._SCRATCH_C]
 
     # -- memory --------------------------------------------------------
 
@@ -327,7 +343,7 @@ class GuestContext:
         table = self._SIGNED_LOAD_FOR_SIZE if signed else self._LOAD_FOR_SIZE
         self.set_reg(self._SCRATCH_A, address)
         self.exec(make_instruction(table[size], rd=self._SCRATCH_C, rs1=self._SCRATCH_A))
-        return self.get_reg(self._SCRATCH_C)
+        return self.hart.state._xregs[self._SCRATCH_C]
 
     def store(self, address: int, value: int, size: int = 8) -> None:
         self.set_reg(self._SCRATCH_A, address)
@@ -353,7 +369,8 @@ class GuestContext:
         if a7 is not None:
             self.set_reg(17, a7)
         self.exec(make_instruction("ecall"))
-        return self.get_reg(10), self.get_reg(11)
+        xregs = self.hart.state._xregs
+        return xregs[10], xregs[11]
 
     def mret(self) -> None:
         self._restore_trap_frame()
@@ -398,21 +415,25 @@ class GuestContext:
         straight-line code, the block is interruptible: a timer expiring
         during it is delivered at its end.
         """
-        scheduler = self.machine.scheduler
+        machine = self.machine
+        hart = self.hart
+        scheduler = machine.scheduler
         if scheduler is not None:
             # SMP preemption point: a compute block is a slab of real
             # instructions, so it must consume quantum like any other
             # architectural operation — otherwise a busy-wait loop built
             # from compute() (spin-until-IPI) never yields its slice.
-            scheduler.checkpoint(self.hart)
-        self.hart.charge(instructions * self.hart.cycle_model.instruction)
-        resume_pc = self.hart.state.pc
+            scheduler.checkpoint(hart)
+        cost = instructions * hart.cycle_model.instruction
+        hart.cycles += cost
+        machine.cycles += cost
+        resume_pc = hart.state.pc
         # Deliver interrupt chains (e.g. an IPI whose handler raises a
         # supervisor software interrupt) to completion.
         for _ in range(8):
-            if not self.hart.check_interrupts():
+            if not hart.check_interrupts():
                 break
-            self.machine.run_until(self.hart, {resume_pc})
+            machine.run_until(hart, {resume_pc})
 
     @property
     def mode(self) -> c.PrivilegeLevel:

@@ -90,3 +90,29 @@ def test_end_to_end_mixed_mask_ssi_matches_native():
         "virtualized+offload dropped the valid self-IPI that native "
         "firmware delivers before failing on the invalid target"
     )
+
+
+def test_first_invalid_bit_above_bit_32_stops_the_walk():
+    """The walk visits set bits only, lowest first: harts 1 and 3 are
+    delivered, then hart 40 fails the call and bit 50 is never reached."""
+    system, machine, offload, hart, vctx = _offload_parts()
+    mask = (1 << 1) | (1 << 3) | (1 << 40) | (1 << 50)
+    assert offload._ipi_targets(mask, 0) == ([1, 3], False)
+    ret = offload._sbi_send_ipi(hart, vctx, mask, 0)
+    assert ret.error == INVALID
+    assert [machine.clint.msip[h] for h in (1, 3)] == [1, 1]
+    assert machine.clint.msip[0] == machine.clint.msip[2] == 0
+
+
+def test_nonzero_mask_base_offsets_every_target():
+    """Bit i names hart mask_base + i, for valid and invalid bits alike."""
+    system, machine, offload, hart, vctx = _offload_parts()
+    num_harts = machine.config.num_harts
+    assert offload._ipi_targets(0b101, 1) == ([1, 3], True)
+    assert offload._ipi_targets((1 << 35) | 1, 2) == ([2], False)
+    assert offload._ipi_targets(1 << 63, 0) == ([], False)
+    assert offload._ipi_targets(0, 1) == ([], True)
+    assert offload._ipi_targets(0b1, U64) == (list(range(num_harts)), True)
+    ret = offload._sbi_send_ipi(hart, vctx, 0b101, 1)
+    assert ret.is_success
+    assert list(machine.clint.msip) == [0, 1, 0, 1]

@@ -1,6 +1,6 @@
 """``Clint.tick`` drives ``set_mtip`` on level changes only.
 
-``tick`` returns after one range test while ``mtime`` stays inside the
+``tick`` returns after one range test while the clock stays inside the
 window where no comparator can change level, compares every ``mtimecmp``
 against ``mtime`` in one pass otherwise, and calls back only for a hart
 whose level changed.  It must behave exactly as re-evaluating each hart's
@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hart.clint import MTIMECMP_BASE, Clint
+from repro.hart.cycles import TIMEBASE_FREQUENCY
 from repro.hart.machine import Machine
 from repro.snapshot import capture, restore
 from repro.spec.platform import VISIONFIVE2
@@ -30,7 +31,7 @@ class PerHartClint(Clint):
     """Reference: re-evaluate each hart's comparator on every tick."""
 
     def tick(self) -> None:
-        now = self.time_source()
+        now = self.mtime()
         for hart in range(self.num_harts):
             self._update_mtip(hart, now)
 
@@ -39,14 +40,20 @@ class Rig:
     def __init__(self, cls, num_harts: int):
         self.now = 0
         self.log: list[tuple[int, bool]] = []
+        # The rig is the clock, at the timebase frequency: ``cycles``
+        # and ``mtime`` are both ``now``.
         self.clint = cls(
             0x200_0000, num_harts,
-            time_source=lambda: self.now,
+            clock=self, frequency_hz=TIMEBASE_FREQUENCY,
             set_msip=lambda hart, level: None,
             set_mtip=lambda hart, level: self.log.append((hart, level)),
         )
         #: (time, device state) after every action, for ``restore``.
         self.history: list[tuple[int, dict]] = []
+
+    @property
+    def cycles(self) -> int:
+        return self.now
 
 
 def _apply(rig: Rig, action: tuple) -> None:

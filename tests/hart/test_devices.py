@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.hart.clint import Clint, MTIME_OFFSET
+from repro.hart.cycles import TIMEBASE_FREQUENCY
 from repro.hart.memory import Ram, SystemBus
 from repro.hart.plic import Plic
 from repro.hart.uart import Uart
@@ -97,10 +98,18 @@ class FakeLines:
         self.eip[hart] = level
 
 
+class FakeClock:
+    """A clock at the timebase frequency: one cycle per mtime tick."""
+
+    def __init__(self, cycles: int):
+        self.cycles = cycles
+
+
 class TestClint:
-    def _clint(self, now=(lambda: 1000)):
+    def _clint(self, clock=None):
         lines = FakeLines()
-        clint = Clint(0x200_0000, 2, now, lines.set_msip, lines.set_mtip)
+        clint = Clint(0x200_0000, 2, clock or FakeClock(1000),
+                      TIMEBASE_FREQUENCY, lines.set_msip, lines.set_mtip)
         return clint, lines
 
     def test_mtime_read(self):
@@ -133,11 +142,11 @@ class TestClint:
         assert clint.mtimecmp[0] == 0x1111_2222_AAAA_BBBB
 
     def test_tick_reevaluates(self):
-        now = [100]
-        clint, lines = self._clint(now=lambda: now[0])
+        clock = FakeClock(100)
+        clint, lines = self._clint(clock)
         clint.write(0x4000, 8, 200)
         assert lines.mtip == {0: False}
-        now[0] = 250
+        clock.cycles = 250
         clint.tick()
         assert lines.mtip[0] is True
 

@@ -40,13 +40,14 @@ NOT_STATE = {
         # Components a checkpoint composes next to the machine's own.
         "stats", "clint", "plic", "uart", "harts",
     },
-    "Hart": {"machine", "hartid", "cycle_model", "_cost_table"},
+    "Hart": {"machine", "hartid", "cycle_model", "_cost_table", "_clint",
+             "_has_sstc"},
     "MachineState": {"config", "hartid"},
     "CsrFile": {"config", "hartid", "time_source", "table"},
-    "Clint": {"base", "size", "num_harts", "time_source", "_set_msip",
-              "_set_mtip", "fault_hook",
-              # The deadline window, derived from mtimecmp and the levels.
-              "_window_lo", "_window_hi", "_window_cmp"},
+    "Clint": {"base", "size", "num_harts", "clock", "_frequency_hz",
+              "_set_msip", "_set_mtip", "fault_hook",
+              # The quiet window, derived from mtimecmp and the levels.
+              "_cycles_lo", "_cycles_hi", "_window_cmp"},
     "Plic": {"base", "size", "num_harts", "_set_eip", "fault_hook"},
     "Uart": {"base", "size", "fault_hook"},
     "TrapStats": {"keep_events", "machine", "last_event", "_last_by_hart", "_seq_by_hart",
